@@ -30,8 +30,8 @@ from .rules import (GmaScale, OneOffDec, OneOffMay, PipelineFlags,
                     gross_to_net, params_from_dict, params_to_dict, tbi_award)
 from .scenario import (BandResult, BaselineStats, DecompositionResult,
                        DisaggregationResult, PovertyConfig, ScenarioResult,
-                       ScenarioSpec, ValidationResult, decompose, disaggregate,
-                       prepare_baseline, run_scenario,
+                       ScenarioSpec, Study, ValidationResult, decompose,
+                       disaggregate, prepare_baseline, run_scenario,
                        simulated_aggregate_changes, uncertainty_band,
                        validate_against_observed)
 from .synth import (IncomeDist, SynthConfig, calibrate_to_baseline,
@@ -48,7 +48,8 @@ __all__ = [
     "PipelineError", "PipelineFlags", "PolicyParameters", "Population",
     "PovertyConfig", "PovertyLines", "PovertyReport", "PovsimError",
     "RateResult", "Regime", "ScenarioResult", "ScenarioSettings",
-    "ScenarioSpec", "SelfEmpCellKey", "Sex", "StudyConfig", "SynthConfig",
+    "ScenarioSpec", "SelfEmpCellKey", "Sex", "Study", "StudyConfig",
+    "SynthConfig",
     "TbiContext", "TbiParams", "ValidationResult", "WageCellKey",
     "aggregate_income_change", "all_selfemp_keys", "all_wage_keys",
     "apply_shock", "build_ledger", "build_person_rows",

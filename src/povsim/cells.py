@@ -420,7 +420,7 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
             return replace(p, self_employment=new_se)
         return p
 
-    return pop.map_persons(transform)
+    return pop._rescale_incomes(transform)
 
 
 def aggregate_income_change(before: Population, after: Population,

@@ -35,8 +35,7 @@ from .reporting import (band_csv, band_json_obj, band_rows, dumps_json,
                         table1_csv, table1_json_obj, table1_rows, table2_csv,
                         table2_json_obj)
 from .rules import Regime
-from .scenario import (decompose, disaggregate, prepare_baseline,
-                       simulated_aggregate_changes, uncertainty_band,
+from .scenario import (Study, prepare_baseline, simulated_aggregate_changes,
                        validate_against_observed)
 from .synth import calibrate_to_baseline, generate_synthetic
 
@@ -252,8 +251,6 @@ def _factor_needs_table(factors: tuple[str, ...]) -> bool:
 @click.option("--out", "out_path", required=True, type=click.Path(file_okay=False))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "both"]),
               default="both", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads for per-household work.")
 @click.option("--scale", default=None, help="Override scenario.shock_scale.")
 @click.option("--factors", default=None,
               help="Comma-separated factor subset override.")
@@ -261,12 +258,10 @@ def _factor_needs_table(factors: tuple[str, ...]) -> bool:
               help="Override the baseline benefit regime.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def simulate(config_path: str, persons: str | None, households: str | None,
-             cells_path: str | None, out_path: str, fmt: str, jobs: int,
+             cells_path: str | None, out_path: str, fmt: str,
              scale: str | None, factors: str | None, regime: str | None,
              seed: int | None) -> None:
     """Run decomposition, uncertainty band and group breakdowns."""
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
     cfg = _load_config_with_overrides(config_path, seed, scale, factors, regime)
     settings = cfg.scenario
     pop, inputs = _population_for(cfg, persons, households)
@@ -278,17 +273,16 @@ def simulate(config_path: str, persons: str | None, households: str | None,
         raise ConfigError("selected factors include an income shock; "
                           "--cells is required")
 
-    deco = decompose(pop, table, cfg.policy, cfg.poverty,
-                     base_spec=settings.base_spec(), factors=settings.factors,
-                     transfers_on_shocked=settings.transfers_on_shocked,
-                     jobs=jobs)
+    study = Study(pop, table, cfg.policy, cfg.poverty)
+    deco = study.decompose(base_spec=settings.base_spec(),
+                           factors=settings.factors,
+                           transfers_on_shocked=settings.transfers_on_shocked)
     band = None
     if settings.all_factors:
-        band = uncertainty_band(pop, table, cfg.policy, cfg.poverty,
-                                scales=settings.band_scales,
-                                base_spec=settings.base_spec(), jobs=jobs)
-    dis = disaggregate(pop, table, settings.scenario_spec(), cfg.policy,
-                       cfg.poverty, dimensions=settings.dimensions, jobs=jobs)
+        band = study.uncertainty_band(scales=settings.band_scales,
+                                      base_spec=settings.base_spec())
+    dis = study.disaggregate(settings.scenario_spec(),
+                             dimensions=settings.dimensions)
 
     out = _out_dir(out_path)
     outputs: dict[str, str] = {}
@@ -310,8 +304,6 @@ def simulate(config_path: str, persons: str | None, households: str | None,
                         outputs)
         _render_band_chart(out, band_rows(band), outputs)
     _render_group_charts(out, groups_rows(dis), outputs)
-    # Worker count deliberately left out of the manifest: results do not
-    # depend on it, and manifests of equal runs must compare equal.
     write_manifest(out, "simulate", cfg, inputs, outputs,
                    extra={"population_provenance": pop.provenance,
                           "format": fmt})

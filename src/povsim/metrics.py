@@ -8,6 +8,7 @@ are Fractions and only rendered to decimals at the reporting edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -21,6 +22,9 @@ from .population import EducationLevel, Household, Person, Population
 OECD_CHILD_AGE = 14
 
 INDICATORS: tuple[str, ...] = ("relative", "absolute_extreme", "absolute_upper")
+
+#: The relative poverty line as a share of the median equivalized income.
+RELATIVE_LINE_SHARE = Fraction(3, 5)
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def build_person_rows(pop: Population, annual_income: Mapping[int, int],
 def relative_poverty_line(rows: Sequence[PersonRow]) -> Fraction:
     """60 percent of the person-weighted median equivalized income."""
     median = weighted_median((r.equivalized, r.weight_centi) for r in rows)
-    return Fraction(3, 5) * median
+    return RELATIVE_LINE_SHARE * median
 
 
 @dataclass(frozen=True)
@@ -272,3 +276,107 @@ def compute_report(rows: Sequence[PersonRow], lines: PovertyLines,
         )
     return PovertyReport(lines=lines, indicators=indicators,
                          n_persons=len(rows), n_households=n_households)
+
+
+# -- household-level scoring --------------------------------------------------
+#
+# Every member of a household shares its equivalized income, per-capita
+# income and survey weight, so each person-weighted statistic above equals
+# the same statistic over households, each weighted by its survey weight
+# times the number of members counted. The classes below compute them
+# that way, on exact integer keys: equivalized income is
+# income * eq_factor / eq_denominator with integer factors and one common
+# denominator, so sorting and line comparisons never build a Fraction.
+
+
+@dataclass(frozen=True)
+class HouseholdFrame:
+    """Per-household scoring data of one population, in household order."""
+
+    household_ids: tuple[int, ...]
+    weights: tuple[int, ...]          # centiweights
+    sizes: tuple[int, ...]
+    children: tuple[int, ...]         # members under 18
+    eq_factors: tuple[int, ...]
+    eq_denominator: int
+
+    @classmethod
+    def of(cls, pop: Population, scale: EquivalenceScale) -> "HouseholdFrame":
+        members = [pop.members(hh.household_id) for hh in pop.households]
+        divisors = [scale.divisor(ms) for ms in members]
+        # eq = income / (n/d) = income * d * (L/n) / L with L = lcm of the n
+        den = math.lcm(*(d.numerator for d in divisors))
+        return cls(
+            household_ids=tuple(hh.household_id for hh in pop.households),
+            weights=tuple(hh.weight_centi for hh in pop.households),
+            sizes=tuple(len(ms) for ms in members),
+            children=tuple(sum(1 for m in ms if m.is_child) for ms in members),
+            eq_factors=tuple(d.denominator * (den // d.numerator)
+                             for d in divisors),
+            eq_denominator=den,
+        )
+
+    def scores(self, annual_income: Sequence[int]) -> "HouseholdScores":
+        """Scores of one annual income per household, in household order."""
+        return HouseholdScores(
+            frame=self, annual=tuple(annual_income),
+            keys=tuple(y * f for y, f in zip(annual_income, self.eq_factors)))
+
+
+@dataclass(frozen=True)
+class HouseholdScores:
+    """Equivalized incomes of one scenario as exact integer keys.
+
+    keys[i] / frame.eq_denominator is household i's equivalized income.
+    """
+
+    frame: HouseholdFrame
+    annual: tuple[int, ...]
+    keys: tuple[int, ...]
+
+    def equivalized(self) -> dict[int, Fraction]:
+        den = self.frame.eq_denominator
+        return {hid: Fraction(key, den)
+                for hid, key in zip(self.frame.household_ids, self.keys)}
+
+    def _person_weights(self) -> Iterable[int]:
+        return (w * n for w, n in zip(self.frame.weights, self.frame.sizes))
+
+    def median_equivalized(self) -> Fraction:
+        """Person-weighted lower median of equivalized income."""
+        return (weighted_median(zip(self.keys, self._person_weights()))
+                / self.frame.eq_denominator)
+
+    def median_per_capita_monthly(self) -> Fraction:
+        """Person-weighted lower median of per-capita monthly income."""
+        common = math.lcm(*self.frame.sizes)
+        keys = (y * (common // n) for y, n in zip(self.annual, self.frame.sizes))
+        return (weighted_median(zip(keys, self._person_weights()))
+                / (12 * common))
+
+    def rate(self, line: Fraction, counts: Sequence[int]) -> RateResult:
+        """poverty_rate over the counts[i] selected members of household i."""
+        num, den = line.numerator, line.denominator
+        bound = num * self.frame.eq_denominator
+        poor = total = 0
+        for key, weight, count in zip(self.keys, self.frame.weights, counts):
+            if count:
+                weight *= count
+                total += weight
+                if key * den < bound:
+                    poor += weight
+        rate = None if total == 0 else Fraction(poor, total)
+        return RateResult(rate=rate, poor_centi=poor, total_centi=total)
+
+    def report(self, lines: PovertyLines) -> PovertyReport:
+        """compute_report over this scenario's persons."""
+        indicators = {}
+        for name in INDICATORS:
+            line = lines.line(name)
+            indicators[name] = IndicatorStats(
+                children=self.rate(line, self.frame.children),
+                all_persons=self.rate(line, self.frame.sizes),
+            )
+        return PovertyReport(lines=lines, indicators=indicators,
+                             n_persons=sum(self.frame.sizes),
+                             n_households=len(self.keys))

@@ -9,16 +9,19 @@ which is what makes every downstream reduction order-independent.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import DataError
 from .money import MONTHS, ZERO_YEAR, parse_weight, weight_to_str
 from .nace import is_division
 
 MonthVector = tuple[int, ...]
+
+_T = TypeVar("_T")
 
 INCOME_SOURCES: tuple[str, ...] = (
     "wage",
@@ -169,6 +172,8 @@ class Population:
         init=False, repr=False, compare=False, default_factory=dict)
     _household_by_id: Mapping[int, Household] = field(
         init=False, repr=False, compare=False, default_factory=dict)
+    _derived: tuple | None = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         persons = tuple(sorted(self.persons, key=lambda p: (p.household_id, p.person_id)))
@@ -236,6 +241,42 @@ class Population:
         if all(a is b for a, b in zip(new_persons, self.persons)):
             return self
         return self.replace_persons(new_persons)
+
+    def _rescale_incomes(self, fn: Callable[[Person], Person]) -> "Population":
+        """map_persons for fn that only rescales nonnegative income vectors.
+
+        Internal constructor for the engine's shocks and calibration
+        scaling: the result shares this population's household index and
+        skips validation, which is sound because such an fn keeps every id,
+        every demographic field and every invariant of an already valid
+        person. Returns self when nothing changed.
+        """
+        new_persons = tuple(fn(p) for p in self.persons)
+        if all(a is b for a, b in zip(new_persons, self.persons)):
+            return self
+        members: dict[int, tuple[Person, ...]] = {}
+        start = 0
+        for hh in self.households:
+            end = start + len(self._members[hh.household_id])
+            members[hh.household_id] = new_persons[start:end]
+            start = end
+        derived = copy.copy(self)
+        object.__setattr__(derived, "persons", new_persons)
+        object.__setattr__(derived, "_members", members)
+        object.__setattr__(derived, "_derived", None)
+        return derived
+
+    def derived(self, key: object, build: Callable[[], _T]) -> _T:
+        """build(), kept with this population until another key is asked for.
+
+        A population never changes, so a value derived from it stays valid
+        for its lifetime. key must identify the derivation and every input
+        to it besides the population. Only the latest value is kept, so a
+        sweep over many keys holds one at a time.
+        """
+        if self._derived is None or self._derived[0] != key:
+            object.__setattr__(self, "_derived", (key, build()))
+        return self._derived[1]
 
 
 PERSON_COLUMNS: tuple[str, ...] = (

@@ -168,19 +168,31 @@ def gross_to_net(gross: int, params: PolicyParameters, *,
     return gross - ssc - pit
 
 
+def _net_vector(gross: tuple[int, ...], params: PolicyParameters) -> tuple[int, ...]:
+    """gross_to_net month by month, computed once per distinct amount."""
+    if gross == ZERO_YEAR:
+        return ZERO_YEAR
+    net = {v: gross_to_net(v, params) for v in set(gross)}
+    return tuple(net[v] for v in gross)
+
+
 def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
     """Twelve months of net market income (wage plus self-employment)."""
     wage = person.wage
     if not person.informal_wage_flag:
-        wage = tuple(gross_to_net(v, params) for v in wage)
-    se = tuple(gross_to_net(v, params) for v in person.self_employment)
+        wage = _net_vector(wage, params)
+    se = _net_vector(person.self_employment, params)
+    if se == ZERO_YEAR:
+        return wage
     return tuple(w + s for w, s in zip(wage, se))
 
 
 def _sum_vectors(vectors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     if not vectors:
         return ZERO_YEAR
-    return tuple(sum(col) for col in zip(*vectors))
+    if len(vectors) == 1:
+        return vectors[0]
+    return tuple(map(sum, zip(*vectors)))
 
 
 @dataclass(frozen=True)
@@ -191,7 +203,8 @@ class HouseholdLedger:
     (net market income, pensions, inter-household transfers); the rent
     stream is kept separate because only the pre-crisis test counts it.
     base_* streams hold the pre-shock profile used for assessment months
-    that fall before January.
+    that fall before January. threshold is the GMA threshold under the
+    parameters the ledger was built with.
     """
 
     household: Household
@@ -202,18 +215,46 @@ class HouseholdLedger:
     rent: tuple[int, ...]
     base_core_countable: tuple[int, ...]
     base_rent: tuple[int, ...]
+    threshold: Fraction
+    n_children: int
+    n_enrolled_children: int
 
     @property
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def n_children(self) -> int:
-        return sum(1 for m in self.members if m.is_child)
 
-    @property
-    def n_enrolled_children(self) -> int:
-        return sum(1 for m in self.members if m.is_child and m.in_public_education)
+def ledger_from_vectors(household: Household, members: Sequence[Person],
+                        net_vectors: Sequence[tuple[int, ...]],
+                        params: PolicyParameters,
+                        baseline: HouseholdLedger | None = None,
+                        ) -> HouseholdLedger:
+    """Assemble one household's ledger from its members' net-market vectors.
+
+    net_vectors[i] is person_net_market(members[i], params). baseline is
+    the household's pre-shock ledger; it defaults to this ledger itself
+    (appropriate when no shock was applied).
+    """
+    members = tuple(members)
+    net_market = _sum_vectors(net_vectors)
+    pensions = _sum_vectors([m.pension for m in members])
+    transfers = _sum_vectors([m.interhousehold_transfers for m in members])
+    rent = _sum_vectors([m.capital_rent for m in members])
+    core = tuple(n + p + t for n, p, t in zip(net_market, pensions, transfers))
+    carried = tuple(p + r + t for p, r, t in zip(pensions, rent, transfers))
+    if baseline is None:
+        base_core, base_rent = core, rent
+    else:
+        base_core, base_rent = baseline.core_countable, baseline.rent
+    return HouseholdLedger(
+        household=household, members=members, net_market=net_market,
+        carried=carried, core_countable=core, rent=rent,
+        base_core_countable=base_core, base_rent=base_rent,
+        threshold=_threshold(members, params),
+        n_children=sum(1 for m in members if m.is_child),
+        n_enrolled_children=sum(1 for m in members
+                                if m.is_child and m.in_public_education),
+    )
 
 
 def build_ledger(household: Household, members: Sequence[Person],
@@ -225,28 +266,14 @@ def build_ledger(household: Household, members: Sequence[Person],
     baseline_members supplies the pre-shock profile; it defaults to the
     current members (appropriate when no shock was applied).
     """
-    members = tuple(members)
-    net_market = _sum_vectors([person_net_market(m, params) for m in members])
-    pensions = _sum_vectors([m.pension for m in members])
-    transfers = _sum_vectors([m.interhousehold_transfers for m in members])
-    rent = _sum_vectors([m.capital_rent for m in members])
-    core = tuple(n + p + t for n, p, t in zip(net_market, pensions, transfers))
-    carried = tuple(p + r + t for p, r, t in zip(pensions, rent, transfers))
-    if baseline_members is None:
-        base_core, base_rent = core, rent
-    else:
-        base_net = _sum_vectors([person_net_market(m, params)
-                                 for m in baseline_members])
-        base_pens = _sum_vectors([m.pension for m in baseline_members])
-        base_tr = _sum_vectors([m.interhousehold_transfers
-                                for m in baseline_members])
-        base_rent = _sum_vectors([m.capital_rent for m in baseline_members])
-        base_core = tuple(n + p + t for n, p, t in zip(base_net, base_pens, base_tr))
-    return HouseholdLedger(
-        household=household, members=members, net_market=net_market,
-        carried=carried, core_countable=core, rent=rent,
-        base_core_countable=base_core, base_rent=base_rent,
-    )
+    baseline = None
+    if baseline_members is not None:
+        baseline = ledger_from_vectors(
+            household, baseline_members,
+            [person_net_market(m, params) for m in baseline_members], params)
+    return ledger_from_vectors(
+        household, members, [person_net_market(m, params) for m in members],
+        params, baseline)
 
 
 def _countable_at(ledger: HouseholdLedger, month: int, include_rent: bool) -> int:
@@ -281,8 +308,12 @@ def gma_countable_income(ledger: HouseholdLedger, month: int,
     return Fraction(total, 3)
 
 
+def _threshold(members: Sequence[Person], params: PolicyParameters) -> Fraction:
+    return params.gma_base_amount * params.gma_scale.coefficient(members)
+
+
 def gma_threshold(ledger: HouseholdLedger, params: PolicyParameters) -> Fraction:
-    return params.gma_base_amount * params.gma_scale.coefficient(ledger.members)
+    return _threshold(ledger.members, params)
 
 
 def _asset_check(household: Household, regime: Regime) -> str:
@@ -445,7 +476,7 @@ def disposable_income(ledger: HouseholdLedger, params: PolicyParameters,
     assistance receipt), then the basic income against everything else.
     """
     regime = flags.regime
-    threshold = gma_threshold(ledger, params)
+    threshold = ledger.threshold
     energy_months = params.energy_months(regime)
     include_rent = regime is not Regime.RELAXED
     asset_reason = _asset_check(ledger.household, regime)

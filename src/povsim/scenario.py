@@ -6,26 +6,34 @@ order is fixed: income shocks, gross-to-net, GMA and allowances, one-off
 schemes, basic income, then poverty metrics. Baseline statistics (the
 pre-shock income profile and the medians the basic income anchors to) are
 always computed from the unshocked population.
+
+A Study evaluates every scenario a study asks for over one population:
+each distinct ScenarioSpec once, each distinct income shock once, and all
+of them on one HouseholdBase, the per-household data no scenario changes.
+decompose, uncertainty_band, disaggregate, run_scenario and
+prepare_baseline are one-study wrappers.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from . import cells as cells_mod
 from .errors import ConfigError, PipelineError
 from .cells import CellChangeTable, apply_shock
-from .metrics import (EquivalenceScale, PersonRow, PovertyLines, PovertyReport,
-                      RateResult, build_person_rows, compute_report,
-                      headcount_from_pp, poverty_rate, relative_poverty_line,
-                      weighted_median)
+from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
+                      HouseholdFrame, HouseholdScores, PersonRow,
+                      PovertyLines, PovertyReport, RateResult,
+                      adult_education_group, build_person_rows,
+                      headcount_from_pp)
 from .money import as_fraction
-from .population import Population
-from .rules import (HouseholdFiscalResult, PipelineFlags, PolicyParameters, Regime,
-                    TbiContext, build_ledger, disposable_income)
+from .population import Person, Population
+from .rules import (HouseholdFiscalResult, HouseholdLedger, PipelineFlags,
+                    PolicyParameters, Regime, TbiContext, disposable_income,
+                    ledger_from_vectors, person_net_market)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -66,6 +74,9 @@ class ScenarioSpec:
         )
 
 
+BASELINE_SPEC = ScenarioSpec()
+
+
 @dataclass(frozen=True)
 class PovertyConfig:
     """Measurement settings shared by every scenario of a study."""
@@ -87,8 +98,14 @@ class BaselineStats:
     """Anchors derived from the unshocked, no-new-transfers run."""
 
     relative_line: Fraction
-    median_pc_monthly: Fraction
     child_rate: Fraction | None
+    scores: HouseholdScores = field(repr=False, compare=False)
+
+    @cached_property
+    def median_pc_monthly(self) -> Fraction:
+        """Person-weighted median per-capita monthly income; computed on
+        first use, because only the basic income reads it."""
+        return self.scores.median_per_capita_monthly()
 
     def tbi_context(self, params: PolicyParameters) -> TbiContext:
         return TbiContext(
@@ -104,105 +121,321 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     report: PovertyReport
-    rows: tuple[PersonRow, ...]
     fiscal: Mapping[int, HouseholdFiscalResult]
     population: Population  # post-shock population the run was scored on
+    equivalence_scale: EquivalenceScale
+    scores: HouseholdScores = field(repr=False, compare=False)
+
+    @cached_property
+    def rows(self) -> tuple[PersonRow, ...]:
+        """Per-person analysis rows, built on first access."""
+        annual = {hid: res.annual_disposable for hid, res in self.fiscal.items()}
+        return tuple(build_person_rows(self.population, annual,
+                                       self.equivalence_scale))
 
 
-def _run_fiscal(pop: Population, base_pop: Population, params: PolicyParameters,
-                flags: PipelineFlags, tbi_ctx: TbiContext | None,
-                jobs: int = 1) -> dict[int, HouseholdFiscalResult]:
-    shocked = pop is not base_pop
-
-    def one(hh) -> HouseholdFiscalResult:
-        ledger = build_ledger(
-            hh, pop.members(hh.household_id), params,
-            baseline_members=(base_pop.members(hh.household_id) if shocked else None))
-        return disposable_income(ledger, params, flags, tbi_ctx)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, pop.households))
-    else:
-        results = [one(hh) for hh in pop.households]
-    return {r.household_id: r for r in results}
+def _age_band_group(age: int) -> str:
+    if age <= 5:
+        return "age_0_5"
+    if age <= 14:
+        return "age_6_14"
+    return "age_15_17"
 
 
-def _score(pop: Population, fiscal: Mapping[int, HouseholdFiscalResult],
-           pov: PovertyConfig) -> tuple[tuple[PersonRow, ...], PovertyReport]:
-    annual = {hid: res.annual_disposable for hid, res in fiscal.items()}
-    rows = tuple(build_person_rows(pop, annual, pov.equivalence_scale))
-    lines = PovertyLines(
-        relative=relative_poverty_line(rows),
-        absolute_extreme=Fraction(pov.absolute_extreme),
-        absolute_upper=Fraction(pov.absolute_upper),
-    )
-    return rows, compute_report(rows, lines, pop.n_households)
+# dimension -> (groups, group of a child given the child, the household's
+# number of children and its adult education group)
+_GROUPERS: dict[str, tuple[tuple[str, ...],
+                           Callable[[Person, int, str | None], str]]] = {
+    "sex": (("male", "female"), lambda child, n, edu: child.sex.value),
+    "child_age_band": (("age_0_5", "age_6_14", "age_15_17"),
+                       lambda child, n, edu: _age_band_group(child.age)),
+    "three_plus_children": (("three_plus", "fewer_than_three"),
+                            lambda child, n, edu: "three_plus" if n >= 3
+                            else "fewer_than_three"),
+    "adult_education": (("primary_or_less", "secondary", "tertiary_plus",
+                         "undefined"),
+                        lambda child, n, edu: edu or "undefined"),
+}
+
+
+class HouseholdBase:
+    """Per-household data of one population that no scenario changes.
+
+    For each household: its members' net-market vectors and its baseline
+    ledger (pension, rent and transfer streams, baseline core countable
+    income, GMA threshold, child and enrolled-child counts); the scoring
+    frame (equivalence divisors and weights); the child counts of every
+    disaggregation group; and, once evaluated, the baseline run. Shocks
+    change only income vectors, so every scenario over the population
+    reuses it. Get one through household_base().
+    """
+
+    def __init__(self, pop: Population, params: PolicyParameters,
+                 pov: PovertyConfig) -> None:
+        self.params = params
+        net_vectors = []
+        ledgers = []
+        for hh in pop.households:
+            members = pop.members(hh.household_id)
+            vectors = tuple(person_net_market(m, params) for m in members)
+            net_vectors.append(vectors)
+            ledgers.append(ledger_from_vectors(hh, members, vectors, params))
+        self.net_vectors: tuple[tuple[tuple[int, ...], ...], ...] = tuple(net_vectors)
+        self.ledgers: tuple[HouseholdLedger, ...] = tuple(ledgers)
+        self.frame = HouseholdFrame.of(pop, pov.equivalence_scale)
+        # report, fiscal results and scores of the baseline run; no
+        # reference to the population, which holds this base
+        self.baseline: tuple[PovertyReport, Mapping[int, HouseholdFiscalResult],
+                             HouseholdScores] | None = None
+
+    def ledgers_for(self, shocked: Population) -> tuple[HouseholdLedger, ...]:
+        """Ledgers of a population apply_shock derived from this one.
+
+        Only households where the shock replaced a member, told apart by
+        object identity, get a new ledger; it reuses the net-market vector
+        of every member the shock kept.
+        """
+        out = []
+        for base, vectors in zip(self.ledgers, self.net_vectors):
+            members = shocked.members(base.household.household_id)
+            if all(a is b for a, b in zip(members, base.members)):
+                out.append(base)
+                continue
+            new_vectors = [v if a is b else person_net_market(a, self.params)
+                           for a, b, v in zip(members, base.members, vectors)]
+            out.append(ledger_from_vectors(base.household, members, new_vectors,
+                                           self.params, baseline=base))
+        return tuple(out)
+
+    @cached_property
+    def group_counts(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """(dimension, group) -> that group's children in each household."""
+        counts = {(dim, group): [0] * len(self.ledgers)
+                  for dim, (groups, _) in _GROUPERS.items() for group in groups}
+        for i, ledger in enumerate(self.ledgers):
+            edu = adult_education_group(ledger.members)
+            for child in ledger.members:
+                if child.is_child:
+                    for dim, (_, grouper) in _GROUPERS.items():
+                        counts[(dim, grouper(child, ledger.n_children, edu))][i] += 1
+        return {key: tuple(c) for key, c in counts.items()}
+
+
+def household_base(pop: Population, params: PolicyParameters,
+                   pov: PovertyConfig) -> HouseholdBase:
+    """The population's household base, built on first request and kept
+    with the population."""
+    return pop.derived((HouseholdBase, params, pov),
+                       lambda: HouseholdBase(pop, params, pov))
+
+
+class Study:
+    """Every scenario of one study over one population, each run once.
+
+    Results are kept by ScenarioSpec, shocked populations and their ledgers
+    by shock (wage, self-employment, scale, start month), so a spec or a
+    shock the decomposition, the band and the group breakdown share is
+    evaluated once. runs counts the scenario passes evaluated.
+    """
+
+    def __init__(self, pop: Population, table: CellChangeTable | None,
+                 params: PolicyParameters, pov: PovertyConfig) -> None:
+        self.population = pop
+        self.table = table
+        self.params = params
+        self.pov = pov
+        self.base = household_base(pop, params, pov)
+        self.runs = 0
+        self._results: dict[ScenarioSpec, ScenarioResult] = {}
+        self._shocked: dict[tuple, Population] = {}
+        self._ledgers: dict[tuple, tuple[HouseholdLedger, ...]] = {}
+        self._stats: BaselineStats | None = None
+
+    def result(self, spec: ScenarioSpec) -> ScenarioResult:
+        """The run of spec, evaluated on its first request."""
+        found = self._results.get(spec)
+        if found is not None:
+            return found
+        if spec == BASELINE_SPEC and self.base.baseline is not None:
+            report, fiscal, scores = self.base.baseline
+            found = ScenarioResult(spec=spec, report=report, fiscal=fiscal,
+                                   population=self.population,
+                                   equivalence_scale=self.pov.equivalence_scale,
+                                   scores=scores)
+        else:
+            found = self._evaluate(spec, self.stats() if spec.tbi else None)
+            if spec == BASELINE_SPEC:
+                self.base.baseline = (found.report, found.fiscal, found.scores)
+        self._results[spec] = found
+        return found
+
+    def stats(self) -> BaselineStats:
+        """Anchors of the baseline run."""
+        if self._stats is None:
+            baseline = self.result(BASELINE_SPEC)
+            self._stats = BaselineStats(
+                relative_line=baseline.report.lines.relative,
+                child_rate=baseline.report.child_rate("relative"),
+                scores=baseline.scores)
+        return self._stats
+
+    def _shock(self, spec: ScenarioSpec, key: tuple | None) -> Population:
+        if key is None:
+            return self.population
+        if key not in self._shocked:
+            if self.table is None:
+                raise ConfigError("scenario enables shocks but no cell table given")
+            effective = self.table.neutralize(wage=not spec.wage_shock,
+                                              selfemp=not spec.selfemp_shock)
+            self._shocked[key] = apply_shock(
+                self.population, effective,
+                shock_start_month=spec.shock_start_month, scale=spec.shock_scale)
+        return self._shocked[key]
+
+    def _ledgers_of(self, key: tuple | None,
+                    shocked: Population) -> tuple[HouseholdLedger, ...]:
+        if key is None:
+            return self.base.ledgers
+        if key not in self._ledgers:
+            self._ledgers[key] = self.base.ledgers_for(shocked)
+        return self._ledgers[key]
+
+    def _evaluate(self, spec: ScenarioSpec,
+                  stats: BaselineStats | None) -> ScenarioResult:
+        """One pass of the fixed pipeline; stats anchors the basic income."""
+        key = None
+        if spec.any_shock:
+            key = (spec.wage_shock, spec.selfemp_shock, spec.shock_scale,
+                   spec.shock_start_month)
+        try:
+            shocked = self._shock(spec, key)
+        except Exception as exc:
+            if isinstance(exc, (PipelineError, ConfigError)):
+                raise
+            raise PipelineError("shock_application", str(exc)) from exc
+
+        try:
+            tbi_ctx = stats.tbi_context(self.params) if spec.tbi else None
+            flags = spec.flags()
+            fiscal = {ledger.household.household_id:
+                      disposable_income(ledger, self.params, flags, tbi_ctx)
+                      for ledger in self._ledgers_of(key, shocked)}
+        except Exception as exc:
+            if isinstance(exc, (PipelineError, ConfigError)):
+                raise
+            raise PipelineError("fiscal_rules", str(exc)) from exc
+
+        try:
+            scores = self.base.frame.scores(
+                [res.annual_disposable for res in fiscal.values()])
+            lines = PovertyLines(
+                relative=RELATIVE_LINE_SHARE * scores.median_equivalized(),
+                absolute_extreme=Fraction(self.pov.absolute_extreme),
+                absolute_upper=Fraction(self.pov.absolute_upper),
+            )
+            report = scores.report(lines)
+        except Exception as exc:
+            raise PipelineError("poverty_metrics", str(exc)) from exc
+
+        self.runs += 1
+        return ScenarioResult(spec=spec, report=report, fiscal=fiscal,
+                              population=shocked,
+                              equivalence_scale=self.pov.equivalence_scale,
+                              scores=scores)
+
+    def decompose(self, base_spec: ScenarioSpec | None = None,
+                  factors: Sequence[str] | None = None,
+                  transfers_on_shocked: bool = False) -> "DecompositionResult":
+        """See decompose()."""
+        base_spec = base_spec or ScenarioSpec()
+        selected = tuple(factors) if factors is not None else FACTOR_NAMES
+        unknown = set(selected) - set(FACTOR_NAMES)
+        if unknown:
+            raise ConfigError(f"unknown factor {sorted(unknown)[0]!r} "
+                              f"(allowed: {', '.join(FACTOR_NAMES)})")
+        names = ["baseline"]
+        names += [f for f in FACTOR_NAMES if f in selected]
+        if set(selected) == set(FACTOR_NAMES):
+            names.append("combined")
+        columns = []
+        for name in names:
+            spec = (BASELINE_SPEC if name == "baseline"
+                    else _column_spec(name, base_spec, transfers_on_shocked))
+            columns.append((name, self.result(spec)))
+        return DecompositionResult(columns=tuple(columns))
+
+    def uncertainty_band(self, scales: Sequence[float | Fraction] = (0.8, 1.0, 1.2),
+                         base_spec: ScenarioSpec | None = None) -> "BandResult":
+        """See uncertainty_band()."""
+        base_spec = base_spec or ScenarioSpec()
+        baseline = self.result(BASELINE_SPEC)
+        base_rate = baseline.report.child_rate("relative")
+        if base_rate is None:
+            raise PipelineError("reporting", "baseline child rate undefined")
+        points = []
+        for scale in sorted(as_fraction(s) for s in scales):
+            result = self.result(ScenarioSpec(
+                wage_shock=True, selfemp_shock=True, gma_relaxation=True,
+                one_offs=True, shock_scale=scale,
+                shock_start_month=base_spec.shock_start_month))
+            rate = result.report.child_rate("relative")
+            if rate is None:
+                raise PipelineError("reporting", "band child rate undefined")
+            delta_pp = (rate - base_rate) * 100
+            points.append(BandPoint(
+                scale=scale, result=result, delta_pp=delta_pp,
+                headcount_shift=headcount_from_pp(delta_pp,
+                                                  self.pov.child_population)))
+        return BandResult(baseline=baseline, points=tuple(points))
+
+    def disaggregate(self, spec: ScenarioSpec,
+                     dimensions: Sequence[str] = DIMENSIONS,
+                     ) -> "DisaggregationResult":
+        """See disaggregate()."""
+        for dim in dimensions:
+            if dim not in _GROUPERS:
+                raise ConfigError(f"unknown dimension {dim!r} "
+                                  f"(allowed: {', '.join(_GROUPERS)})")
+        baseline = self.result(BASELINE_SPEC)
+        scenario = self.result(spec)
+        counts = self.base.group_counts
+        breakdowns = []
+        for dim in dimensions:
+            group_names, _ = _GROUPERS[dim]
+            cells: dict[tuple[str, str], GroupCell] = {}
+            for group in group_names:
+                selected = counts[(dim, group)]
+                for indicator in INDICATORS:
+                    cells[(group, indicator)] = GroupCell(
+                        pre=baseline.scores.rate(
+                            baseline.report.lines.line(indicator), selected),
+                        post=scenario.scores.rate(
+                            scenario.report.lines.line(indicator), selected))
+            breakdowns.append(GroupBreakdown(dimension=dim, groups=group_names,
+                                             cells=cells))
+        return DisaggregationResult(baseline=baseline, scenario=scenario,
+                                    breakdowns=tuple(breakdowns))
 
 
 def prepare_baseline(pop: Population, params: PolicyParameters,
-                     pov: PovertyConfig, jobs: int = 1) -> tuple[BaselineStats,
-                                                                 ScenarioResult]:
+                     pov: PovertyConfig) -> tuple[BaselineStats, ScenarioResult]:
     """Run the all-off scenario and extract the anchors other runs need."""
-    spec = ScenarioSpec()
-    fiscal = _run_fiscal(pop, pop, params, spec.flags(), None, jobs)
-    rows, report = _score(pop, fiscal, pov)
-    median_pc_monthly = weighted_median(
-        ((r.per_capita_annual / 12, r.weight_centi) for r in rows))
-    stats = BaselineStats(
-        relative_line=report.lines.relative,
-        median_pc_monthly=median_pc_monthly,
-        child_rate=report.child_rate("relative"),
-    )
-    result = ScenarioResult(spec=spec, report=report, rows=rows, fiscal=fiscal,
-                            population=pop)
-    return stats, result
+    study = Study(pop, None, params, pov)
+    return study.stats(), study.result(BASELINE_SPEC)
 
 
 def run_scenario(pop: Population, table: CellChangeTable | None, spec: ScenarioSpec,
                  params: PolicyParameters, pov: PovertyConfig,
-                 baseline: BaselineStats | None = None,
-                 jobs: int = 1) -> ScenarioResult:
+                 baseline: BaselineStats | None = None) -> ScenarioResult:
     """Execute the fixed pipeline for one switch set.
 
-    baseline stats are computed on the fly when not supplied; pass them in
-    when running several scenarios over the same population.
+    baseline stats anchor the basic income; they are computed from pop
+    when not supplied.
     """
-    try:
-        if spec.any_shock:
-            if table is None:
-                raise ConfigError("scenario enables shocks but no cell table given")
-            effective = table.neutralize(wage=not spec.wage_shock,
-                                         selfemp=not spec.selfemp_shock)
-            shocked = apply_shock(pop, effective,
-                                  shock_start_month=spec.shock_start_month,
-                                  scale=spec.shock_scale)
-        else:
-            shocked = pop
-    except Exception as exc:
-        if isinstance(exc, (PipelineError, ConfigError)):
-            raise
-        raise PipelineError("shock_application", str(exc)) from exc
-
-    try:
-        tbi_ctx = None
-        if spec.tbi:
-            if baseline is None:
-                baseline, _ = prepare_baseline(pop, params, pov, jobs)
-            tbi_ctx = baseline.tbi_context(params)
-        fiscal = _run_fiscal(shocked, pop, params, spec.flags(), tbi_ctx, jobs)
-    except Exception as exc:
-        if isinstance(exc, (PipelineError, ConfigError)):
-            raise
-        raise PipelineError("fiscal_rules", str(exc)) from exc
-
-    try:
-        rows, report = _score(shocked, fiscal, pov)
-    except Exception as exc:
-        raise PipelineError("poverty_metrics", str(exc)) from exc
-
-    return ScenarioResult(spec=spec, report=report, rows=rows, fiscal=fiscal,
-                          population=shocked)
+    study = Study(pop, table, params, pov)
+    if baseline is None or not spec.tbi:
+        return study.result(spec)
+    return study._evaluate(spec, baseline)
 
 
 def _column_spec(name: str, base: ScenarioSpec,
@@ -249,8 +482,7 @@ def decompose(pop: Population, table: CellChangeTable | None,
               params: PolicyParameters, pov: PovertyConfig,
               base_spec: ScenarioSpec | None = None,
               factors: Sequence[str] | None = None,
-              transfers_on_shocked: bool = False,
-              jobs: int = 1) -> DecompositionResult:
+              transfers_on_shocked: bool = False) -> DecompositionResult:
     """Six-column decomposition: baseline, each factor alone, all together.
 
     The transfer columns run on unshocked incomes by default; setting
@@ -258,27 +490,8 @@ def decompose(pop: Population, table: CellChangeTable | None,
     instead. A factor subset drops the unselected single-factor columns,
     and the combined column is only produced when all factors are in.
     """
-    base_spec = base_spec or ScenarioSpec()
-    selected = tuple(factors) if factors is not None else FACTOR_NAMES
-    unknown = set(selected) - set(FACTOR_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown factor {sorted(unknown)[0]!r} "
-                          f"(allowed: {', '.join(FACTOR_NAMES)})")
-    names = ["baseline"]
-    names += [f for f in FACTOR_NAMES if f in selected]
-    if set(selected) == set(FACTOR_NAMES):
-        names.append("combined")
-
-    baseline_stats, baseline_result = prepare_baseline(pop, params, pov, jobs)
-    columns: list[tuple[str, ScenarioResult]] = []
-    for name in names:
-        if name == "baseline":
-            columns.append((name, baseline_result))
-            continue
-        spec = _column_spec(name, base_spec, transfers_on_shocked)
-        columns.append((name, run_scenario(pop, table, spec, params, pov,
-                                           baseline=baseline_stats, jobs=jobs)))
-    return DecompositionResult(columns=tuple(columns))
+    return Study(pop, table, params, pov).decompose(
+        base_spec, factors, transfers_on_shocked)
 
 
 @dataclass(frozen=True)
@@ -298,30 +511,9 @@ class BandResult:
 def uncertainty_band(pop: Population, table: CellChangeTable,
                      params: PolicyParameters, pov: PovertyConfig,
                      scales: Sequence[float | Fraction] = (0.8, 1.0, 1.2),
-                     base_spec: ScenarioSpec | None = None,
-                     jobs: int = 1) -> BandResult:
+                     base_spec: ScenarioSpec | None = None) -> BandResult:
     """Combined scenario at several shock scales, sorted ascending."""
-    base_spec = base_spec or ScenarioSpec()
-    baseline_stats, baseline_result = prepare_baseline(pop, params, pov, jobs)
-    base_rate = baseline_result.report.child_rate("relative")
-    if base_rate is None:
-        raise PipelineError("reporting", "baseline child rate undefined")
-    points = []
-    for scale in sorted(as_fraction(s) for s in scales):
-        spec = ScenarioSpec(wage_shock=True, selfemp_shock=True,
-                            gma_relaxation=True, one_offs=True,
-                            shock_scale=scale,
-                            shock_start_month=base_spec.shock_start_month)
-        result = run_scenario(pop, table, spec, params, pov,
-                              baseline=baseline_stats, jobs=jobs)
-        rate = result.report.child_rate("relative")
-        if rate is None:
-            raise PipelineError("reporting", "band child rate undefined")
-        delta_pp = (rate - base_rate) * 100
-        points.append(BandPoint(
-            scale=scale, result=result, delta_pp=delta_pp,
-            headcount_shift=headcount_from_pp(delta_pp, pov.child_population)))
-    return BandResult(baseline=baseline_result, points=tuple(points))
+    return Study(pop, table, params, pov).uncertainty_band(scales, base_spec)
 
 
 @dataclass(frozen=True)
@@ -367,27 +559,6 @@ def validate_against_observed(simulated: Mapping[str, float | Fraction],
     return ValidationResult(rows=tuple(rows))
 
 
-def _age_band_group(age: int) -> str:
-    if age <= 5:
-        return "age_0_5"
-    if age <= 14:
-        return "age_6_14"
-    return "age_15_17"
-
-
-_GROUPERS: dict[str, tuple[tuple[str, ...], Callable[[PersonRow], str]]] = {
-    "sex": (("male", "female"), lambda r: r.person.sex.value),
-    "child_age_band": (("age_0_5", "age_6_14", "age_15_17"),
-                       lambda r: _age_band_group(r.age)),
-    "three_plus_children": (("three_plus", "fewer_than_three"),
-                            lambda r: "three_plus" if r.n_children >= 3
-                            else "fewer_than_three"),
-    "adult_education": (("primary_or_less", "secondary", "tertiary_plus",
-                         "undefined"),
-                        lambda r: r.adult_education or "undefined"),
-}
-
-
 @dataclass(frozen=True)
 class GroupCell:
     pre: RateResult
@@ -415,39 +586,13 @@ class DisaggregationResult:
 
 def disaggregate(pop: Population, table: CellChangeTable | None,
                  spec: ScenarioSpec, params: PolicyParameters, pov: PovertyConfig,
-                 dimensions: Sequence[str] = DIMENSIONS,
-                 jobs: int = 1) -> DisaggregationResult:
+                 dimensions: Sequence[str] = DIMENSIONS) -> DisaggregationResult:
     """Child poverty rates by group, baseline versus scenario.
 
     Every dimension partitions the child population, so group headcounts
     add up to the headline child headcount exactly.
     """
-    for dim in dimensions:
-        if dim not in _GROUPERS:
-            raise ConfigError(f"unknown dimension {dim!r} "
-                              f"(allowed: {', '.join(_GROUPERS)})")
-    baseline_stats, baseline_result = prepare_baseline(pop, params, pov, jobs)
-    scenario_result = run_scenario(pop, table, spec, params, pov,
-                                   baseline=baseline_stats, jobs=jobs)
-    breakdowns = []
-    for dim in dimensions:
-        group_names, grouper = _GROUPERS[dim]
-        cells: dict[tuple[str, str], GroupCell] = {}
-        for group in group_names:
-            for indicator in ("relative", "absolute_extreme", "absolute_upper"):
-                def selector(row: PersonRow, g=group) -> bool:
-                    return row.is_child and grouper(row) == g
-                pre = poverty_rate(baseline_result.rows,
-                                   baseline_result.report.lines.line(indicator),
-                                   selector)
-                post = poverty_rate(scenario_result.rows,
-                                    scenario_result.report.lines.line(indicator),
-                                    selector)
-                cells[(group, indicator)] = GroupCell(pre=pre, post=post)
-        breakdowns.append(GroupBreakdown(dimension=dim, groups=group_names,
-                                         cells=cells))
-    return DisaggregationResult(baseline=baseline_result, scenario=scenario_result,
-                                breakdowns=tuple(breakdowns))
+    return Study(pop, table, params, pov).disaggregate(spec, dimensions)
 
 
 def simulated_aggregate_changes(pop: Population, table: CellChangeTable,

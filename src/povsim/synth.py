@@ -23,8 +23,8 @@ import random
 from .errors import CalibrationError, ConfigError
 from .money import as_fraction, round_mul_div
 from .nace import DIVISIONS
-from .population import (EducationLevel, Household, LaborStatus, Person,
-                         Population, Sex)
+from .population import (INCOME_SOURCES, EducationLevel, Household,
+                         LaborStatus, Person, Population, Sex)
 
 _DEFAULT_SIZE_DIST: dict[int, float] = {1: 0.13, 2: 0.22, 3: 0.20, 4: 0.27,
                                         5: 0.12, 6: 0.06}
@@ -400,10 +400,6 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> Population:
     return pop
 
 
-_INCOME_FIELDS = ("wage", "self_employment", "pension", "capital_rent",
-                  "interhousehold_transfers")
-
-
 def _scale_population(pop: Population, factors: Mapping[int, Fraction]) -> Population:
     """Multiply every member's income vectors by the household factor."""
 
@@ -413,7 +409,7 @@ def _scale_population(pop: Population, factors: Mapping[int, Fraction]) -> Popul
             return p
         num, den = f.numerator, f.denominator
         changes = {}
-        for name in _INCOME_FIELDS:
+        for name in INCOME_SOURCES:
             vec = getattr(p, name)
             if any(vec):
                 changes[name] = tuple(round_mul_div(v, num, den) for v in vec)
@@ -423,7 +419,7 @@ def _scale_population(pop: Population, factors: Mapping[int, Fraction]) -> Popul
         base.update(changes)
         return Person(**base)
 
-    return pop.map_persons(transform)
+    return pop._rescale_incomes(transform)
 
 
 def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fraction,
@@ -459,10 +455,8 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
         return pop
 
     # Anchor ratios from the original distribution; computed only once.
-    eq_by_household: dict[int, Fraction] = {}
-    for row in base_result.rows:
-        eq_by_household[row.household.household_id] = row.equivalized
-    median_eq = weighted_median_of_rows(base_result.rows)
+    eq_by_household = base_result.scores.equivalized()
+    median_eq = base_result.scores.median_equivalized()
     if median_eq <= 0:
         raise CalibrationError("median equivalized income is zero",
                                best_rate=base_rate)
@@ -499,8 +493,3 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
         f"calibration did not reach target {target:.4f} within "
         f"{max_evaluations} evaluations", best_rate=best_rate,
         iterations=evaluations)
-
-
-def weighted_median_of_rows(rows) -> Fraction:
-    from .metrics import weighted_median
-    return weighted_median((r.equivalized, r.weight_centi) for r in rows)

@@ -204,13 +204,13 @@ class TestSimulate:
         for name, digest in manifest["outputs"].items():
             assert digest == sha256_file(ws.sim / name)
 
-    def test_worker_count_does_not_change_outputs(self, ws, capsys):
-        other = ws.root / "sim_jobs"
+    def test_rerun_writes_identical_outputs(self, ws, capsys):
+        other = ws.root / "sim_again"
         assert main(["simulate", "--config", str(ws.cfg),
                      "--persons", str(ws.gen / "persons.csv"),
                      "--households", str(ws.gen / "households.csv"),
                      "--cells", str(ws.cal / "cells.csv"),
-                     "--jobs", "3", "--out", str(other)]) == 0
+                     "--out", str(other)]) == 0
         out = capsys.readouterr().out
         assert "baseline relative child poverty" in out
         assert "combined scenario" in out
@@ -279,14 +279,6 @@ class TestSimulate:
                      "--regime", "relaxed", "--out", str(other)]) == 0
         manifest = read_manifest(other)
         assert manifest["effective_config"]["policy"]["gma_regime"] == "relaxed"
-
-    def test_jobs_must_be_positive(self, ws, capsys):
-        assert main(["simulate", "--config", str(ws.cfg),
-                     "--persons", str(ws.gen / "persons.csv"),
-                     "--households", str(ws.gen / "households.csv"),
-                     "--cells", str(ws.cal / "cells.csv"),
-                     "--jobs", "0", "--out", str(ws.root / "x7")]) == 1
-        assert "at least 1" in capsys.readouterr().err
 
     def test_persons_and_households_must_pair(self, ws, capsys):
         assert main(["simulate", "--config", str(ws.cfg),

@@ -129,6 +129,30 @@ class TestPopulation:
         assert bumped is not pop
         assert all(b.age == a.age + 1 for a, b in zip(pop.persons, bumped.persons))
 
+    def test_rescaled_incomes_share_the_household_index(self):
+        pop = build_micro_population()
+        assert pop._rescale_incomes(lambda p: p) is pop
+        doubled = pop._rescale_incomes(
+            lambda p: replace(p, pension=tuple(2 * v for v in p.pension)))
+        validated = Population(persons=doubled.persons,
+                               households=pop.households,
+                               provenance=pop.provenance)
+        assert doubled == validated
+        for hh in pop.households:
+            assert doubled.members(hh.household_id) == \
+                validated.members(hh.household_id)
+        assert doubled.members(3)[0].pension[0] == 24000
+        assert pop.members(3)[0].pension[0] == 12000
+
+    def test_derived_keeps_the_latest_value(self):
+        pop = build_micro_population()
+        assert pop.derived("a", lambda: 1) == 1
+        assert pop.derived("a", lambda: 2) == 1
+        assert pop.derived("b", lambda: 3) == 3
+        assert pop.derived("a", lambda: 4) == 4
+        rescaled = pop._rescale_incomes(lambda p: replace(p, pension=p.pension[::-1]))
+        assert rescaled.derived("a", lambda: 5) == 5
+
 
 class TestCsvRoundTrip:
     def test_save_load_identity(self, tmp_path):

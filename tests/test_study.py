@@ -1,0 +1,320 @@
+"""The study evaluation against the per-person pipeline it replaces.
+
+Scoring on households, the household base, shared shocks and the
+per-spec memo must all reproduce, exactly, what one scenario at a time
+over person rows gives.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
+                      build_micro_population, build_micro_table)
+
+import povsim.cli as cli_mod
+import povsim.scenario as scenario_mod
+from povsim.cells import CellChangeTable, apply_shock, save_cell_table
+from povsim.cli import main
+from povsim.config import ScenarioSettings
+from povsim.metrics import (EquivalenceScale, PovertyLines, build_person_rows,
+                            compute_report, is_child_row, poverty_rate,
+                            relative_poverty_line, weighted_median)
+from povsim.population import (EducationLevel, Household, LaborStatus, Person,
+                               Population, Sex)
+from povsim.rules import (PipelineFlags, PolicyParameters, TbiContext,
+                          build_ledger, disposable_income)
+from povsim.scenario import (PovertyConfig, ScenarioSpec, Study,
+                             household_base, prepare_baseline, run_scenario)
+from povsim.synth import calibrate_to_baseline, generate_synthetic
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
+                      gma_relaxation=True, one_offs=True)
+ALL_ON_TBI = ScenarioSpec(wage_shock=True, selfemp_shock=True,
+                          gma_relaxation=True, one_offs=True, tbi=True)
+
+# Child groups as the per-person pipeline selected them.
+ROW_GROUPS = {
+    "sex": lambda r: r.person.sex.value,
+    "child_age_band": lambda r: ("age_0_5" if r.age <= 5 else
+                                 "age_6_14" if r.age <= 14 else "age_15_17"),
+    "three_plus_children": lambda r: ("three_plus" if r.n_children >= 3
+                                      else "fewer_than_three"),
+    "adult_education": lambda r: r.adult_education or "undefined",
+}
+
+
+def random_population(rng: random.Random, n_households: int) -> Population:
+    """Households of 1-6 members of any age, children-only ones included."""
+    persons, households = [], []
+    pid = 0
+    for hid in range(1, n_households + 1):
+        ids = []
+        for _ in range(rng.randint(1, 6)):
+            pid += 1
+            age = rng.randint(0, 80) if rng.random() < 0.8 else rng.randint(0, 17)
+            persons.append(Person(
+                person_id=pid, household_id=hid, age=age,
+                sex=rng.choice(list(Sex)),
+                labor_status=(LaborStatus.CHILD if age < 18
+                              else LaborStatus.INACTIVE),
+                education_level=rng.choice(list(EducationLevel))))
+            ids.append(pid)
+        households.append(Household(household_id=hid, member_ids=tuple(ids),
+                                    weight_centi=rng.randint(1, 50_000)))
+    return Population(persons=tuple(persons), households=tuple(households))
+
+
+def test_household_scoring_equals_person_rows():
+    """Median, per-capita median, rates, reports and group cells on
+    households equal weighted_median/poverty_rate over person rows, with
+    zero incomes, tied incomes and incomes exactly on a line."""
+    rng = random.Random(20200401)
+    params = PolicyParameters()
+    scales = (EquivalenceScale(),
+              EquivalenceScale(additional_adult_14plus=Fraction(7, 10),
+                               child_under_14=Fraction(1, 2)))
+    on_line = 0
+    for i in range(60):
+        pop = random_population(rng, rng.randint(1, 30))
+        pov = PovertyConfig(equivalence_scale=scales[i % 2])
+        base = household_base(pop, params, pov)
+        incomes = [0 if rng.random() < 0.15 else
+                   rng.choice((120_000, rng.randint(1, 1_500_000)))
+                   for _ in pop.households]
+        scores = base.frame.scores(incomes)
+        annual = {hh.household_id: y for hh, y in zip(pop.households, incomes)}
+        rows = build_person_rows(pop, annual, pov.equivalence_scale)
+
+        assert scores.median_equivalized() == weighted_median(
+            (r.equivalized, r.weight_centi) for r in rows)
+        assert scores.median_per_capita_monthly() == weighted_median(
+            (r.per_capita_annual / 12, r.weight_centi) for r in rows)
+        assert scores.equivalized() == {r.household.household_id: r.equivalized
+                                        for r in rows}
+
+        pivot = rng.choice(rows).equivalized  # some household sits on it
+        lines = PovertyLines(relative=relative_poverty_line(rows),
+                             absolute_extreme=min(pivot, Fraction(42000)),
+                             absolute_upper=max(pivot, Fraction(42000)) + 1)
+        assert scores.report(lines) == compute_report(rows, lines,
+                                                      pop.n_households)
+        for line in (lines.relative, pivot, Fraction(0), pivot + Fraction(1, 7)):
+            on_line += any(r.equivalized == line for r in rows)
+            assert scores.rate(line, base.frame.sizes) == poverty_rate(rows, line)
+            assert scores.rate(line, base.frame.children) == poverty_rate(
+                rows, line, is_child_row)
+            for (dim, group), counts in base.group_counts.items():
+                grouper = ROW_GROUPS[dim]
+                assert scores.rate(line, counts) == poverty_rate(
+                    rows, line, lambda r: r.is_child and grouper(r) == group), \
+                    (i, dim, group)
+    assert on_line >= 60
+
+
+def reference_run(pop: Population, table: CellChangeTable | None,
+                  spec: ScenarioSpec, params: PolicyParameters,
+                  pov: PovertyConfig):
+    """One scenario with full ledgers from build_ledger, scored over person
+    rows: the pipeline before the household base."""
+
+    def fiscal_of(current: Population, flags: PipelineFlags, ctx):
+        return {hh.household_id: disposable_income(
+            build_ledger(hh, current.members(hh.household_id), params,
+                         baseline_members=(None if current is pop
+                                           else pop.members(hh.household_id))),
+            params, flags, ctx) for hh in current.households}
+
+    def score(current: Population, fiscal):
+        annual = {hid: res.annual_disposable for hid, res in fiscal.items()}
+        rows = build_person_rows(current, annual, pov.equivalence_scale)
+        lines = PovertyLines(relative=relative_poverty_line(rows),
+                             absolute_extreme=Fraction(pov.absolute_extreme),
+                             absolute_upper=Fraction(pov.absolute_upper))
+        return rows, compute_report(rows, lines, current.n_households)
+
+    ctx = None
+    if spec.tbi:
+        rows, report = score(pop, fiscal_of(pop, PipelineFlags(), None))
+        ctx = TbiContext(
+            median_pc_monthly=weighted_median(
+                (r.per_capita_annual / 12, r.weight_centi) for r in rows),
+            vulnerability_line_annual=(params.tbi.vulnerability_multiplier
+                                       * report.lines.relative))
+    shocked = pop
+    if spec.any_shock:
+        shocked = apply_shock(
+            pop, table.neutralize(wage=not spec.wage_shock,
+                                  selfemp=not spec.selfemp_shock),
+            shock_start_month=spec.shock_start_month, scale=spec.shock_scale)
+    fiscal = fiscal_of(shocked, spec.flags(), ctx)
+    return shocked, fiscal, score(shocked, fiscal)[1]
+
+
+def _micro():
+    return build_micro_population(), build_micro_table()
+
+
+def _synth800():
+    return (generate_synthetic(acceptance_config(800), ACCEPT_SEED),
+            CellChangeTable.from_factors(WAGE_F, SE_F))
+
+
+@pytest.mark.parametrize("transfers_on_shocked", [False, True])
+@pytest.mark.parametrize("make", [_micro, _synth800], ids=["micro", "synth800"])
+def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov):
+    """Every decomposition column, band point, disaggregation scenario and
+    a basic-income run of one study equal a fresh run_scenario and the
+    per-person reference on an identical, separately built population."""
+    pop, table = make()
+    study = Study(pop, table, params, pov)
+    deco = study.decompose(transfers_on_shocked=transfers_on_shocked)
+    band = study.uncertainty_band()
+    dis = study.disaggregate(ALL_ON)
+    results = ([r for _, r in deco.columns] + [p.result for p in band.points]
+               + [dis.scenario, study.result(ALL_ON_TBI)])
+    assert any(any(res.tbi) for res in results[-1].fiscal.values())
+
+    assert len({r.spec for r in results}) == 9  # band 1.0 and groups share
+
+    fresh_pop, _ = make()
+    for result in {r.spec: r for r in results}.values():
+        fresh = run_scenario(fresh_pop, table, result.spec, params, pov)
+        assert result.report == fresh.report, result.spec
+        assert result.fiscal == fresh.fiscal, result.spec
+        assert result.population.persons == fresh.population.persons
+        shocked, fiscal, report = reference_run(fresh_pop, table, result.spec,
+                                                params, pov)
+        assert result.report == report, result.spec
+        assert result.fiscal == fiscal, result.spec
+        assert result.population.persons == shocked.persons
+
+
+@pytest.mark.parametrize("transfers_on_shocked", [False, True])
+def test_default_settings_run_eight_distinct_passes(transfers_on_shocked,
+                                                    monkeypatch, params, pov):
+    """Decomposition, band and group breakdown at default settings share
+    one study: 8 distinct specs run once each, 5 distinct shocks."""
+    shocks = []
+
+    def counting_apply_shock(*args, **kwargs):
+        shocks.append(kwargs)
+        return apply_shock(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_mod, "apply_shock", counting_apply_shock)
+    settings = ScenarioSettings(transfers_on_shocked=transfers_on_shocked)
+    pop, table = _micro()
+    study = Study(pop, table, params, pov)
+    study.decompose(base_spec=settings.base_spec(), factors=settings.factors,
+                    transfers_on_shocked=settings.transfers_on_shocked)
+    study.uncertainty_band(scales=settings.band_scales,
+                           base_spec=settings.base_spec())
+    study.disaggregate(settings.scenario_spec(), dimensions=settings.dimensions)
+    assert study.runs == 8
+    assert len(shocks) == 5
+
+
+def test_simulate_command_runs_eight_distinct_passes(tmp_path, monkeypatch):
+    """The simulate command evaluates its default study in 8 passes."""
+    studies = []
+
+    class RecordingStudy(Study):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            studies.append(self)
+
+    monkeypatch.setattr(cli_mod, "Study", RecordingStudy)
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({"seed": 5, "synth": {"n_households": 60}}),
+                   encoding="utf-8")
+    cells = tmp_path / "cells.csv"
+    save_cell_table(build_micro_table(), str(cells))
+    assert main(["simulate", "--config", str(cfg), "--cells", str(cells),
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert [s.runs for s in studies] == [8]
+
+
+@pytest.mark.parametrize("tolerance", [0.5, 0.01], ids=["within", "bisection"])
+def test_calibrated_population_is_scored_once(tolerance, monkeypatch, params,
+                                              pov):
+    """prepare_baseline on a calibrated population returns the evaluation
+    calibration accepted, also when the input was already within tolerance."""
+    evaluated = []
+    evaluate = Study._evaluate
+
+    def counting_evaluate(self, spec, stats):
+        evaluated.append(spec)
+        return evaluate(self, spec, stats)
+
+    monkeypatch.setattr(Study, "_evaluate", counting_evaluate)
+    raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
+    calibrated = calibrate_to_baseline(raw, 0.278, params, pov,
+                                       tolerance=tolerance)
+    assert (calibrated is raw) == (tolerance == 0.5)
+    n_calibration = len(evaluated)
+    stats, _ = prepare_baseline(calibrated, params, pov)
+    assert len(evaluated) == n_calibration
+    assert abs(float(stats.child_rate) - 0.278) <= tolerance
+
+
+# SHA-256 of every file (but manifest.json) the 300-household demo chain
+# wrote before scenarios shared a household base and were scored on
+# households; seed 20200401.
+GOLDEN_300 = {
+    "pop/households.csv": "d566377e0b6e12131b7e435a683415fef7bff7b06c3926c86054964b2a1a4f6f",
+    "pop/persons.csv": "fcb98f2e0424514f260c3c6593bca6ec3e53369768959e1fadca554174a4ef94",
+    "cells/cells.csv": "af03e8879e17e6c5bffa0f95f814898c333a9fa5ee347578c510f6b43cfd0e2a",
+    "sim/band.csv": "9822f798a9233e71cbf6b49da90fdab2a2abc7916944041b9b8f7aab7d44fed1",
+    "sim/band.json": "95d15151c38e05bd4696fbeb86420311553ac3839b7e0c4b5f98dbf136e04218",
+    "sim/band.svg": "b06c2a47b289c045d9232365bb86bd319a1a341d56013288f8c719ddbf305f73",
+    "sim/groups.csv": "a24126ab8f775567962d9f510fe3ba0bc2797fd55dba3545e2a5a3f85713cad2",
+    "sim/groups.json": "ed523870fa3095610d40d01452a998d23320d547ba9bb6228cd7b6f88110848d",
+    "sim/groups_adult_education.svg": "4804bcdd206df5f3d246b92c3c0a19d98ee23f1b7aea3f046faa59996f262497",
+    "sim/groups_child_age_band.svg": "9d74f60c97c2d7a291af3e154669a0a0aaf33ae56771b3a531e894967a2db3ec",
+    "sim/groups_sex.svg": "6f41ddeb8b3f07ac7bd02da02fdcf4dd1ea78cbf44787697ed51728cbfaacf84",
+    "sim/groups_three_plus_children.svg": "e5a3345dc9ce05122a8c860d5fa8b2fb976a4b653f65055d795d7c7bee85d028",
+    "sim/table2.csv": "a1c54a06f68412ddc64bc07d9ad5209058388d2d17bd3b573383ad1ebe8a5d60",
+    "sim/table2.json": "bc4c0673ea8c7670872cb475de4f4c3f61491352832379df6c91c69c6e61fd98",
+    "val/table1.csv": "d5fc7aa4ccdde5abfbc198116ca131b70ecc0c2315ac00c37e0654968e73d886",
+    "val/table1.json": "50717ca99a46385988918fba5f23a5d47f064ddecca2f4d4a8fee1f4c1845d09",
+}
+
+
+def test_demo_chain_matches_golden_digests(tmp_path, capsys):
+    """generate (calibrated) -> calibrate -> simulate -> validate on the
+    demo recipe at 300 households writes the golden bytes."""
+    demo = json.loads((ROOT / "configs" / "demo.json").read_text(encoding="utf-8"))
+    demo["synth"]["n_households"] = 300
+    cfg = tmp_path / "demo300.json"
+    cfg.write_text(json.dumps(demo), encoding="utf-8")
+    lfs = ROOT / "configs"
+    pop = ["--persons", str(tmp_path / "pop" / "persons.csv"),
+           "--households", str(tmp_path / "pop" / "households.csv")]
+    cells = ["--cells", str(tmp_path / "cells" / "cells.csv")]
+    assert main(["generate", "--config", str(cfg),
+                 "--out", str(tmp_path / "pop")]) == 0
+    assert "baseline relative child poverty: 27.4183%" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "pop" / "manifest.json").read_text())
+    assert manifest["extra"]["baseline_child_rate_pct"] == "27.4183"
+    assert main(["calibrate", "--base", str(lfs / "lfs_2019.csv"),
+                 "--shocked", str(lfs / "lfs_2020q23.csv"),
+                 "--base-period", "2019", "--shocked-period", "2020q23",
+                 "--out", str(tmp_path / "cells")]) == 0
+    assert main(["simulate", "--config", str(cfg), *pop, *cells,
+                 "--out", str(tmp_path / "sim")]) == 0
+    # one source misses its tolerance at this size: a result, exit 1
+    assert main(["validate", "--config", str(cfg), *pop, *cells,
+                 "--out", str(tmp_path / "val")]) == 1
+    digests = {f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+               for d in ("pop", "cells", "sim", "val")
+               for f in sorted((tmp_path / d).iterdir())
+               if f.name != "manifest.json"}
+    assert digests == GOLDEN_300
