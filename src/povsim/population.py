@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import copy
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, TypeVar
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DataError
 from .money import MONTHS, ZERO_YEAR, parse_weight, weight_to_str
@@ -74,7 +75,6 @@ class Person:
     nace2: str | None = None
     informal_wage_flag: bool = False
     in_public_education: bool = False
-    social_assistance_recipient_flag: bool = False
     special_category_flag: bool = False
     wage: MonthVector = ZERO_YEAR
     self_employment: MonthVector = ZERO_YEAR
@@ -111,12 +111,15 @@ class Person:
             out.append("informal_wage_flag on non-employee")
         if self.age < 18 and self.labor_status not in (LaborStatus.CHILD, LaborStatus.STUDENT):
             out.append(f"minor with labor status {self.labor_status.value}")
-        for source in INCOME_SOURCES:
-            vec = self.income(source)
+        for source, vec in zip(INCOME_SOURCES, (
+                self.wage, self.self_employment, self.pension, self.capital_rent,
+                self.interhousehold_transfers)):
+            if vec is ZERO_YEAR:
+                continue
             if len(vec) != MONTHS:
                 out.append(f"{source} vector has {len(vec)} entries, expected {MONTHS}")
                 continue
-            if any(v < 0 for v in vec):
+            if min(vec) < 0:
                 out.append(f"negative {source} income")
         if any(self.wage) and self.labor_status is not LaborStatus.EMPLOYEE:
             out.append("wage income on non-employee")
@@ -176,8 +179,31 @@ class Population:
         init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        persons = tuple(sorted(self.persons, key=lambda p: (p.household_id, p.person_id)))
-        households = tuple(sorted(self.households, key=lambda h: h.household_id))
+        self._index(check_persons=True)
+
+    @classmethod
+    def _of_valid_persons(cls, persons: tuple[Person, ...],
+                          households: tuple[Household, ...], *, base_year: int,
+                          provenance: str) -> "Population":
+        """Population(...) for persons whose problems() are known to be empty.
+
+        Internal constructor for the CSV loader, which checks each person
+        as it reads the row: only the cross-table checks run here
+        (duplicate ids, unknown households, household problems and member
+        lists).
+        """
+        pop = cls.__new__(cls)
+        for name, value in (("persons", persons), ("households", households),
+                            ("base_year", base_year), ("provenance", provenance),
+                            ("_derived", None)):
+            object.__setattr__(pop, name, value)
+        pop._index(check_persons=False)
+        return pop
+
+    def _index(self, *, check_persons: bool) -> None:
+        """Sort, validate and index persons and households."""
+        persons = tuple(sorted(self.persons, key=_PERSON_ORDER))
+        households = tuple(sorted(self.households, key=_HOUSEHOLD_ORDER))
         object.__setattr__(self, "persons", persons)
         object.__setattr__(self, "households", households)
         members: dict[int, list[Person]] = {}
@@ -196,10 +222,11 @@ class Population:
                 raise DataError(
                     f"person {p.person_id} references unknown household {p.household_id}")
             members[p.household_id].append(p)
-        for p in persons:
-            probs = p.problems()
-            if probs:
-                raise DataError(f"person {p.person_id}: {probs[0]}")
+        if check_persons:
+            for p in persons:
+                probs = p.problems()
+                if probs:
+                    raise DataError(f"person {p.person_id}: {probs[0]}")
         for hh in households:
             probs = hh.problems()
             if probs:
@@ -279,6 +306,9 @@ class Population:
         return self._derived[1]
 
 
+_PERSON_ORDER = attrgetter("household_id", "person_id")
+_HOUSEHOLD_ORDER = attrgetter("household_id")
+
 PERSON_COLUMNS: tuple[str, ...] = (
     "person_id", "household_id", "age", "sex", "labor_status", "education_level",
     "nace2", "informal_wage_flag", "in_public_education", "special_category_flag",
@@ -292,6 +322,15 @@ HOUSEHOLD_COLUMNS: tuple[str, ...] = (
 )
 
 
+# The persons columns that hold income months, and each source's slice of
+# them in INCOME_SOURCES order.
+_INCOME_COLUMNS = PERSON_COLUMNS[10:]
+_VECTORS = tuple(slice(MONTHS * i, MONTHS * (i + 1)) for i in range(len(INCOME_SOURCES)))
+_SEXES = {e.value: e for e in Sex}
+_LABOR_STATUSES = {e.value: e for e in LaborStatus}
+_EDUCATION_LEVELS = {e.value: e for e in EducationLevel}
+
+
 def _parse_bool(text: str, file: str, row: int, column: str) -> bool:
     if text == "1":
         return True
@@ -302,7 +341,11 @@ def _parse_bool(text: str, file: str, row: int, column: str) -> bool:
 
 def _parse_int(text: str, file: str, row: int, column: str, *,
                minimum: int | None = None) -> int:
+    """An integer written as ASCII -?[0-9]+; nothing else int() takes."""
+    digits = text[1:] if text.startswith("-") else text
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         value = int(text)
     except ValueError:
         raise DataError(f"expected integer, got {text!r}", file=file, row=row,
@@ -322,6 +365,32 @@ def _parse_enum(enum_cls, text: str, file: str, row: int, column: str):
                         row=row, column=column) from None
 
 
+def _income_vectors(texts: Sequence[str], file: str, row: int) -> list[MonthVector]:
+    """A persons row's income months as vectors in INCOME_SOURCES order.
+
+    Every text must be a nonnegative integer. The common row, all ASCII
+    digits, converts in bulk; any other is walked field by field, which
+    reports the first fault with its column. A vector of zeros is
+    ZERO_YEAR, shared by every person.
+    """
+    joined = "".join(texts)
+    try:
+        if joined.isascii() and joined.isdigit():
+            return [ZERO_YEAR if vec.count("0") == MONTHS else tuple(map(int, vec))
+                    for vec in map(texts.__getitem__, _VECTORS)]
+    except ValueError:  # an empty text, or one too long for int()
+        pass
+    values = []
+    for column, text in zip(_INCOME_COLUMNS, texts):
+        value = _parse_int(text, file, row, column)
+        if value < 0:
+            raise DataError(f"negative income {value}", file=file, row=row,
+                            column=column)
+        values.append(value)
+    return [ZERO_YEAR if vec == ZERO_YEAR else vec
+            for vec in map(tuple(values).__getitem__, _VECTORS)]
+
+
 def _check_header(header: list[str], expected: tuple[str, ...], file: str) -> None:
     missing = [c for c in expected if c not in header]
     if missing:
@@ -331,101 +400,112 @@ def _check_header(header: list[str], expected: tuple[str, ...], file: str) -> No
     if extra:
         raise DataError(f"unknown column {extra[0]!r}", file=file, row=1,
                         column=extra[0])
+    if len(header) != len(expected):
+        twice = next(c for i, c in enumerate(header) if c in header[:i])
+        raise DataError(f"duplicate column {twice!r}", file=file, row=1, column=twice)
+
+
+def _records(fh, file: str, *groups: tuple[str, ...]) -> Iterator[tuple]:
+    """(line number, fields of each group of columns) for each non-blank row.
+
+    The groups together are the file's columns; the header may list them
+    in any order, and each group's fields come in that group's order. A
+    row with a field too many or too few is rejected, and so is a file
+    that is not UTF-8 or that the csv module cannot split into fields.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, [])
+        _check_header(header, sum(groups, ()), file)
+        getters = [itemgetter(*map(header.index, group)) for group in groups]
+        width = len(header)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise DataError(f"expected {width} fields, got {len(row)}", file=file,
+                                row=reader.line_num)
+            yield reader.line_num, *[fields(row) for fields in getters]
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV: {exc}", file=file, row=reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"not UTF-8 text: {exc}", file=file) from None
 
 
 def load_population(persons_path: str, households_path: str, *,
                     base_year: int = 2019) -> Population:
     """Load a population from the canonical persons/households CSV pair.
 
-    Every parse problem is reported with file, row and column context.
-    Cross-table invariants are validated by the Population constructor.
+    Reads each file in one pass. Every parse problem is reported with
+    file, row (the line number in the file) and column context; each
+    person's invariants are checked as its row is read, and the
+    cross-table invariants once all rows are in.
     """
-    households: list[Household] = []
-    members_seen: dict[int, list[int]] = {}
+    households: list[tuple] = []
+    members: dict[int, list[int]] = {}
     with open(households_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames or [], HOUSEHOLD_COLUMNS, households_path)
-        for i, rec in enumerate(reader, start=2):
-            hid = _parse_int(rec["household_id"], households_path, i, "household_id")
+        for i, (hid_text, weight_text, residence, other, car, land) in _records(
+                fh, households_path, HOUSEHOLD_COLUMNS):
+            hid = _parse_int(hid_text, households_path, i, "household_id")
             try:
-                weight = parse_weight(rec["survey_weight"])
+                weight = parse_weight(weight_text)
             except ValueError as exc:
                 raise DataError(str(exc), file=households_path, row=i,
                                 column="survey_weight") from None
-            car = rec["car_age_years"]
-            land = rec["land_parcel_m2"]
-            households.append(Household(
-                household_id=hid,
-                member_ids=(),  # filled after persons are read
-                weight_centi=weight,
-                owns_residence=_parse_bool(rec["owns_residence"], households_path, i,
-                                           "owns_residence"),
-                owns_other_real_estate=_parse_bool(rec["owns_other_real_estate"],
-                                                   households_path, i,
-                                                   "owns_other_real_estate"),
-                car_age_years=None if car == "" else _parse_int(
+            households.append((
+                hid, weight,
+                _parse_bool(residence, households_path, i, "owns_residence"),
+                _parse_bool(other, households_path, i, "owns_other_real_estate"),
+                None if car == "" else _parse_int(
                     car, households_path, i, "car_age_years", minimum=0),
-                land_parcel_m2=None if land == "" else _parse_int(
+                None if land == "" else _parse_int(
                     land, households_path, i, "land_parcel_m2", minimum=0),
             ))
-            members_seen[hid] = []
+            members[hid] = []
 
     persons: list[Person] = []
     with open(persons_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader.fieldnames or [], PERSON_COLUMNS, persons_path)
-        for i, rec in enumerate(reader, start=2):
-            pid = _parse_int(rec["person_id"], persons_path, i, "person_id")
-            hid = _parse_int(rec["household_id"], persons_path, i, "household_id")
-            if hid not in members_seen:
+        for i, head, incomes in _records(fh, persons_path, PERSON_COLUMNS[:10],
+                                         _INCOME_COLUMNS):
+            pid, hid, age, sex, labor, education, nace2, informal, public, special = head
+            pid = _parse_int(pid, persons_path, i, "person_id")
+            hid = _parse_int(hid, persons_path, i, "household_id")
+            if hid not in members:
                 raise DataError(f"person {pid} references unknown household {hid}",
                                 file=persons_path, row=i, column="household_id")
-            vectors: dict[str, MonthVector] = {}
-            for source in INCOME_SOURCES:
-                prefix = _SOURCE_PREFIX[source]
-                vec = []
-                for m in range(1, 13):
-                    col = f"{prefix}_m{m:02d}"
-                    val = _parse_int(rec[col], persons_path, i, col)
-                    if val < 0:
-                        raise DataError(f"negative income {val}", file=persons_path,
-                                        row=i, column=col)
-                    vec.append(val)
-                vectors[source] = tuple(vec)
-            nace2 = rec["nace2"] or None
+            wage, selfemp, pension, rent, transfers = _income_vectors(
+                incomes, persons_path, i)
             person = Person(
-                person_id=pid,
-                household_id=hid,
-                age=_parse_int(rec["age"], persons_path, i, "age"),
-                sex=_parse_enum(Sex, rec["sex"], persons_path, i, "sex"),
-                labor_status=_parse_enum(LaborStatus, rec["labor_status"],
-                                         persons_path, i, "labor_status"),
-                education_level=_parse_enum(EducationLevel, rec["education_level"],
-                                            persons_path, i, "education_level"),
-                nace2=nace2,
-                informal_wage_flag=_parse_bool(rec["informal_wage_flag"],
-                                               persons_path, i, "informal_wage_flag"),
-                in_public_education=_parse_bool(rec["in_public_education"],
-                                                persons_path, i, "in_public_education"),
-                special_category_flag=_parse_bool(rec["special_category_flag"],
-                                                  persons_path, i,
+                person_id=pid, household_id=hid,
+                age=_parse_int(age, persons_path, i, "age"),
+                sex=_SEXES.get(sex) or _parse_enum(Sex, sex, persons_path, i, "sex"),
+                labor_status=_LABOR_STATUSES.get(labor) or _parse_enum(
+                    LaborStatus, labor, persons_path, i, "labor_status"),
+                education_level=_EDUCATION_LEVELS.get(education) or _parse_enum(
+                    EducationLevel, education, persons_path, i, "education_level"),
+                nace2=nace2 or None,
+                informal_wage_flag=_parse_bool(informal, persons_path, i,
+                                               "informal_wage_flag"),
+                in_public_education=_parse_bool(public, persons_path, i,
+                                                "in_public_education"),
+                special_category_flag=_parse_bool(special, persons_path, i,
                                                   "special_category_flag"),
-                wage=vectors["wage"],
-                self_employment=vectors["self_employment"],
-                pension=vectors["pension"],
-                capital_rent=vectors["capital_rent"],
-                interhousehold_transfers=vectors["interhousehold_transfers"],
-            )
+                wage=wage, self_employment=selfemp, pension=pension,
+                capital_rent=rent, interhousehold_transfers=transfers)
             probs = person.problems()
             if probs:
                 raise DataError(f"person {pid}: {probs[0]}", file=persons_path, row=i)
             persons.append(person)
-            members_seen[hid].append(pid)
+            members[hid].append(pid)
 
-    households = [replace(h, member_ids=tuple(sorted(members_seen[h.household_id])))
-                  for h in households]
-    return Population(persons=tuple(persons), households=tuple(households),
-                      base_year=base_year, provenance="loaded")
+    return Population._of_valid_persons(
+        tuple(persons),
+        tuple(Household(hid, tuple(sorted(members[hid])), *rest)
+              for hid, *rest in households),
+        base_year=base_year, provenance="loaded")
+
+
+_ZERO_TEXTS = ("0",) * MONTHS
 
 
 def _person_row(p: Person) -> list[str]:
@@ -436,8 +516,9 @@ def _person_row(p: Person) -> list[str]:
         "1" if p.in_public_education else "0",
         "1" if p.special_category_flag else "0",
     ]
-    for source in INCOME_SOURCES:
-        row.extend(str(v) for v in p.income(source))
+    for vec in (p.wage, p.self_employment, p.pension, p.capital_rent,
+                p.interhousehold_transfers):
+        row.extend(_ZERO_TEXTS if vec == ZERO_YEAR else map(str, vec))
     return row
 
 
@@ -456,10 +537,8 @@ def save_population(pop: Population, persons_path: str, households_path: str) ->
     with open(persons_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PERSON_COLUMNS)
-        for p in pop.persons:
-            writer.writerow(_person_row(p))
+        writer.writerows(map(_person_row, pop.persons))
     with open(households_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HOUSEHOLD_COLUMNS)
-        for h in pop.households:
-            writer.writerow(_household_row(h))
+        writer.writerows(map(_household_row, pop.households))

@@ -1,0 +1,313 @@
+"""The population CSV codec: exact messages, strict fields, any column order.
+
+Every malformed input is rejected with a DataError naming the file, the
+row (its line number in the file) and, where one applies, the column.
+"""
+
+from __future__ import annotations
+
+import csv
+import random
+
+import pytest
+
+from conftest import acceptance_config, build_micro_population, build_micro_table
+
+from povsim.cells import save_cell_table
+from povsim.cli import main
+from povsim.errors import DataError
+from povsim.money import ZERO_YEAR
+from povsim.population import (HOUSEHOLD_COLUMNS, INCOME_SOURCES, PERSON_COLUMNS,
+                               Population, load_population, save_population)
+from povsim.synth import generate_synthetic
+
+
+def saved_pair(tmp_path, pop=None) -> dict[str, str]:
+    """The canonical CSV pair of pop (default: the micro population)."""
+    tmp_path.mkdir(exist_ok=True)
+    paths = {"persons": str(tmp_path / "persons.csv"),
+             "households": str(tmp_path / "households.csv")}
+    save_population(pop or build_micro_population(), paths["persons"],
+                    paths["households"])
+    return paths
+
+
+def read_rows(path: str) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(path: str, rows: list[list[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def edit(paths: dict[str, str], *cells: tuple[str, int, str, str]) -> None:
+    """Set (file, line, column) cells; line 1 is the header."""
+    for name, line, column, value in cells:
+        rows = read_rows(paths[name])
+        rows[line - 1][rows[0].index(column)] = value
+        write_rows(paths[name], rows)
+
+
+def load_error(paths: dict[str, str]) -> str:
+    with pytest.raises(DataError) as err:
+        load_population(paths["persons"], paths["households"])
+    return str(err.value)
+
+
+# The loader's messages, pinned word for word as the per-field loader
+# wrote them. {p} and {h} stand for the persons and households paths.
+PINNED = {
+    "bad income integer": (
+        [("persons", 4, "wage_m03", "x")],
+        "expected integer, got 'x' (file={p}, row=4, column=wage_m03)"),
+    "empty income": (
+        [("persons", 4, "transfers_m12", "")],
+        "expected integer, got '' (file={p}, row=4, column=transfers_m12)"),
+    "negative income": (
+        [("persons", 7, "pension_m01", "-5")],
+        "negative income -5 (file={p}, row=7, column=pension_m01)"),
+    "bad age integer": (
+        [("persons", 5, "age", "4x")],
+        "expected integer, got '4x' (file={p}, row=5, column=age)"),
+    "bad enum": (
+        [("persons", 2, "sex", "other")],
+        "expected one of [male, female], got 'other' (file={p}, row=2, column=sex)"),
+    "bad labor status": (
+        [("persons", 3, "labor_status", "retired")],
+        "expected one of [employee, self_employed, unemployed_active, "
+        "unemployed_passive, pensioner, student, child, inactive], got 'retired' "
+        "(file={p}, row=3, column=labor_status)"),
+    "bad education": (
+        [("persons", 3, "education_level", "phd")],
+        "expected one of [primary_or_less, secondary, tertiary_plus], got 'phd' "
+        "(file={p}, row=3, column=education_level)"),
+    "bad 0/1": (
+        [("persons", 3, "in_public_education", "yes")],
+        "expected 0 or 1, got 'yes' (file={p}, row=3, column=in_public_education)"),
+    "unknown household": (
+        [("persons", 13, "household_id", "9")],
+        "person 12 references unknown household 9 "
+        "(file={p}, row=13, column=household_id)"),
+    "person problem": (
+        [("persons", 5, "age", "200")],
+        "person 4: age 200 outside 0..110 (file={p}, row=5)"),
+    "person problem on an industry code": (
+        [("persons", 4, "nace2", "47")],
+        "person 3: industry code on non-worker status inactive (file={p}, row=4)"),
+    "duplicate person": (
+        [("persons", 4, "person_id", "2")],
+        "duplicate person id 2"),
+    "bad weight": (
+        [("households", 3, "survey_weight", "abc")],
+        "weight 'abc' is not numeric (file={h}, row=3, column=survey_weight)"),
+    "bad household 0/1": (
+        [("households", 2, "owns_residence", "2")],
+        "expected 0 or 1, got '2' (file={h}, row=2, column=owns_residence)"),
+    "negative car age": (
+        [("households", 2, "car_age_years", "-1")],
+        "value -1 below minimum 0 (file={h}, row=2, column=car_age_years)"),
+    "bad household id": (
+        [("households", 4, "household_id", "three")],
+        "expected integer, got 'three' (file={h}, row=4, column=household_id)"),
+    "household without members": (
+        [("persons", 12, "household_id", "4"), ("persons", 13, "household_id", "4")],
+        "household 5: household has no members"),
+    "duplicate household": (
+        [("households", 6, "household_id", "4"), ("persons", 12, "household_id", "4"),
+         ("persons", 13, "household_id", "4")],
+        "duplicate household id 4"),
+    # A row with several faults reports the first in the loader's order.
+    "income before enum": (
+        [("persons", 2, "sex", "other"), ("persons", 2, "wage_m01", "x")],
+        "expected integer, got 'x' (file={p}, row=2, column=wage_m01)"),
+    "household before income": (
+        [("persons", 2, "wage_m01", "x"), ("persons", 2, "household_id", "9")],
+        "person 1 references unknown household 9 "
+        "(file={p}, row=2, column=household_id)"),
+    "earlier row first": (
+        [("persons", 9, "age", "200"), ("persons", 5, "sex", "other")],
+        "expected one of [male, female], got 'other' (file={p}, row=5, column=sex)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_messages(tmp_path, case):
+    cells, message = PINNED[case]
+    paths = saved_pair(tmp_path)
+    edit(paths, *cells)
+    assert load_error(paths) == message.format(p=paths["persons"],
+                                               h=paths["households"])
+
+
+def insert_line(path: str, before: int, text: str) -> None:
+    """Insert a raw line so that it becomes line `before` of the file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines.insert(before - 1, text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+
+
+@pytest.mark.parametrize("name,width", [("persons", len(PERSON_COLUMNS)),
+                                        ("households", len(HOUSEHOLD_COLUMNS))])
+@pytest.mark.parametrize("change", ["short", "long", "one field"])
+def test_rows_with_the_wrong_number_of_fields_are_rejected(tmp_path, name, width,
+                                                            change):
+    paths = saved_pair(tmp_path)
+    rows = read_rows(paths[name])
+    rows[3] = {"short": rows[3][:-1], "long": rows[3] + ["999", "zzz"],
+               "one field": [" "]}[change]
+    write_rows(paths[name], rows)
+    got = {"short": width - 1, "long": width + 2, "one field": 1}[change]
+    assert load_error(paths) == (f"expected {width} fields, got {got} "
+                                 f"(file={paths[name]}, row=4)")
+
+
+def test_a_truncated_row_is_an_error_message_not_a_traceback(tmp_path, capsys):
+    paths = saved_pair(tmp_path)
+    rows = read_rows(paths["persons"])
+    rows[5] = rows[5][:40]
+    write_rows(paths["persons"], rows)
+    cells = str(tmp_path / "cells.csv")
+    save_cell_table(build_micro_table(), cells)
+    capsys.readouterr()
+    assert main(["shocks", "--persons", paths["persons"],
+                 "--households", paths["households"], "--cells", cells,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: expected {len(PERSON_COLUMNS)} fields, got 40 "
+                   f"(file={paths['persons']}, row=6)\n")
+
+
+def test_rows_are_numbered_by_file_line_after_blank_lines(tmp_path):
+    paths = saved_pair(tmp_path)
+    insert_line(paths["persons"], 3, "\n")
+    insert_line(paths["persons"], 5, "\n")
+    # person 2 is now on line 4, person 3 on line 6
+    edit(paths, ("persons", 6, "age", "200"))
+    assert load_error(paths) == \
+        f"person 3: age 200 outside 0..110 (file={paths['persons']}, row=6)"
+
+    paths = saved_pair(tmp_path)
+    insert_line(paths["households"], 2, "\n")
+    edit(paths, ("households", 5, "survey_weight", "abc"))
+    assert load_error(paths) == ("weight 'abc' is not numeric "
+                                 f"(file={paths['households']}, row=5, "
+                                 "column=survey_weight)")
+
+
+def same_tables(a: Population, b: Population) -> bool:
+    return a.persons == b.persons and a.households == b.households
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    paths = saved_pair(tmp_path)
+    for name in paths:
+        insert_line(paths[name], 2, "\n")
+        with open(paths[name], "a", encoding="utf-8") as fh:
+            fh.write("\n\n")
+    assert same_tables(load_population(paths["persons"], paths["households"]),
+                       build_micro_population())
+
+
+NON_CANONICAL = ["1_0", " 7", "7 ", "+7", "٣", "７", "0x1", "1e3",
+                 "7.0", "--7", "7-", "-", ""]
+INTEGER_CELLS = [("persons", 4, "wage_m01"), ("persons", 13, "transfers_m12"),
+                 ("persons", 2, "person_id"), ("persons", 3, "household_id"),
+                 ("persons", 5, "age"), ("households", 2, "household_id"),
+                 ("households", 3, "car_age_years"), ("households", 4, "land_parcel_m2")]
+
+
+# An empty asset column means "none", so "" is valid there.
+@pytest.mark.parametrize("name,line,column,text", [
+    (*cell, text) for cell in INTEGER_CELLS for text in NON_CANONICAL
+    if text or cell[0] == "persons" or cell[2] == "household_id"])
+def test_integers_must_be_ascii_digits_with_an_optional_minus(tmp_path, name, line,
+                                                               column, text):
+    paths = saved_pair(tmp_path)
+    edit(paths, (name, line, column, text))
+    assert load_error(paths) == (f"expected integer, got {text!r} "
+                                 f"(file={paths[name]}, row={line}, column={column})")
+
+
+def test_canonical_integer_spellings_load(tmp_path):
+    """-?[0-9]+ includes leading zeros and a signed zero."""
+    paths = saved_pair(tmp_path)
+    edit(paths, ("persons", 4, "wage_m01", "000"), ("persons", 4, "pension_m02", "-0"),
+         ("persons", 5, "age", "010"), ("households", 2, "car_age_years", "08"),
+         ("households", 3, "land_parcel_m2", "0300"))
+    assert same_tables(load_population(paths["persons"], paths["households"]),
+                       build_micro_population())
+
+
+def test_header_must_name_each_column_once(tmp_path):
+    paths = saved_pair(tmp_path)
+    rows = read_rows(paths["households"])
+    write_rows(paths["households"], [row + [row[4]] for row in rows])
+    assert load_error(paths) == ("duplicate column 'car_age_years' "
+                                 f"(file={paths['households']}, row=1, "
+                                 "column=car_age_years)")
+
+
+def synthetic(n_households: int = 150) -> Population:
+    return generate_synthetic(acceptance_config(n_households), seed=20200401)
+
+
+@pytest.mark.parametrize("make", [build_micro_population, synthetic])
+def test_any_column_order_loads_the_same_population(tmp_path, make):
+    pop = make()
+    canonical = saved_pair(tmp_path / "canonical", pop)
+    permuted = saved_pair(tmp_path / "permuted", pop)
+    rng = random.Random(7)
+    for name in permuted:
+        rows = read_rows(permuted[name])
+        order = list(range(len(rows[0])))
+        rng.shuffle(order)
+        write_rows(permuted[name], [[row[i] for i in order] for row in rows])
+    assert read_rows(permuted["persons"])[0] != list(PERSON_COLUMNS)
+    again = load_population(permuted["persons"], permuted["households"])
+    assert again == load_population(canonical["persons"], canonical["households"])
+    assert same_tables(again, pop)
+
+
+@pytest.mark.parametrize("make", [build_micro_population, synthetic])
+def test_loaded_population_equals_a_fully_validated_one(tmp_path, make):
+    pop = make()
+    paths = saved_pair(tmp_path, pop)
+    loaded = load_population(paths["persons"], paths["households"], base_year=2020)
+    validated = Population(persons=loaded.persons, households=loaded.households,
+                           base_year=2020, provenance="loaded")
+    assert loaded == validated
+    for hh in loaded.households:
+        assert loaded.household(hh.household_id) == validated.household(hh.household_id)
+        assert loaded.members(hh.household_id) == validated.members(hh.household_id)
+    assert same_tables(loaded, pop)
+    # a month vector of zeros is one shared object
+    zero_vectors = [vec for p in loaded.persons
+                    for vec in map(p.income, INCOME_SOURCES) if vec == ZERO_YEAR]
+    assert zero_vectors and all(vec is ZERO_YEAR for vec in zero_vectors)
+
+
+def test_resave_is_byte_identical(tmp_path):
+    pop = synthetic()
+    first = saved_pair(tmp_path, pop)
+    loaded = load_population(first["persons"], first["households"])
+    second = saved_pair(tmp_path / "again", loaded)
+    for name in first:
+        with open(first[name], "rb") as a, open(second[name], "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_unsplittable_or_undecodable_files_are_data_errors(tmp_path):
+    paths = saved_pair(tmp_path)
+    edit(paths, ("persons", 3, "nace2", "4" * (csv.field_size_limit() + 1)))
+    assert load_error(paths) == (f"malformed CSV: field larger than field limit "
+                                 f"({csv.field_size_limit()}) "
+                                 f"(file={paths['persons']}, row=3)")
+
+    paths = saved_pair(tmp_path)
+    with open(paths["households"], "ab") as fh:
+        fh.write(b"6,1.00,\xff,0,,\n")
+    assert load_error(paths).startswith("not UTF-8 text: 'utf-8' codec can't decode")

@@ -267,7 +267,8 @@ def test_calibrated_population_is_scored_once(tolerance, monkeypatch, params,
 
 # SHA-256 of every file (but manifest.json) the 300-household demo chain
 # wrote before scenarios shared a household base and were scored on
-# households; seed 20200401.
+# households (the shocked copies: before the one-pass CSV codec); seed
+# 20200401.
 GOLDEN_300 = {
     "pop/households.csv": "d566377e0b6e12131b7e435a683415fef7bff7b06c3926c86054964b2a1a4f6f",
     "pop/persons.csv": "fcb98f2e0424514f260c3c6593bca6ec3e53369768959e1fadca554174a4ef94",
@@ -285,12 +286,19 @@ GOLDEN_300 = {
     "sim/table2.json": "bc4c0673ea8c7670872cb475de4f4c3f61491352832379df6c91c69c6e61fd98",
     "val/table1.csv": "d5fc7aa4ccdde5abfbc198116ca131b70ecc0c2315ac00c37e0654968e73d886",
     "val/table1.json": "50717ca99a46385988918fba5f23a5d47f064ddecca2f4d4a8fee1f4c1845d09",
+    "shk/households.csv": "d566377e0b6e12131b7e435a683415fef7bff7b06c3926c86054964b2a1a4f6f",
+    "shk/persons.csv": "479d3ab8c0f709cf5f9e293743320b90c31200d91f9ea2e42180e3887b0af01f",
+    "shk/shock_summary.json": "064e0316fb7ca207a312a49bf1add27948dfb4f6ec371070a8ec71f541f67bef",
+    "shk08/households.csv": "d566377e0b6e12131b7e435a683415fef7bff7b06c3926c86054964b2a1a4f6f",
+    "shk08/persons.csv": "9e41ff56cc8cf59b844c18d6f70ba14f2b7ddb48b4a5b0d69541a4cf8991a7e2",
+    "shk08/shock_summary.json": "2ccb6604d6ebf85eaf2e4532d489fc9b1c387d1bb4d3d84f94a70adb6617487d",
 }
 
 
 def test_demo_chain_matches_golden_digests(tmp_path, capsys):
-    """generate (calibrated) -> calibrate -> simulate -> validate on the
-    demo recipe at 300 households writes the golden bytes."""
+    """generate (calibrated) -> calibrate -> simulate -> validate, and
+    shocks at two scales and start months, on the demo recipe at 300
+    households write the golden bytes."""
     demo = json.loads((ROOT / "configs" / "demo.json").read_text(encoding="utf-8"))
     demo["synth"]["n_households"] = 300
     cfg = tmp_path / "demo300.json"
@@ -313,8 +321,11 @@ def test_demo_chain_matches_golden_digests(tmp_path, capsys):
     # one source misses its tolerance at this size: a result, exit 1
     assert main(["validate", "--config", str(cfg), *pop, *cells,
                  "--out", str(tmp_path / "val")]) == 1
+    assert main(["shocks", *pop, *cells, "--out", str(tmp_path / "shk")]) == 0
+    assert main(["shocks", *pop, *cells, "--scale", "0.8", "--start-month", "5",
+                 "--out", str(tmp_path / "shk08")]) == 0
     digests = {f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
-               for d in ("pop", "cells", "sim", "val")
+               for d in ("pop", "cells", "sim", "val", "shk", "shk08")
                for f in sorted((tmp_path / d).iterdir())
                if f.name != "manifest.json"}
     assert digests == GOLDEN_300
