@@ -24,10 +24,10 @@ from .metrics import (EquivalenceScale, PersonRow, PovertyLines, PovertyReport,
                       relative_poverty_line, weighted_median)
 from .population import (Household, LaborStatus, Person, Population, Sex,
                          load_population, save_population)
-from .rules import (GmaScale, OneOffDec, OneOffMay, PipelineFlags,
-                    PolicyParameters, Regime, TbiContext, TbiParams,
-                    build_ledger, disposable_income, gma_eligible, gma_threshold,
-                    gross_to_net, params_from_dict, params_to_dict, tbi_award)
+from .rules import (GmaScale, OneOffDec, OneOffMay, PolicyParameters,
+                    TbiContext, TbiParams, build_ledger, disposable_income,
+                    gma_schedule, gross_to_net, params_from_dict,
+                    params_to_dict, tbi_award)
 from .scenario import (BandResult, BaselineStats, DecompositionResult,
                        DisaggregationResult, PovertyConfig, ScenarioResult,
                        ScenarioSpec, Study, ValidationResult, decompose,
@@ -45,9 +45,9 @@ __all__ = [
     "DecompositionResult", "DisaggregationResult", "EquivalenceScale",
     "GmaScale", "Household", "IncomeDist", "LaborStatus", "LfsAggregate",
     "ObservedChange", "OneOffDec", "OneOffMay", "Person", "PersonRow",
-    "PipelineError", "PipelineFlags", "PolicyParameters", "Population",
+    "PipelineError", "PolicyParameters", "Population",
     "PovertyConfig", "PovertyLines", "PovertyReport", "PovsimError",
-    "RateResult", "Regime", "ScenarioResult", "ScenarioSettings",
+    "RateResult", "ScenarioResult", "ScenarioSettings",
     "ScenarioSpec", "SelfEmpCellKey", "Sex", "Study", "StudyConfig",
     "SynthConfig",
     "TbiContext", "TbiParams", "ValidationResult", "WageCellKey",
@@ -55,7 +55,7 @@ __all__ = [
     "apply_shock", "build_ledger", "build_person_rows",
     "calibrate_to_baseline", "compute_cell_changes", "compute_report",
     "decompose", "disaggregate", "disposable_income", "equivalized_income",
-    "generate_synthetic", "gma_eligible", "gma_threshold", "gross_to_net",
+    "generate_synthetic", "gma_schedule", "gross_to_net",
     "headcount_from_pp", "load_cell_table", "load_lfs_aggregate",
     "load_population", "load_study_config", "params_from_dict",
     "params_to_dict", "poverty_rate", "prepare_baseline",

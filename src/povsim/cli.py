@@ -30,16 +30,12 @@ from .errors import (CalibrationError, ConfigError, DataError, PipelineError,
                      PovsimError)
 from .money import as_fraction, fmt_fraction
 from .population import load_population, save_population
-from .reporting import (band_csv, band_json_obj, band_rows, dumps_json,
-                        groups_csv, groups_json_obj, groups_rows, pct_str,
-                        table1_csv, table1_json_obj, table1_rows, table2_csv,
-                        table2_json_obj)
-from .rules import Regime
+from .reporting import (band_csv, band_json_obj, dumps_json, groups_csv,
+                        groups_json_obj, pct_str, table1_csv, table1_json_obj,
+                        table1_rows, table2_csv, table2_json_obj)
 from .scenario import (Study, prepare_baseline, simulated_aggregate_changes,
                        validate_against_observed)
 from .synth import calibrate_to_baseline, generate_synthetic
-
-_REGIMES = {"pre": Regime.PRE_COVID, "relaxed": Regime.RELAXED}
 
 
 def _out_dir(path: str) -> Path:
@@ -69,8 +65,8 @@ def _parse_scale(text: str) -> Fraction:
 
 
 def _load_config_with_overrides(config_path: str, seed: int | None,
-                                scale: str | None, factors: str | None,
-                                regime: str | None) -> StudyConfig:
+                                scale: str | None,
+                                factors: str | None) -> StudyConfig:
     cfg = load_study_config(config_path)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
@@ -80,8 +76,6 @@ def _load_config_with_overrides(config_path: str, seed: int | None,
     if factors is not None:
         wanted = tuple(f.strip() for f in factors.split(",") if f.strip())
         cfg = replace(cfg, scenario=replace(cfg.scenario, factors=wanted))
-    if regime is not None:
-        cfg = replace(cfg, policy=cfg.policy.with_regime(_REGIMES[regime]))
     return cfg
 
 
@@ -123,7 +117,7 @@ def cli() -> None:
               help="Output directory.")
 def generate(config_path: str, seed: int | None, out_path: str) -> None:
     """Generate a synthetic population; calibrate it when configured."""
-    cfg = _load_config_with_overrides(config_path, seed, None, None, None)
+    cfg = _load_config_with_overrides(config_path, seed, None, None)
     if cfg.synth is None:
         raise ConfigError("config has no synth section")
     if cfg.seed is None:
@@ -254,15 +248,12 @@ def _factor_needs_table(factors: tuple[str, ...]) -> bool:
 @click.option("--scale", default=None, help="Override scenario.shock_scale.")
 @click.option("--factors", default=None,
               help="Comma-separated factor subset override.")
-@click.option("--regime", type=click.Choice(sorted(_REGIMES)), default=None,
-              help="Override the baseline benefit regime.")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
 def simulate(config_path: str, persons: str | None, households: str | None,
              cells_path: str | None, out_path: str, fmt: str,
-             scale: str | None, factors: str | None, regime: str | None,
-             seed: int | None) -> None:
+             scale: str | None, factors: str | None, seed: int | None) -> None:
     """Run decomposition, uncertainty band and group breakdowns."""
-    cfg = _load_config_with_overrides(config_path, seed, scale, factors, regime)
+    cfg = _load_config_with_overrides(config_path, seed, scale, factors)
     settings = cfg.scenario
     pop, inputs = _population_for(cfg, persons, households)
     table = None
@@ -288,22 +279,23 @@ def simulate(config_path: str, persons: str | None, households: str | None,
     outputs: dict[str, str] = {}
     want_csv = fmt in ("csv", "both")
     want_json = fmt in ("json", "both")
+    groups_obj = groups_json_obj(dis)
     if want_csv:
         _write_text(out, "table2.csv", table2_csv(deco), outputs)
         _write_text(out, "groups.csv", groups_csv(dis), outputs)
     if want_json:
         _write_text(out, "table2.json", dumps_json(table2_json_obj(deco)),
                     outputs)
-        _write_text(out, "groups.json", dumps_json(groups_json_obj(dis)),
-                    outputs)
+        _write_text(out, "groups.json", dumps_json(groups_obj), outputs)
+    points = None
     if band is not None:
+        band_obj = band_json_obj(band)
         if want_csv:
             _write_text(out, "band.csv", band_csv(band), outputs)
         if want_json:
-            _write_text(out, "band.json", dumps_json(band_json_obj(band)),
-                        outputs)
-        _render_band_chart(out, band_rows(band), outputs)
-    _render_group_charts(out, groups_rows(dis), outputs)
+            _write_text(out, "band.json", dumps_json(band_obj), outputs)
+        points = _band_points(band_obj)
+    _write_charts(out, points, _group_bars(groups_obj), outputs)
     write_manifest(out, "simulate", cfg, inputs, outputs,
                    extra={"population_provenance": pop.provenance,
                           "format": fmt})
@@ -316,30 +308,40 @@ def simulate(config_path: str, persons: str | None, households: str | None,
     click.echo(f"wrote reports to {out}")
 
 
-def _render_band_chart(out: Path, rows, outputs: dict[str, str]) -> None:
-    from .charts import band_chart
-    points = [(float(Fraction(r["scale"])), float(r["rate_pct"]))
-              for r in rows if r["rate_pct"]]
-    if not points:
-        click.echo("warning: band has no defined rates; chart omitted", err=True)
-        return
-    _write_text(out, "band.svg", band_chart(points), outputs)
+def _band_points(report: dict) -> list[tuple[float, float]]:
+    """(scale, rate %) chart points of a band report, undefined rates left out."""
+    return [(float(Fraction(p["scale"])), float(p["rate_pct"]))
+            for p in report["points"] if p["rate_pct"]]
 
 
-def _render_group_charts(out: Path, rows, outputs: dict[str, str],
-                         indicator: str = "relative") -> None:
-    from .charts import grouped_bar_chart
-    by_dim: dict[str, list] = {}
-    for r in rows:
-        if r["indicator"] != indicator:
-            continue
-        pre = float(r["pre_pct"]) if r["pre_pct"] else None
-        post = float(r["post_pct"]) if r["post_pct"] else None
-        by_dim.setdefault(r["dimension"], []).append((r["group"], pre, post))
-    for dim, bars in by_dim.items():
+def _group_bars(report: dict) -> dict[str, list]:
+    """Dimension -> (group, pre %, post %) bars of a groups report's
+    relative child poverty rates."""
+    bars = {}
+    for entry in report["dimensions"]:
+        bars[entry["dimension"]] = dim_bars = []
+        for group in entry["groups"]:
+            rate = next(r for r in group["rates"] if r["indicator"] == "relative")
+            pre, post = rate["pre_pct"], rate["post_pct"]
+            dim_bars.append((group["group"], None if pre is None else float(pre),
+                             None if post is None else float(post)))
+    return bars
+
+
+def _write_charts(out: Path, points: list[tuple[float, float]] | None,
+                  bars: dict[str, list] | None, outputs: dict[str, str]) -> None:
+    """band.svg from points and groups_<dimension>.svg from bars (relative
+    child poverty); None skips that chart, an empty input warns."""
+    from .charts import band_chart, grouped_bar_chart
+    if points is not None:
+        if points:
+            _write_text(out, "band.svg", band_chart(points), outputs)
+        else:
+            click.echo("warning: band has no defined rates; chart omitted",
+                       err=True)
+    for dim, dim_bars in (bars or {}).items():
         svg = grouped_bar_chart(
-            bars, title=f"Child poverty by {dim.replace('_', ' ')} "
-                        f"({indicator.replace('_', ' ')}, %)")
+            dim_bars, title=f"Child poverty by {dim.replace('_', ' ')} (relative, %)")
         if svg is None:
             click.echo(f"warning: no data for dimension {dim}; chart omitted",
                        err=True)
@@ -406,62 +408,34 @@ def validate(config_path: str, persons: str, households: str, cells_path: str,
 @click.option("--out", "out_path", required=True, type=click.Path(file_okay=False))
 def plot(band_path: str | None, groups_path: str | None, out_path: str) -> None:
     """Render SVG charts from report files."""
-    from .charts import band_chart, grouped_bar_chart
     if band_path is None and groups_path is None:
         raise ConfigError("nothing to plot: give --band and/or --groups")
     out = _out_dir(out_path)
     outputs: dict[str, str] = {}
     inputs: dict[str, str] = {}
+    points = bars = None
     if band_path is not None:
         inputs["band"] = band_path
-        data = _load_report(band_path)
-        try:
-            points = [(float(Fraction(p["scale"])), float(p["rate_pct"]))
-                      for p in data["points"] if p["rate_pct"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed band report: {exc}",
-                            file=band_path) from exc
-        if points:
-            _write_text(out, "band.svg", band_chart(points), outputs)
-        else:
-            click.echo("warning: band report has no points; chart omitted",
-                       err=True)
+        points = _read_report(band_path, "band", _band_points)
     if groups_path is not None:
         inputs["groups"] = groups_path
-        data = _load_report(groups_path)
-        try:
-            for entry in data["dimensions"]:
-                dim = entry["dimension"]
-                bars = []
-                for group in entry["groups"]:
-                    rate = next(r for r in group["rates"]
-                                if r["indicator"] == "relative")
-                    pre = (float(rate["pre_pct"])
-                           if rate["pre_pct"] is not None else None)
-                    post = (float(rate["post_pct"])
-                            if rate["post_pct"] is not None else None)
-                    bars.append((group["group"], pre, post))
-                svg = grouped_bar_chart(
-                    bars, title=f"Child poverty by {dim.replace('_', ' ')} "
-                                "(relative, %)")
-                if svg is None:
-                    click.echo(f"warning: no data for dimension {dim}; "
-                               "chart omitted", err=True)
-                    continue
-                _write_text(out, f"groups_{dim}.svg", svg, outputs)
-        except (KeyError, TypeError, ValueError, StopIteration) as exc:
-            raise DataError(f"malformed groups report: {exc}",
-                            file=groups_path) from exc
+        bars = _read_report(groups_path, "groups", _group_bars)
+    _write_charts(out, points, bars, outputs)
     write_manifest(out, "plot", None, inputs, outputs)
     click.echo(f"wrote {len(outputs)} chart(s) to {out}")
 
 
-def _load_report(path: str) -> dict:
+def _read_report(path: str, kind: str, extract):
+    """extract applied to the JSON report at path; any fault is a DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"report is not valid JSON: {exc}", file=path) from exc
+    try:
+        return extract(data)
+    except (KeyError, TypeError, ValueError, StopIteration) as exc:
+        raise DataError(f"malformed {kind} report: {exc}", file=path) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

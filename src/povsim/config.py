@@ -4,7 +4,9 @@ Sections (all optional unless a command needs them):
 
   seed         integer used by generation and echoed into manifests
   synth        synthetic population knobs (see synth.SynthConfig)
-  policy       policy parameters (see rules.params_from_dict)
+  policy       policy parameters (see rules.params_from_dict); the GMA
+               means test in force is not one of them, the scenario's
+               gma_relaxation factor selects it
   poverty      measurement settings: absolute lines, reference child
                population, equivalence scale coefficients
   scenario     factor list, shock scale/start month, transfer timing mode,

@@ -73,24 +73,19 @@ def fmt_fraction(x: Fraction | int, places: int) -> str:
 def parse_weight(text: str) -> int:
     """Parse a survey weight with at most two decimals into centiweight units.
 
-    Returns weight * 100 as an integer. Raises ValueError on malformed or
-    non-positive weights.
+    Returns weight * 100 as an integer. The text must be ASCII
+    [0-9]+(.[0-9]{1,2})?: no sign, no spaces, no other digits. Raises
+    ValueError on any other text and on a zero weight.
     """
-    s = text.strip()
-    if not s:
+    if not text:
         raise ValueError("empty weight")
-    negative = s.startswith("-")
-    body = s[1:] if negative else s
-    if "." in body:
-        whole, _, frac = body.partition(".")
-        if not whole.isdigit() or not frac.isdigit() or len(frac) > 2:
-            raise ValueError(f"weight {text!r} is not a fixed-point decimal with <= 2 decimals")
-        centi = int(whole) * 100 + int(frac.ljust(2, "0"))
-    else:
-        if not body.isdigit():
-            raise ValueError(f"weight {text!r} is not numeric")
-        centi = int(body) * 100
-    if negative or centi <= 0:
+    whole, dot, frac = text.partition(".")
+    if not (text.isascii() and whole.isdigit() and (frac.isdigit() or not dot)):
+        raise ValueError(f"weight {text!r} is not numeric")
+    if len(frac) > 2:
+        raise ValueError(f"weight {text!r} is not a fixed-point decimal with <= 2 decimals")
+    centi = int(whole) * 100 + int(frac.ljust(2, "0"))
+    if centi <= 0:
         raise ValueError(f"weight {text!r} must be positive")
     return centi
 

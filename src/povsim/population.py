@@ -185,12 +185,13 @@ class Population:
     def _of_valid_persons(cls, persons: tuple[Person, ...],
                           households: tuple[Household, ...], *, base_year: int,
                           provenance: str) -> "Population":
-        """Population(...) for persons whose problems() are known to be empty.
+        """Population(...) for persons whose problems() are known to be empty
+        and whose ids are known to be distinct.
 
         Internal constructor for the CSV loader, which checks each person
         as it reads the row: only the cross-table checks run here
-        (duplicate ids, unknown households, household problems and member
-        lists).
+        (duplicate household ids, unknown households, household problems
+        and member lists).
         """
         pop = cls.__new__(cls)
         for name, value in (("persons", persons), ("households", households),
@@ -201,7 +202,8 @@ class Population:
         return pop
 
     def _index(self, *, check_persons: bool) -> None:
-        """Sort, validate and index persons and households."""
+        """Sort, validate and index persons and households; check_persons
+        adds the per-person checks (problems() and distinct ids)."""
         persons = tuple(sorted(self.persons, key=_PERSON_ORDER))
         households = tuple(sorted(self.households, key=_HOUSEHOLD_ORDER))
         object.__setattr__(self, "persons", persons)
@@ -215,9 +217,10 @@ class Population:
             members[hh.household_id] = []
         seen: set[int] = set()
         for p in persons:
-            if p.person_id in seen:
-                raise DataError(f"duplicate person id {p.person_id}")
-            seen.add(p.person_id)
+            if check_persons:
+                if p.person_id in seen:
+                    raise DataError(f"duplicate person id {p.person_id}")
+                seen.add(p.person_id)
             if p.household_id not in by_id:
                 raise DataError(
                     f"person {p.person_id} references unknown household {p.household_id}")
@@ -437,7 +440,8 @@ def load_population(persons_path: str, households_path: str, *,
     """Load a population from the canonical persons/households CSV pair.
 
     Reads each file in one pass. Every parse problem is reported with
-    file, row (the line number in the file) and column context; each
+    file, row (the line number in the file) and column context; a
+    repeated person or household id is reported at its second row. Each
     person's invariants are checked as its row is read, and the
     cross-table invariants once all rows are in.
     """
@@ -447,6 +451,9 @@ def load_population(persons_path: str, households_path: str, *,
         for i, (hid_text, weight_text, residence, other, car, land) in _records(
                 fh, households_path, HOUSEHOLD_COLUMNS):
             hid = _parse_int(hid_text, households_path, i, "household_id")
+            if hid in members:
+                raise DataError(f"duplicate household id {hid}", file=households_path,
+                                row=i, column="household_id")
             try:
                 weight = parse_weight(weight_text)
             except ValueError as exc:
@@ -464,11 +471,16 @@ def load_population(persons_path: str, households_path: str, *,
             members[hid] = []
 
     persons: list[Person] = []
+    seen: set[int] = set()
     with open(persons_path, newline="", encoding="utf-8") as fh:
         for i, head, incomes in _records(fh, persons_path, PERSON_COLUMNS[:10],
                                          _INCOME_COLUMNS):
             pid, hid, age, sex, labor, education, nace2, informal, public, special = head
             pid = _parse_int(pid, persons_path, i, "person_id")
+            if pid in seen:
+                raise DataError(f"duplicate person id {pid}", file=persons_path, row=i,
+                                column="person_id")
+            seen.add(pid)
             hid = _parse_int(hid, persons_path, i, "household_id")
             if hid not in members:
                 raise DataError(f"person {pid} references unknown household {hid}",
@@ -498,6 +510,7 @@ def load_population(persons_path: str, households_path: str, *,
             persons.append(person)
             members[hid].append(pid)
 
+    del seen  # freed before the cross-table checks, where memory peaks
     return Population._of_valid_persons(
         tuple(persons),
         tuple(Household(hid, tuple(sorted(members[hid])), *rest)

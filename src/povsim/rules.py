@@ -7,6 +7,10 @@ one-off cash schemes (May and December 2020), and a temporary basic
 income transfer. All awards are integer MKD per month; means tests are
 evaluated in exact arithmetic.
 
+gma_schedule is the one implementation of the GMA means test. Which
+variant applies is not a policy parameter: the cascade's relaxed switch,
+set by a scenario's gma_relaxation factor, selects it.
+
 Benefit sequencing matters: GMA is resolved before one-offs because the
 May scheme keys off social-assistance receipt, and the basic income is
 resolved last against income including every other component.
@@ -14,21 +18,13 @@ resolved last against income including every other component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, DataError
 from .money import MONTHS, ZERO_YEAR, as_fraction, round_half_away, round_mul_div
 from .population import Household, LaborStatus, Person
-
-
-class Regime(str, Enum):
-    """GMA rulebook in force."""
-
-    PRE_COVID = "pre_covid"
-    RELAXED = "relaxed"
 
 
 # GMA ineligibility reasons.
@@ -115,7 +111,6 @@ class PolicyParameters:
     ssc_rate: Fraction = Fraction(28, 100)
     gma_base_amount: int = 4000
     gma_scale: GmaScale = field(default_factory=GmaScale)
-    gma_regime: Regime = Regime.PRE_COVID
     energy_supplement_amount: int = 1000
     energy_months_pre: int = 6
     energy_months_relaxed: int = 12
@@ -141,12 +136,8 @@ class PolicyParameters:
             if not 0 <= getattr(self, name) <= 12:
                 raise ConfigError(f"{name} must lie in 0..12")
 
-    def energy_months(self, regime: Regime) -> int:
-        return (self.energy_months_relaxed if regime is Regime.RELAXED
-                else self.energy_months_pre)
-
-    def with_regime(self, regime: Regime) -> "PolicyParameters":
-        return replace(self, gma_regime=regime)
+    def energy_months(self, relaxed: bool) -> int:
+        return self.energy_months_relaxed if relaxed else self.energy_months_pre
 
 
 def gross_to_net(gross: int, params: PolicyParameters, *,
@@ -250,7 +241,7 @@ def ledger_from_vectors(household: Household, members: Sequence[Person],
         household=household, members=members, net_market=net_market,
         carried=carried, core_countable=core, rent=rent,
         base_core_countable=base_core, base_rent=base_rent,
-        threshold=_threshold(members, params),
+        threshold=params.gma_base_amount * params.gma_scale.coefficient(members),
         n_children=sum(1 for m in members if m.is_child),
         n_enrolled_children=sum(1 for m in members
                                 if m.is_child and m.in_public_education),
@@ -276,89 +267,60 @@ def build_ledger(household: Household, members: Sequence[Person],
         params, baseline)
 
 
-def _countable_at(ledger: HouseholdLedger, month: int, include_rent: bool) -> int:
-    """Countable income in one assessment month; months before January
-    read the baseline profile (month 0 maps to baseline December)."""
-    if month >= 1:
-        value = ledger.core_countable[month - 1]
-        if include_rent:
-            value += ledger.rent[month - 1]
-        return value
-    value = ledger.base_core_countable[month + 11]
-    if include_rent:
-        value += ledger.base_rent[month + 11]
-    return value
+def gma_schedule(ledger: HouseholdLedger, relaxed: bool,
+                 ) -> tuple[tuple[int, str], ...]:
+    """The GMA means test: (award, reason) for each month January..December.
 
+    The asset test runs once, and a household that fails it gets no award
+    and the first failing test as its reason in every month. An owned
+    residence never disqualifies; real estate beyond it always does.
+    Pre-crisis any car or land parcel disqualifies, while the relaxed test
+    tolerates a car of five or more years and land under 500 m2.
 
-def gma_countable_income(ledger: HouseholdLedger, month: int,
-                         params: PolicyParameters,
-                         regime: Regime | None = None) -> Fraction:
-    """Income the GMA means test sees for an award month.
-
-    Pre-crisis: mean of the three preceding months, rent included.
-    Relaxed: the single preceding month, rent excluded.
+    Pre-crisis, countable income for an award month is the mean of the
+    three preceding months, rent included; relaxed, it is the single
+    preceding month, rent excluded. Months before January read the
+    baseline profile (month 0 is baseline December). Income must be
+    strictly below ledger.threshold, else the reason is INCOME_TOO_HIGH;
+    the award fills the gap to the threshold, rounded half away from
+    zero, and may round to 0 for an eligible month. With threshold
+    num/den and a window of w months summing to s, the test is
+    s * den < w * num, in integers.
     """
-    if not 1 <= month <= MONTHS:
-        raise DataError(f"award month {month} outside 1..12")
-    regime = regime if regime is not None else params.gma_regime
-    if regime is Regime.RELAXED:
-        return Fraction(_countable_at(ledger, month - 1, include_rent=False))
-    total = sum(_countable_at(ledger, k, include_rent=True)
-                for k in (month - 3, month - 2, month - 1))
-    return Fraction(total, 3)
-
-
-def _threshold(members: Sequence[Person], params: PolicyParameters) -> Fraction:
-    return params.gma_base_amount * params.gma_scale.coefficient(members)
-
-
-def gma_threshold(ledger: HouseholdLedger, params: PolicyParameters) -> Fraction:
-    return _threshold(ledger.members, params)
-
-
-def _asset_check(household: Household, regime: Regime) -> str:
-    """First failing asset test, or ELIGIBLE. An owned residence never
-    disqualifies; real estate beyond it always does. Pre-crisis any car or
-    land parcel disqualifies, while the relaxed regime tolerates a car of
-    five or more years and land under 500 m2."""
-    if household.owns_other_real_estate:
-        return OTHER_REAL_ESTATE
-    if regime is Regime.PRE_COVID:
-        if household.car_age_years is not None:
-            return CAR_OWNED
-        if household.land_parcel_m2 is not None:
-            return LAND_OWNED
+    hh = ledger.household
+    car, land = hh.car_age_years, hh.land_parcel_m2
+    if hh.owns_other_real_estate:
+        reason = OTHER_REAL_ESTATE
+    elif not relaxed and car is not None:
+        reason = CAR_OWNED
+    elif not relaxed and land is not None:
+        reason = LAND_OWNED
+    elif relaxed and car is not None and car < 5:
+        reason = CAR_TOO_NEW
+    elif relaxed and land is not None and land >= 500:
+        reason = LAND_TOO_LARGE
     else:
-        if household.car_age_years is not None and household.car_age_years < 5:
-            return CAR_TOO_NEW
-        if household.land_parcel_m2 is not None and household.land_parcel_m2 >= 500:
-            return LAND_TOO_LARGE
-    return ELIGIBLE
-
-
-def gma_eligible(ledger: HouseholdLedger, month: int, params: PolicyParameters,
-                 regime: Regime | None = None) -> tuple[bool, str]:
-    """(eligible, reason). Income must be strictly below the threshold."""
-    regime = regime if regime is not None else params.gma_regime
-    reason = _asset_check(ledger.household, regime)
-    if reason is not ELIGIBLE:
-        return False, reason
-    countable = gma_countable_income(ledger, month, params, regime)
-    if countable >= gma_threshold(ledger, params):
-        return False, INCOME_TOO_HIGH
-    return True, ELIGIBLE
-
-
-def gma_award(ledger: HouseholdLedger, month: int, params: PolicyParameters,
-              regime: Regime | None = None) -> int:
-    """Monthly GMA top-up: threshold minus countable income, floored at 0."""
-    regime = regime if regime is not None else params.gma_regime
-    ok, _ = gma_eligible(ledger, month, params, regime)
-    if not ok:
-        return 0
-    gap = gma_threshold(ledger, params) - gma_countable_income(
-        ledger, month, params, regime)
-    return max(0, round_half_away(gap))
+        reason = ELIGIBLE
+    if reason != ELIGIBLE:
+        return ((0, reason),) * MONTHS
+    if relaxed:
+        window = 1
+        sums = (ledger.base_core_countable[11],) + ledger.core_countable[:11]
+    else:
+        window = 3
+        months = [c + r for c, r in zip(
+            ledger.base_core_countable[9:] + ledger.core_countable[:11],
+            ledger.base_rent[9:] + ledger.rent[:11])]
+        sums = map(sum, zip(months, months[1:], months[2:]))
+    den = ledger.threshold.denominator
+    limit = window * ledger.threshold.numerator
+    scale = window * den
+    schedule = []
+    for total in sums:
+        gap = limit - total * den  # (threshold - countable) * scale
+        schedule.append((round_mul_div(gap, 1, scale), ELIGIBLE) if gap > 0
+                        else (0, INCOME_TOO_HIGH))
+    return tuple(schedule)
 
 
 def _sole_income_is_wage(person: Person) -> bool:
@@ -433,15 +395,6 @@ def tbi_award(pre_tbi_annual: int, household_size: int, ctx: TbiContext,
 
 
 @dataclass(frozen=True)
-class PipelineFlags:
-    """Which optional components run for a scenario."""
-
-    regime: Regime = Regime.PRE_COVID
-    one_offs: bool = False
-    tbi: bool = False
-
-
-@dataclass(frozen=True)
 class HouseholdFiscalResult:
     """Monthly decomposition of one household's disposable income."""
 
@@ -467,81 +420,55 @@ class HouseholdFiscalResult:
         return sum(self.monthly_disposable())
 
 
-def disposable_income(ledger: HouseholdLedger, params: PolicyParameters,
-                      flags: PipelineFlags,
+def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
+                      relaxed: bool = False, one_offs: bool = False,
+                      tbi: bool = False,
                       tbi_ctx: TbiContext | None = None) -> HouseholdFiscalResult:
     """Run the benefit cascade for one household.
 
-    Order: GMA and its supplements, then one-offs (May depends on social
-    assistance receipt), then the basic income against everything else.
+    relaxed selects the GMA means test and energy months, one_offs and tbi
+    switch those schemes on; tbi_ctx anchors the basic income. Order: GMA
+    and its supplements, then one-offs (May depends on social assistance
+    receipt), then the basic income against everything else.
     """
-    regime = flags.regime
-    threshold = ledger.threshold
-    energy_months = params.energy_months(regime)
-    include_rent = regime is not Regime.RELAXED
-    asset_reason = _asset_check(ledger.household, regime)
-    assets_ok = asset_reason is ELIGIBLE
-
-    gma = [0] * MONTHS
-    energy = [0] * MONTHS
-    allowances = [0] * MONTHS
-    eligible_months = [False] * MONTHS
-    n_children = ledger.n_children
-    n_enrolled = ledger.n_enrolled_children
-    for m in range(1, MONTHS + 1):
-        eligible = False
-        if assets_ok:
-            if regime is Regime.RELAXED:
-                countable = Fraction(_countable_at(ledger, m - 1, include_rent))
-            else:
-                countable = Fraction(
-                    sum(_countable_at(ledger, k, include_rent)
-                        for k in (m - 3, m - 2, m - 1)), 3)
-            if countable < threshold:
-                eligible = True
-                gma[m - 1] = max(0, round_half_away(threshold - countable))
-                if m <= energy_months:
-                    energy[m - 1] = params.energy_supplement_amount
-        eligible_months[m - 1] = eligible
-        child_part = (params.child_allowance_amount * n_children
-                      if (eligible or params.universal_child_allowance) else 0)
-        edu_part = (params.education_allowance_amount * n_enrolled
-                    if eligible else 0)
-        allowances[m - 1] = child_part + edu_part
+    schedule = gma_schedule(ledger, relaxed)
+    gma = tuple(award for award, _ in schedule)
+    eligible = tuple(reason == ELIGIBLE for _, reason in schedule)
+    energy_months = params.energy_months(relaxed)
+    energy = tuple(params.energy_supplement_amount
+                   if ok and m < energy_months else 0
+                   for m, ok in enumerate(eligible))
+    child = params.child_allowance_amount * ledger.n_children
+    assisted = child + params.education_allowance_amount * ledger.n_enrolled_children
+    unassisted = child if params.universal_child_allowance else 0
+    allowances = tuple(assisted if ok else unassisted for ok in eligible)
 
     may = [0] * MONTHS
     dec = [0] * MONTHS
-    if flags.one_offs:
-        on_sa = any(eligible_months[m] or allowances[m] > 0 for m in range(5))
+    if one_offs:
+        on_sa = any(eligible[m] or allowances[m] > 0 for m in range(5))
         may[4] = sum(oneoff_may2020(p, on_sa, params) for p in ledger.members)
         dec[11] = sum(oneoff_dec2020(p, params) for p in ledger.members)
 
-    tbi = [0] * MONTHS
-    if flags.tbi:
+    tbi_monthly = 0
+    if tbi:
         if tbi_ctx is None:
             raise DataError("TBI enabled without baseline statistics")
         pre_tbi = sum(ledger.net_market) + sum(ledger.carried) + sum(gma) \
             + sum(energy) + sum(allowances) + sum(may) + sum(dec)
-        monthly = tbi_award(pre_tbi, ledger.size, tbi_ctx, params)
-        if monthly:
-            tbi = [monthly] * MONTHS
+        tbi_monthly = tbi_award(pre_tbi, ledger.size, tbi_ctx, params)
 
     return HouseholdFiscalResult(
         household_id=ledger.household.household_id,
         net_market=ledger.net_market,
         carried=ledger.carried,
-        gma=tuple(gma),
-        energy=tuple(energy),
-        allowances=tuple(allowances),
+        gma=gma,
+        energy=energy,
+        allowances=allowances,
         oneoff_may=tuple(may),
         oneoff_dec=tuple(dec),
-        tbi=tuple(tbi),
+        tbi=(tbi_monthly,) * MONTHS,
     )
-
-
-def social_assistance_household(result: HouseholdFiscalResult) -> bool:
-    """True when any month carries GMA or allowance money."""
-    return any(result.gma) or any(result.allowances) or any(result.energy)
 
 
 def params_from_dict(data: Mapping) -> PolicyParameters:
@@ -561,7 +488,7 @@ def params_from_dict(data: Mapping) -> PolicyParameters:
 
     top = take(data, {
         "pit_rate": as_fraction, "ssc_rate": as_fraction,
-        "gma_base_amount": int, "gma_scale": dict, "gma_regime": Regime,
+        "gma_base_amount": int, "gma_scale": dict,
         "energy_supplement_amount": int, "energy_months_pre": int,
         "energy_months_relaxed": int, "child_allowance_amount": int,
         "education_allowance_amount": int, "universal_child_allowance": bool,
@@ -601,7 +528,6 @@ def params_to_dict(params: PolicyParameters) -> dict:
             "additional_adult": str(params.gma_scale.additional_adult),
             "child": str(params.gma_scale.child),
         },
-        "gma_regime": params.gma_regime.value,
         "energy_supplement_amount": params.energy_supplement_amount,
         "energy_months_pre": params.energy_months_pre,
         "energy_months_relaxed": params.energy_months_relaxed,

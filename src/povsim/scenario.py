@@ -1,7 +1,9 @@
 """Scenario pipeline: shocks, rules, metrics, decomposition, band, groups.
 
 A scenario is a switch set over {wage shock, self-employment shock, GMA
-relaxation, one-offs, basic income} plus a shock scale. The pipeline
+relaxation, one-offs, basic income} plus a shock scale. The GMA
+relaxation switch is the only choice between the pre-crisis and the
+relaxed means test; no policy parameter selects it. The pipeline
 order is fixed: income shocks, gross-to-net, GMA and allowances, one-off
 schemes, basic income, then poverty metrics. Baseline statistics (the
 pre-shock income profile and the medians the basic income anchors to) are
@@ -31,9 +33,9 @@ from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
                       headcount_from_pp)
 from .money import as_fraction
 from .population import Person, Population
-from .rules import (HouseholdFiscalResult, HouseholdLedger, PipelineFlags,
-                    PolicyParameters, Regime, TbiContext, disposable_income,
-                    ledger_from_vectors, person_net_market)
+from .rules import (HouseholdFiscalResult, HouseholdLedger, PolicyParameters,
+                    TbiContext, disposable_income, ledger_from_vectors,
+                    person_net_market)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -65,13 +67,6 @@ class ScenarioSpec:
     @property
     def any_shock(self) -> bool:
         return self.wage_shock or self.selfemp_shock
-
-    def flags(self) -> PipelineFlags:
-        return PipelineFlags(
-            regime=Regime.RELAXED if self.gma_relaxation else Regime.PRE_COVID,
-            one_offs=self.one_offs,
-            tbi=self.tbi,
-        )
 
 
 BASELINE_SPEC = ScenarioSpec()
@@ -316,9 +311,9 @@ class Study:
 
         try:
             tbi_ctx = stats.tbi_context(self.params) if spec.tbi else None
-            flags = spec.flags()
-            fiscal = {ledger.household.household_id:
-                      disposable_income(ledger, self.params, flags, tbi_ctx)
+            fiscal = {ledger.household.household_id: disposable_income(
+                          ledger, self.params, relaxed=spec.gma_relaxation,
+                          one_offs=spec.one_offs, tbi=spec.tbi, tbi_ctx=tbi_ctx)
                       for ledger in self._ledgers_of(key, shocked)}
         except Exception as exc:
             if isinstance(exc, (PipelineError, ConfigError)):

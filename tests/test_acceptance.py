@@ -26,8 +26,8 @@ from povsim.nace import DIVISIONS
 from povsim.population import Household, LaborStatus, Person, Sex
 from povsim.rules import (CAR_OWNED, CAR_TOO_NEW, ELIGIBLE, INCOME_TOO_HIGH,
                           LAND_OWNED, LAND_TOO_LARGE, OTHER_REAL_ESTATE,
-                          PipelineFlags, Regime, TbiContext, build_ledger,
-                          disposable_income, gma_eligible)
+                          TbiContext, build_ledger, disposable_income,
+                          gma_schedule)
 from povsim.scenario import (ScenarioSpec, decompose, disaggregate,
                              prepare_baseline, run_scenario, uncertainty_band,
                              validate_against_observed)
@@ -119,16 +119,17 @@ def test_02_gma_eligibility_truth_table(params):
             household = Household(household_id=1, member_ids=(1,),
                                   weight_centi=100, **assets)
             ledger = build_ledger(household, [person], params)
-            for regime, asset_reason in ((Regime.PRE_COVID, pre_asset),
-                                         (Regime.RELAXED, relaxed_asset)):
+            for relaxed, asset_reason in ((False, pre_asset),
+                                          (True, relaxed_asset)):
                 if asset_reason is not ELIGIBLE:
                     expected = (False, asset_reason)
                 elif income >= 4000:
                     expected = (False, INCOME_TOO_HIGH)
                 else:
                     expected = (True, ELIGIBLE)
-                got = gma_eligible(ledger, 6, params, regime)
-                assert got == expected, (label, income, regime.value)
+                _, reason = gma_schedule(ledger, relaxed)[5]  # June
+                got = (reason == ELIGIBLE, reason)
+                assert got == expected, (label, income, relaxed)
             cases += 1
     assert cases == 16
     print(f"eligibility truth table: {cases} cases x 2 regimes, all exact")
@@ -321,18 +322,18 @@ def test_08_transfer_monotonicity_property(params):
     ctx = TbiContext(median_pc_monthly=Fraction(10400),
                      vulnerability_line_annual=Fraction(140400))
     variants = {
-        "relaxed": PipelineFlags(regime=Regime.RELAXED),
-        "one_offs": PipelineFlags(one_offs=True),
-        "tbi": PipelineFlags(tbi=True),
-        "all": PipelineFlags(regime=Regime.RELAXED, one_offs=True, tbi=True),
+        "relaxed": dict(relaxed=True),
+        "one_offs": dict(one_offs=True),
+        "tbi": dict(tbi=True),
+        "all": dict(relaxed=True, one_offs=True, tbi=True),
     }
     hit = {name: 0 for name in ("gma_pre", "gma_relaxed", "one_offs", "tbi")}
     for idx in range(1, 1001):
         ledger = _random_crisis_household(rng, idx, params)
-        base = disposable_income(ledger, params, PipelineFlags())
+        base = disposable_income(ledger, params)
         base_monthly = base.monthly_disposable()
-        runs = {name: disposable_income(ledger, params, flags, ctx)
-                for name, flags in variants.items()}
+        runs = {name: disposable_income(ledger, params, **switches, tbi_ctx=ctx)
+                for name, switches in variants.items()}
         for name, run in runs.items():
             monthly = run.monthly_disposable()
             for m in range(12):

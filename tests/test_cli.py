@@ -270,15 +270,15 @@ class TestSimulate:
         assert "table2.csv" in names
         assert "band.csv" not in names  # band runs only with all factors
 
-    def test_regime_override_recorded(self, ws):
-        other = ws.root / "sim_relaxed"
+    def test_there_is_no_regime_option(self, ws, capsys):
+        # the gma_relaxation factor is the one choice of means test
         assert main(["simulate", "--config", str(ws.cfg),
                      "--persons", str(ws.gen / "persons.csv"),
                      "--households", str(ws.gen / "households.csv"),
                      "--cells", str(ws.cal / "cells.csv"),
-                     "--regime", "relaxed", "--out", str(other)]) == 0
-        manifest = read_manifest(other)
-        assert manifest["effective_config"]["policy"]["gma_regime"] == "relaxed"
+                     "--regime", "relaxed", "--out", str(ws.root / "x12")]) == 1
+        assert "No such option" in capsys.readouterr().err
+        assert "gma_regime" not in read_manifest(ws.sim)["effective_config"]["policy"]
 
     def test_persons_and_households_must_pair(self, ws, capsys):
         assert main(["simulate", "--config", str(ws.cfg),

@@ -196,6 +196,10 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match="unknown key 'sede' in config"):
             study_config_from_dict({"sede": 1})
 
+    def test_gma_regime_is_an_unknown_policy_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'gma_regime' in params"):
+            study_config_from_dict({"policy": {"gma_regime": "relaxed"}})
+
     def test_bad_seed_value(self):
         with pytest.raises(ConfigError, match="bad value in config"):
             study_config_from_dict({"seed": "not-a-number"})

@@ -108,13 +108,14 @@ class TestWeights:
         ("1.50", 150),
         ("0.01", 1),
         ("1234.56", 123456),
-        (" 2.25 ", 225),
+        ("007.5", 750),
     ])
     def test_parse(self, text, centi):
         assert parse_weight(text) == centi
 
     @pytest.mark.parametrize("text", ["", "0", "0.00", "-1", "1.234", "abc",
-                                      "1.2.3", "1e2"])
+                                      "1.2.3", "1e2", " 2.25 ", "+1", "1_0",
+                                      "١٠٠.٠٠"])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             parse_weight(text)

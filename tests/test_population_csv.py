@@ -98,7 +98,7 @@ PINNED = {
         "person 3: industry code on non-worker status inactive (file={p}, row=4)"),
     "duplicate person": (
         [("persons", 4, "person_id", "2")],
-        "duplicate person id 2"),
+        "duplicate person id 2 (file={p}, row=4, column=person_id)"),
     "bad weight": (
         [("households", 3, "survey_weight", "abc")],
         "weight 'abc' is not numeric (file={h}, row=3, column=survey_weight)"),
@@ -117,7 +117,7 @@ PINNED = {
     "duplicate household": (
         [("households", 6, "household_id", "4"), ("persons", 12, "household_id", "4"),
          ("persons", 13, "household_id", "4")],
-        "duplicate household id 4"),
+        "duplicate household id 4 (file={h}, row=6, column=household_id)"),
     # A row with several faults reports the first in the loader's order.
     "income before enum": (
         [("persons", 2, "sex", "other"), ("persons", 2, "wage_m01", "x")],
@@ -230,6 +230,16 @@ def test_integers_must_be_ascii_digits_with_an_optional_minus(tmp_path, name, li
     edit(paths, (name, line, column, text))
     assert load_error(paths) == (f"expected integer, got {text!r} "
                                  f"(file={paths[name]}, row={line}, column={column})")
+
+
+@pytest.mark.parametrize("text", [" 100.00 ", "100.00 ", " 1", "١٠٠.٠٠", "１.5",
+                                  "+1", "1_0", "1.5_0", "-1", "1.", ".5", "1e2"])
+def test_weights_must_be_ascii_decimals(tmp_path, text):
+    paths = saved_pair(tmp_path)
+    edit(paths, ("households", 3, "survey_weight", text))
+    assert load_error(paths) == (f"weight {text!r} is not numeric "
+                                 f"(file={paths['households']}, row=3, "
+                                 "column=survey_weight)")
 
 
 def test_canonical_integer_spellings_load(tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from povsim.errors import ConfigError, DataError
+from povsim.money import round_half_away
 from povsim.population import Household, LaborStatus, Person, Sex
 from povsim.rules import (
     CAR_OWNED,
@@ -19,21 +20,15 @@ from povsim.rules import (
     LAND_TOO_LARGE,
     OTHER_REAL_ESTATE,
     GmaScale,
-    PipelineFlags,
     PolicyParameters,
-    Regime,
     TbiContext,
     build_ledger,
     disposable_income,
-    gma_award,
-    gma_countable_income,
-    gma_eligible,
-    gma_threshold,
+    gma_schedule,
     gross_to_net,
     oneoff_dec2020,
     oneoff_may2020,
     person_net_market,
-    social_assistance_household,
     tbi_award,
 )
 
@@ -58,6 +53,16 @@ def household(members, weight=100, **kw) -> Household:
 def ledger_for(members, params=PARAMS, baseline_members=None, **hh_kw):
     hh = household(members, **hh_kw)
     return build_ledger(hh, members, params, baseline_members=baseline_members)
+
+
+def verdict(ledger, relaxed, month=6):
+    """(eligible, reason) of the GMA means test for one award month."""
+    _, reason = gma_schedule(ledger, relaxed)[month - 1]
+    return reason == ELIGIBLE, reason
+
+
+def award(ledger, relaxed, month=6):
+    return gma_schedule(ledger, relaxed)[month - 1][0]
 
 
 class TestGrossToNet:
@@ -127,52 +132,46 @@ class TestGmaScale:
         mother = person(age=30, status=LaborStatus.UNEMPLOYED_ACTIVE)
         kid = person(pid=2, age=4, status=LaborStatus.CHILD)
         ledger = ledger_for([mother, kid])
-        assert gma_threshold(ledger, PARAMS) == 4000 * Fraction(13, 10)
+        assert ledger.threshold == 4000 * Fraction(13, 10)
 
 
 class TestGmaCountable:
-    def make_ledger(self, regime_indep_rent=False):
+    """Countable income, read through the award under a threshold far
+    above every income: award = round(threshold - countable)."""
+
+    THRESHOLD = 10**6
+
+    def make_ledger(self):
         # Distinct month values so windows are distinguishable.
         core = tuple(1000 + 100 * m for m in range(12))
         rent = tuple(10 * (m + 1) for m in range(12))
         p = person(pension=core, capital_rent=rent)
         base_p = replace(p, pension=tuple(v + 7 for v in core))
-        return ledger_for([p], baseline_members=[base_p])
+        return ledger_for([p], replace(PARAMS, gma_base_amount=self.THRESHOLD),
+                          baseline_members=[base_p])
+
+    def gap(self, countable):
+        return round_half_away(self.THRESHOLD - countable)
 
     def test_pre_regime_is_three_month_mean_with_rent(self):
         ledger = self.make_ledger()
-        got = gma_countable_income(ledger, 6, PARAMS, Regime.PRE_COVID)
         months = (3, 4, 5)  # calendar months feeding a June award
         want = Fraction(sum(ledger.core_countable[m - 1] + ledger.rent[m - 1]
                             for m in months), 3)
-        assert got == want
+        assert award(ledger, False) == self.gap(want)
 
     def test_relaxed_regime_is_single_month_without_rent(self):
         ledger = self.make_ledger()
-        got = gma_countable_income(ledger, 6, PARAMS, Regime.RELAXED)
-        assert got == Fraction(ledger.core_countable[4])
+        assert award(ledger, True) == self.gap(ledger.core_countable[4])
 
     def test_early_months_read_baseline_profile(self):
         ledger = self.make_ledger()
-        jan = gma_countable_income(ledger, 1, PARAMS, Regime.PRE_COVID)
         # October..December of the baseline year, rent included.
         want = Fraction(sum(ledger.base_core_countable[m] + ledger.base_rent[m]
                             for m in (9, 10, 11)), 3)
-        assert jan == want
-        relaxed_jan = gma_countable_income(ledger, 1, PARAMS, Regime.RELAXED)
-        assert relaxed_jan == Fraction(ledger.base_core_countable[11])
-
-    def test_defaults_to_params_regime(self):
-        ledger = self.make_ledger()
-        relaxed = PARAMS.with_regime(Regime.RELAXED)
-        assert gma_countable_income(ledger, 6, relaxed) == \
-            gma_countable_income(ledger, 6, PARAMS, Regime.RELAXED)
-
-    def test_month_bounds(self):
-        ledger = self.make_ledger()
-        for month in (0, 13):
-            with pytest.raises(DataError):
-                gma_countable_income(ledger, month, PARAMS)
+        assert award(ledger, False, month=1) == self.gap(want)
+        assert award(ledger, True, month=1) == \
+            self.gap(ledger.base_core_countable[11])
 
 
 # The sixteen-case eligibility matrix: eight asset profiles crossed with an
@@ -205,52 +204,49 @@ class TestGmaEligibility:
     def test_sixteen_case_matrix(self, label, hh_kw, pre_reason, relaxed_reason,
                                  income):
         ledger = self.single_adult_ledger(income, **hh_kw)
-        for regime, asset_reason in ((Regime.PRE_COVID, pre_reason),
-                                     (Regime.RELAXED, relaxed_reason)):
-            ok, reason = gma_eligible(ledger, 6, PARAMS, regime)
+        for relaxed, asset_reason in ((False, pre_reason),
+                                      (True, relaxed_reason)):
+            ok, reason = verdict(ledger, relaxed)
             if asset_reason is not ELIGIBLE:
                 expected = (False, asset_reason)
             elif income >= 4000:
                 expected = (False, INCOME_TOO_HIGH)
             else:
                 expected = (True, ELIGIBLE)
-            assert (ok, reason) == expected, (label, regime, income)
+            assert (ok, reason) == expected, (label, relaxed, income)
 
     def test_residence_alone_never_disqualifies(self):
         ledger = self.single_adult_ledger(LOW)
-        for regime in Regime:
-            ok, reason = gma_eligible(ledger, 6, PARAMS, regime)
+        for relaxed in (False, True):
+            ok, reason = verdict(ledger, relaxed)
             assert ok and reason == ELIGIBLE
 
     @pytest.mark.parametrize("car_age,relaxed_ok", [(4, False), (5, True),
                                                     (6, True)])
     def test_car_age_boundary(self, car_age, relaxed_ok):
         ledger = self.single_adult_ledger(LOW, car_age_years=car_age)
-        ok, reason = gma_eligible(ledger, 6, PARAMS, Regime.RELAXED)
+        ok, reason = verdict(ledger, True)
         assert ok is relaxed_ok
         assert reason == (ELIGIBLE if relaxed_ok else CAR_TOO_NEW)
         # Any car at all blocks the pre-crisis test.
-        assert gma_eligible(ledger, 6, PARAMS, Regime.PRE_COVID) == \
-            (False, CAR_OWNED)
+        assert verdict(ledger, False) == (False, CAR_OWNED)
 
     @pytest.mark.parametrize("land,relaxed_ok", [(499, True), (500, False),
                                                  (501, False)])
     def test_land_size_boundary(self, land, relaxed_ok):
         ledger = self.single_adult_ledger(LOW, land_parcel_m2=land)
-        ok, reason = gma_eligible(ledger, 6, PARAMS, Regime.RELAXED)
+        ok, reason = verdict(ledger, True)
         assert ok is relaxed_ok
         assert reason == (ELIGIBLE if relaxed_ok else LAND_TOO_LARGE)
-        assert gma_eligible(ledger, 6, PARAMS, Regime.PRE_COVID) == \
-            (False, LAND_OWNED)
+        assert verdict(ledger, False) == (False, LAND_OWNED)
 
     def test_income_test_is_strict(self):
         at_threshold = self.single_adult_ledger(4000)
-        for regime in Regime:
-            assert gma_eligible(at_threshold, 6, PARAMS, regime) == \
-                (False, INCOME_TOO_HIGH)
+        for relaxed in (False, True):
+            assert verdict(at_threshold, relaxed) == (False, INCOME_TOO_HIGH)
         just_below = self.single_adult_ledger(3999)
-        for regime in Regime:
-            assert gma_eligible(just_below, 6, PARAMS, regime)[0]
+        for relaxed in (False, True):
+            assert verdict(just_below, relaxed)[0]
 
     def test_relaxed_eligibility_contains_pre(self):
         rng = random.Random(20)
@@ -264,8 +260,8 @@ class TestGmaEligibility:
             if rng.random() < 0.15:
                 hh_kw["owns_other_real_estate"] = True
             ledger = self.single_adult_ledger(income, **hh_kw)
-            pre_ok, _ = gma_eligible(ledger, 6, PARAMS, Regime.PRE_COVID)
-            rel_ok, _ = gma_eligible(ledger, 6, PARAMS, Regime.RELAXED)
+            pre_ok, _ = verdict(ledger, False)
+            rel_ok, _ = verdict(ledger, True)
             assert rel_ok or not pre_ok, hh_kw
 
 
@@ -275,12 +271,12 @@ class TestGmaAward:
                         interhousehold_transfers=flat(3000))
         kid = person(pid=2, age=4, status=LaborStatus.CHILD)
         ledger = ledger_for([mother, kid])
-        assert gma_award(ledger, 6, PARAMS, Regime.PRE_COVID) == 2200
+        assert award(ledger, False) == 2200
 
     def test_zero_when_ineligible(self):
         p = person(interhousehold_transfers=flat(9000))
         ledger = ledger_for([p])
-        assert gma_award(ledger, 6, PARAMS, Regime.PRE_COVID) == 0
+        assert award(ledger, False) == 0
 
     def test_rounding_of_fractional_gap(self):
         # Three-month means leave gaps in thirds: 2998/3 rounds down to 999,
@@ -288,12 +284,10 @@ class TestGmaAward:
         series = (3001, 3001, 3000, 3000) + (3001,) * 8
         p = person(pension=series)
         ledger = ledger_for([p])
-        april = gma_countable_income(ledger, 4, PARAMS, Regime.PRE_COVID)
-        assert april == Fraction(3001 + 3001 + 3000, 3)
-        assert gma_award(ledger, 4, PARAMS, Regime.PRE_COVID) == 999
-        may = gma_countable_income(ledger, 5, PARAMS, Regime.PRE_COVID)
-        assert may == Fraction(3001 + 3000 + 3000, 3)
-        assert gma_award(ledger, 5, PARAMS, Regime.PRE_COVID) == 1000
+        assert sum(ledger.core_countable[0:3]) == 3001 + 3001 + 3000  # April
+        assert award(ledger, False, month=4) == 999
+        assert sum(ledger.core_countable[1:4]) == 3001 + 3000 + 3000  # May
+        assert award(ledger, False, month=5) == 1000
 
     def test_monthly_cascade_matches_definition_oracle(self):
         rng = random.Random(88)
@@ -309,16 +303,14 @@ class TestGmaAward:
                             pension=tuple(rng.randint(0, 4000) for _ in range(12)))
                     ] + members[1:]
             ledger = ledger_for(members, baseline_members=base)
-            threshold = gma_threshold(ledger, PARAMS)
-            for regime, relaxed in ((Regime.PRE_COVID, False),
-                                    (Regime.RELAXED, True)):
-                got = [gma_award(ledger, m, PARAMS, regime) for m in range(1, 13)]
+            for relaxed in (False, True):
+                got = [a for a, _ in gma_schedule(ledger, relaxed)]
                 want = gma_monthly_by_definition(
                     ledger.core_countable, ledger.base_core_countable,
                     ledger.rent if not relaxed else (0,) * 12,
                     ledger.base_rent if not relaxed else (0,) * 12,
-                    threshold, relaxed)
-                assert got == want, (trial, regime)
+                    ledger.threshold, relaxed)
+                assert got == want, (trial, relaxed)
 
 
 class TestOneOffMay:
@@ -434,27 +426,25 @@ class TestDisposableCascade:
 
     def test_energy_supplement_months_differ_by_regime(self):
         ledger = self.assisted_ledger()
-        pre = disposable_income(ledger, PARAMS, PipelineFlags())
-        relaxed = disposable_income(ledger, PARAMS,
-                                    PipelineFlags(regime=Regime.RELAXED))
+        pre = disposable_income(ledger, PARAMS)
+        relaxed = disposable_income(ledger, PARAMS, relaxed=True)
         assert pre.energy == (1000,) * 6 + (0,) * 6
         assert relaxed.energy == (1000,) * 12
 
     def test_allowances_require_eligibility(self):
         ledger = self.assisted_ledger()
-        pre = disposable_income(ledger, PARAMS, PipelineFlags())
+        pre = disposable_income(ledger, PARAMS)
         assert pre.allowances == (700,) * 12  # one child, not enrolled
         rich = ledger_for([person(pension=flat(30000))])
-        none = disposable_income(rich, PARAMS, PipelineFlags())
-        assert none.allowances == (0,) * 12
-        assert not social_assistance_household(none)
+        none = disposable_income(rich, PARAMS)
+        assert none.allowances == none.gma == none.energy == (0,) * 12
 
     def test_universal_child_allowance_flag(self):
         universal = replace(PARAMS, universal_child_allowance=True)
         mother = person(age=30, pension=flat(30000))
         kid = person(pid=2, age=4, status=LaborStatus.CHILD)
         ledger = ledger_for([mother, kid])
-        result = disposable_income(ledger, universal, PipelineFlags())
+        result = disposable_income(ledger, universal)
         assert result.allowances == (700,) * 12
         assert result.gma == (0,) * 12
 
@@ -464,13 +454,13 @@ class TestDisposableCascade:
                           in_public_education=True)
         toddler = person(pid=3, age=2, status=LaborStatus.CHILD)
         ledger = ledger_for([mother, enrolled, toddler])
-        result = disposable_income(ledger, PARAMS, PipelineFlags())
+        result = disposable_income(ledger, PARAMS)
         # Two child allowances plus one education allowance, every month.
         assert result.allowances == (2 * 700 + 700,) * 12
 
     def test_may_one_off_requires_assistance_window(self):
         ledger = self.assisted_ledger()
-        result = disposable_income(ledger, PARAMS, PipelineFlags(one_offs=True))
+        result = disposable_income(ledger, PARAMS, one_offs=True)
         # Mother: adult on assistance (9000). Child: nothing.
         assert result.oneoff_may == (0,) * 4 + (9000,) + (0,) * 7
         assert result.oneoff_dec == (0,) * 12
@@ -478,11 +468,11 @@ class TestDisposableCascade:
     def test_tbi_without_context_raises(self):
         ledger = self.assisted_ledger()
         with pytest.raises(DataError):
-            disposable_income(ledger, PARAMS, PipelineFlags(tbi=True), None)
+            disposable_income(ledger, PARAMS, tbi=True, tbi_ctx=None)
 
     def test_monthly_and_annual_identities(self):
         ledger = self.assisted_ledger()
-        result = disposable_income(ledger, PARAMS, PipelineFlags(one_offs=True))
+        result = disposable_income(ledger, PARAMS, one_offs=True)
         months = result.monthly_disposable()
         assert len(months) == 12
         assert sum(months) == result.annual_disposable
@@ -508,12 +498,6 @@ class TestPolicyParameters:
         with pytest.raises(ConfigError):
             PolicyParameters(**kw)
 
-    def test_with_regime(self):
-        relaxed = PARAMS.with_regime(Regime.RELAXED)
-        assert relaxed.gma_regime is Regime.RELAXED
-        assert relaxed.gma_base_amount == PARAMS.gma_base_amount
-        assert PARAMS.gma_regime is Regime.PRE_COVID
-
     def test_energy_months(self):
-        assert PARAMS.energy_months(Regime.PRE_COVID) == 6
-        assert PARAMS.energy_months(Regime.RELAXED) == 12
+        assert PARAMS.energy_months(False) == 6
+        assert PARAMS.energy_months(True) == 12

@@ -8,7 +8,7 @@ import pytest
 
 from povsim.errors import ConfigError
 from povsim.metrics import headcount_from_pp
-from povsim.rules import PipelineFlags, Regime
+from povsim.rules import build_ledger, disposable_income
 from povsim.scenario import (
     COLUMN_ORDER,
     DIMENSIONS,
@@ -29,12 +29,18 @@ ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
 
 
 class TestScenarioSpec:
-    def test_flags_mapping(self):
-        assert ScenarioSpec().flags() == PipelineFlags()
-        flags = ALL_ON.flags()
-        assert flags.regime is Regime.RELAXED
-        assert flags.one_offs
-        assert not flags.tbi
+    def test_flags_mapping(self, micro_pop, params, pov):
+        """A spec's gma_relaxation, one_offs and tbi switches are the
+        cascade's relaxed, one_offs and tbi switches."""
+        for spec in (ScenarioSpec(), ScenarioSpec(gma_relaxation=True),
+                     ScenarioSpec(gma_relaxation=True, one_offs=True)):
+            result = run_scenario(micro_pop, None, spec, params, pov)
+            for hh in micro_pop.households:
+                ledger = build_ledger(hh, micro_pop.members(hh.household_id),
+                                      params)
+                assert result.fiscal[hh.household_id] == disposable_income(
+                    ledger, params, relaxed=spec.gma_relaxation,
+                    one_offs=spec.one_offs, tbi=False), (spec, hh.household_id)
 
     def test_any_shock(self):
         assert not ScenarioSpec(gma_relaxation=True, one_offs=True).any_shock

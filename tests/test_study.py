@@ -7,6 +7,7 @@ over person rows gives.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -23,13 +24,14 @@ import povsim.scenario as scenario_mod
 from povsim.cells import CellChangeTable, apply_shock, save_cell_table
 from povsim.cli import main
 from povsim.config import ScenarioSettings
+from povsim.errors import ConfigError
 from povsim.metrics import (EquivalenceScale, PovertyLines, build_person_rows,
                             compute_report, is_child_row, poverty_rate,
                             relative_poverty_line, weighted_median)
 from povsim.population import (EducationLevel, Household, LaborStatus, Person,
                                Population, Sex)
-from povsim.rules import (PipelineFlags, PolicyParameters, TbiContext,
-                          build_ledger, disposable_income)
+from povsim.rules import (PolicyParameters, TbiContext, build_ledger,
+                          disposable_income)
 from povsim.scenario import (PovertyConfig, ScenarioSpec, Study,
                              household_base, prepare_baseline, run_scenario)
 from povsim.synth import calibrate_to_baseline, generate_synthetic
@@ -126,12 +128,13 @@ def reference_run(pop: Population, table: CellChangeTable | None,
     """One scenario with full ledgers from build_ledger, scored over person
     rows: the pipeline before the household base."""
 
-    def fiscal_of(current: Population, flags: PipelineFlags, ctx):
+    def fiscal_of(current: Population, switches: ScenarioSpec, ctx):
         return {hh.household_id: disposable_income(
             build_ledger(hh, current.members(hh.household_id), params,
                          baseline_members=(None if current is pop
                                            else pop.members(hh.household_id))),
-            params, flags, ctx) for hh in current.households}
+            params, relaxed=switches.gma_relaxation, one_offs=switches.one_offs,
+            tbi=switches.tbi, tbi_ctx=ctx) for hh in current.households}
 
     def score(current: Population, fiscal):
         annual = {hid: res.annual_disposable for hid, res in fiscal.items()}
@@ -143,7 +146,7 @@ def reference_run(pop: Population, table: CellChangeTable | None,
 
     ctx = None
     if spec.tbi:
-        rows, report = score(pop, fiscal_of(pop, PipelineFlags(), None))
+        rows, report = score(pop, fiscal_of(pop, ScenarioSpec(), None))
         ctx = TbiContext(
             median_pc_monthly=weighted_median(
                 (r.per_capita_annual / 12, r.weight_centi) for r in rows),
@@ -155,7 +158,7 @@ def reference_run(pop: Population, table: CellChangeTable | None,
             pop, table.neutralize(wage=not spec.wage_shock,
                                   selfemp=not spec.selfemp_shock),
             shock_start_month=spec.shock_start_month, scale=spec.shock_scale)
-    fiscal = fiscal_of(shocked, spec.flags(), ctx)
+    fiscal = fiscal_of(shocked, spec, ctx)
     return shocked, fiscal, score(shocked, fiscal)[1]
 
 
@@ -196,6 +199,57 @@ def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov)
         assert result.report == report, result.spec
         assert result.fiscal == fiscal, result.spec
         assert result.population.persons == shocked.persons
+
+
+def _policy_leaves(obj=PolicyParameters(), path=()):
+    """Dotted paths of every scalar field of PolicyParameters."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _policy_leaves(value, path + (f.name,))
+        else:
+            yield ".".join(path + (f.name,))
+
+
+def _perturbed(obj, path: list[str]):
+    """obj with the field at path moved away from its value: a bool
+    flipped, a number set to 0, or halved where 0 is not a valid value."""
+    head, *rest = path
+    value = getattr(obj, head)
+    if rest:
+        return dataclasses.replace(obj, **{head: _perturbed(value, rest)})
+    if isinstance(value, bool):
+        return dataclasses.replace(obj, **{head: not value})
+    assert value != 0, path
+    try:
+        return dataclasses.replace(obj, **{head: 0})
+    except ConfigError:
+        return dataclasses.replace(obj, **{head: value / 2})
+
+
+def _fiscal_by_column(pop, table, params, pov):
+    study = Study(pop, table, params, pov)
+    columns = dict(study.decompose().columns)
+    columns["combined_tbi"] = study.result(ALL_ON_TBI)
+    return {name: result.fiscal for name, result in columns.items()}
+
+
+@pytest.fixture(scope="module")
+def synth800_fiscal(params, pov):
+    pop, table = _synth800()
+    return pop, table, _fiscal_by_column(pop, table, params, pov)
+
+
+@pytest.mark.parametrize("leaf", list(_policy_leaves()))
+def test_every_policy_parameter_changes_some_result(leaf, synth800_fiscal, pov):
+    """Moving any policy parameter off its default changes at least one
+    household's result in a decomposition column or in the combined
+    scenario with the basic income: no parameter is dead."""
+    pop, table, default = synth800_fiscal
+    params = _perturbed(PolicyParameters(), leaf.split("."))
+    changed = _fiscal_by_column(pop, table, params, pov)
+    assert any(changed[name][hid] != fiscal[hid]
+               for name, fiscal in default.items() for hid in fiscal), leaf
 
 
 @pytest.mark.parametrize("transfers_on_shocked", [False, True])
