@@ -14,8 +14,9 @@ from .cells import (CellChange, CellChangeTable, CellStat, LfsAggregate,
                     all_selfemp_keys, all_wage_keys, apply_shock,
                     compute_cell_changes, load_cell_table, load_lfs_aggregate,
                     save_cell_table, save_lfs_aggregate)
-from .config import (CalibrationSettings, ObservedChange, ScenarioSettings,
-                     StudyConfig, load_study_config, study_config_from_dict)
+from .config import (CalibrationSettings, ObservedChange, ObservedChanges,
+                     ScenarioSettings, StudyConfig, load_study_config,
+                     study_config_from_dict)
 from .errors import (CalibrationError, ConfigError, DataError, PipelineError,
                      PovsimError)
 from .metrics import (EquivalenceScale, PersonRow, PovertyLines, PovertyReport,
@@ -26,8 +27,7 @@ from .population import (Household, LaborStatus, Person, Population, Sex,
                          load_population, save_population)
 from .rules import (GmaScale, OneOffDec, OneOffMay, PolicyParameters,
                     TbiContext, TbiParams, build_ledger, disposable_income,
-                    gma_schedule, gross_to_net, params_from_dict,
-                    params_to_dict, tbi_award)
+                    gma_schedule, gross_to_net, tbi_award)
 from .scenario import (BandResult, BaselineStats, DecompositionResult,
                        DisaggregationResult, PovertyConfig, ScenarioResult,
                        ScenarioSpec, Study, ValidationResult, decompose,
@@ -35,7 +35,7 @@ from .scenario import (BandResult, BaselineStats, DecompositionResult,
                        simulated_aggregate_changes, uncertainty_band,
                        validate_against_observed)
 from .synth import (IncomeDist, SynthConfig, calibrate_to_baseline,
-                    generate_synthetic, synth_config_from_dict)
+                    generate_synthetic)
 
 __version__ = "0.1.0"
 
@@ -44,8 +44,8 @@ __all__ = [
     "CellChange", "CellChangeTable", "CellStat", "ConfigError", "DataError",
     "DecompositionResult", "DisaggregationResult", "EquivalenceScale",
     "GmaScale", "Household", "IncomeDist", "LaborStatus", "LfsAggregate",
-    "ObservedChange", "OneOffDec", "OneOffMay", "Person", "PersonRow",
-    "PipelineError", "PolicyParameters", "Population",
+    "ObservedChange", "ObservedChanges", "OneOffDec", "OneOffMay", "Person",
+    "PersonRow", "PipelineError", "PolicyParameters", "Population",
     "PovertyConfig", "PovertyLines", "PovertyReport", "PovsimError",
     "RateResult", "ScenarioResult", "ScenarioSettings",
     "ScenarioSpec", "SelfEmpCellKey", "Sex", "Study", "StudyConfig",
@@ -57,10 +57,10 @@ __all__ = [
     "decompose", "disaggregate", "disposable_income", "equivalized_income",
     "generate_synthetic", "gma_schedule", "gross_to_net",
     "headcount_from_pp", "load_cell_table", "load_lfs_aggregate",
-    "load_population", "load_study_config", "params_from_dict",
-    "params_to_dict", "poverty_rate", "prepare_baseline",
+    "load_population", "load_study_config", "poverty_rate",
+    "prepare_baseline",
     "relative_poverty_line", "run_scenario", "save_cell_table",
     "save_lfs_aggregate", "save_population", "simulated_aggregate_changes",
-    "study_config_from_dict", "synth_config_from_dict", "tbi_award",
+    "study_config_from_dict", "tbi_award",
     "uncertainty_band", "validate_against_observed", "weighted_median",
 ]

@@ -24,11 +24,11 @@ import click
 from .cells import (SMALL_CELL_THRESHOLD, aggregate_income_change, apply_shock,
                     compute_cell_changes, load_cell_table, load_lfs_aggregate,
                     save_cell_table)
-from .config import (StudyConfig, load_study_config, sha256_file, sha256_text,
-                     write_manifest)
+from .config import (StudyConfig, decode, load_study_config, sha256_file,
+                     sha256_text, write_manifest)
 from .errors import (CalibrationError, ConfigError, DataError, PipelineError,
                      PovsimError)
-from .money import as_fraction, fmt_fraction
+from .money import fmt_fraction
 from .population import load_population, save_population
 from .reporting import (band_csv, band_json_obj, dumps_json, groups_csv,
                         groups_json_obj, pct_str, table1_csv, table1_json_obj,
@@ -59,8 +59,8 @@ def _parse_quarters(text: str) -> tuple[int, ...]:
 
 def _parse_scale(text: str) -> Fraction:
     try:
-        return as_fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError):
+        return decode(Fraction, text, "scale")
+    except ConfigError:
         raise ConfigError(f"scale must be a number, got {text!r}") from None
 
 
@@ -371,8 +371,10 @@ def validate(config_path: str, persons: str, households: str, cells_path: str,
     pop = load_population(persons, households)
     table = load_cell_table(cells_path)
     simulated = simulated_aggregate_changes(pop, table)
-    observed = {s: e.observed_pct for s, e in cfg.observed.items()}
-    tolerance = {s: e.tolerance_pp for s, e in cfg.observed.items()}
+    sources = {"self_employment": cfg.observed.self_employment,
+               "wage": cfg.observed.wage}
+    observed = {s: e.observed_pct for s, e in sources.items()}
+    tolerance = {s: e.tolerance_pp for s, e in sources.items()}
     result = validate_against_observed(simulated, observed, tolerance)
 
     out = _out_dir(out_path)

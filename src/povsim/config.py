@@ -3,41 +3,49 @@
 Sections (all optional unless a command needs them):
 
   seed         integer used by generation and echoed into manifests
-  synth        synthetic population knobs (see synth.SynthConfig)
-  policy       policy parameters (see rules.params_from_dict); the GMA
+  policy       policy parameters (see rules.PolicyParameters); the GMA
                means test in force is not one of them, the scenario's
                gma_relaxation factor selects it
   poverty      measurement settings: absolute lines, reference child
                population, equivalence scale coefficients
   scenario     factor list, shock scale/start month, transfer timing mode,
                band scales, disaggregation dimensions
+  synth        synthetic population knobs (see synth.SynthConfig)
   calibration  target baseline child poverty rate, tolerance, budget
-  observed     per-source observed aggregate changes with tolerances,
-               for the validation command
+  observed     observed aggregate change of wage and self-employment
+               income, with tolerances, for the validation command
 
-Unknown keys anywhere are rejected: a typo should fail loudly, not
-silently fall back to a default.
+One codec reads and echoes every section: decode() checks a JSON value
+against the type of the dataclass field it fills, and encode() writes a
+dataclass back as JSON. Nothing is coerced: a bool field takes only a
+JSON bool, an int field only a JSON integer, and so on. Unknown keys,
+missing required keys and values of the wrong type are rejected with the
+dotted path of the key (policy.gma_scale.child): a typo should fail
+loudly, not silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import re
+import types
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
-from .metrics import EquivalenceScale
 from .money import as_fraction
 from .reporting import dumps_json
-from .rules import PolicyParameters, params_from_dict, params_to_dict
+from .rules import PolicyParameters
 from .scenario import DIMENSIONS, FACTOR_NAMES, PovertyConfig, ScenarioSpec
-from .synth import SynthConfig, synth_config_from_dict
+from .synth import SynthConfig
 
-_TOP_KEYS = ("seed", "synth", "policy", "poverty", "scenario", "calibration",
-             "observed")
+#: Exact-number spellings a Fraction field takes as a JSON string.
+_EXACT_NUMBER = r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]*[1-9][0-9]*"
 
 
 def sha256_file(path: str | Path) -> str:
@@ -52,19 +60,137 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _take(mapping: Mapping, allowed: dict, where: str) -> dict:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where} "
-                          f"(allowed: {', '.join(sorted(allowed))})")
-    out = {}
-    for key, conv in allowed.items():
-        if key in mapping:
+def _finite_number(value) -> bool:
+    """True for a JSON number (not a bool) that is finite as a double."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _decode_scalar(tp: type, value, path: str):
+    if tp is bool and isinstance(value, bool):
+        return value
+    if tp is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if tp is float and _finite_number(value):
+        return float(value)
+    if tp is str and isinstance(value, str):
+        return value
+    if tp is Fraction:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value)
+        if isinstance(value, float) and math.isfinite(value):
+            return as_fraction(value)
+        if isinstance(value, str) and re.fullmatch(_EXACT_NUMBER, value):
             try:
-                out[key] = conv(mapping[key])
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"bad value for {where}.{key}: {exc}") from exc
-    return out
+                return Fraction(value)
+            except ValueError:  # more digits than int() may convert
+                pass
+    expected = {bool: "true or false", int: "an integer",
+                float: "a finite number", str: "a string",
+                Fraction: "an exact number (integer, decimal or n/d)"}
+    raise ConfigError(f"{path}: expected {expected[tp]}, got {value!r}")
+
+
+def _int_key(key: str, path: str) -> int:
+    """An object key of an int-keyed mapping, written canonically."""
+    if re.fullmatch(r"-?[1-9][0-9]*|0", key):
+        try:
+            return int(key)
+        except ValueError:  # more digits than int() may convert
+            pass
+    raise ConfigError(f"{path}: key {key!r} is not an integer")
+
+
+def _decode_dataclass(cls: type, value, path: str):
+    where = path or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    keys = [f for f in fields(cls) if f.metadata.get("config_key", True)]
+    names = sorted(f.name for f in keys)
+    unknown = sorted(set(value) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where} "
+                          f"(allowed: {', '.join(names)})")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in keys:
+        if f.name in value:
+            kwargs[f.name] = decode(hints[f.name], value[f.name],
+                                    f"{path}.{f.name}" if path else f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {where}")
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        # The dataclass's own checks: a message that starts with one of
+        # its field names is about that field.
+        joiner = "." if str(exc).split(" ", 1)[0] in names else ": "
+        raise ConfigError(f"{where}{joiner}{exc}") from exc
+
+
+def decode(tp, value, path: str):
+    """The value of type tp that the JSON value encodes.
+
+    tp is a dataclass, a scalar (bool, int, float, str, Fraction), X | None,
+    a tuple or a Mapping of these. path names the value in every error,
+    as the dotted key path from the section (policy.gma_scale.child);
+    "" stands for the whole config. A ConfigError from a dataclass's own
+    checks gains the dataclass's path as a prefix.
+    """
+    origin = get_origin(tp)
+    if origin is Union or origin is types.UnionType:
+        (inner,) = [arg for arg in get_args(tp) if arg is not type(None)]
+        return None if value is None else decode(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{path}: expected a list of {len(args)} "
+                              f"items, got {len(value)}")
+        return tuple(decode(arg, item, f"{path}[{i}]")
+                     for i, (arg, item) in enumerate(zip(args, value)))
+    if origin is abc.Mapping:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        key_tp, value_tp = get_args(tp)
+        out = {}
+        for key, item in value.items():
+            out[_int_key(key, path) if key_tp is int else key] = decode(
+                value_tp, item, f"{path}.{key}")
+        return out
+    if is_dataclass(tp):
+        return _decode_dataclass(tp, value, path)
+    return _decode_scalar(tp, value, path)
+
+
+def encode(value):
+    """JSON-ready form of a value decode() reads back to an equal value.
+
+    Dataclass fields are written in declaration order, leaving out those
+    that are None; Fractions become strings, tuples lists, and mappings
+    objects with sorted keys.
+    """
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            if item is not None and f.metadata.get("config_key", True):
+                out[f.name] = encode(item)
+        return out
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [encode(item) for item in value]
+    if isinstance(value, abc.Mapping):
+        return {str(key): encode(value[key]) for key in sorted(value)}
+    return value
 
 
 @dataclass(frozen=True)
@@ -85,7 +211,10 @@ class ScenarioSettings:
             raise ConfigError(f"unknown factor {sorted(unknown)[0]!r} "
                               f"(allowed: {', '.join(FACTOR_NAMES)})")
         if not self.factors:
-            raise ConfigError("scenario.factors must not be empty")
+            raise ConfigError("factors must not be empty")
+        if not 1 <= self.shock_start_month <= 12:
+            raise ConfigError(
+                f"shock_start_month {self.shock_start_month} outside 1..12")
         unknown = set(self.dimensions) - set(DIMENSIONS)
         if unknown:
             raise ConfigError(f"unknown dimension {sorted(unknown)[0]!r} "
@@ -115,35 +244,6 @@ class ScenarioSettings:
         )
 
 
-def scenario_settings_from_dict(data: Mapping) -> ScenarioSettings:
-    kwargs = _take(data, {
-        "factors": lambda v: tuple(str(f) for f in v),
-        "shock_scale": as_fraction,
-        "shock_start_month": int,
-        "transfers_on_shocked": bool,
-        "band_scales": lambda v: tuple(as_fraction(s) for s in v),
-        "dimensions": lambda v: tuple(str(d) for d in v),
-    }, "scenario")
-    return ScenarioSettings(**kwargs)
-
-
-def poverty_from_dict(data: Mapping) -> PovertyConfig:
-    kwargs = _take(data, {
-        "absolute_extreme": int,
-        "absolute_upper": int,
-        "child_population": int,
-        "equivalence_scale": dict,
-    }, "poverty")
-    if "equivalence_scale" in kwargs:
-        scale = _take(kwargs.pop("equivalence_scale"), {
-            "first_adult": as_fraction,
-            "additional_adult_14plus": as_fraction,
-            "child_under_14": as_fraction,
-        }, "poverty.equivalence_scale")
-        kwargs["equivalence_scale"] = EquivalenceScale(**scale)
-    return PovertyConfig(**kwargs)
-
-
 @dataclass(frozen=True)
 class CalibrationSettings:
     target_child_poverty: Fraction
@@ -157,17 +257,6 @@ class CalibrationSettings:
             raise ConfigError("calibration tolerance and budget must be positive")
 
 
-def calibration_from_dict(data: Mapping) -> CalibrationSettings:
-    kwargs = _take(data, {
-        "target_child_poverty": as_fraction,
-        "tolerance": float,
-        "max_evaluations": int,
-    }, "calibration")
-    if "target_child_poverty" not in kwargs:
-        raise ConfigError("calibration section needs target_child_poverty")
-    return CalibrationSettings(**kwargs)
-
-
 @dataclass(frozen=True)
 class ObservedChange:
     observed_pct: Fraction
@@ -175,21 +264,20 @@ class ObservedChange:
 
     def __post_init__(self) -> None:
         if self.tolerance_pp < 0:
-            raise ConfigError("observed tolerance_pp must be nonnegative")
+            raise ConfigError("tolerance_pp must be nonnegative")
 
 
-def observed_from_dict(data: Mapping) -> dict[str, ObservedChange]:
-    out: dict[str, ObservedChange] = {}
-    for source, entry in data.items():
-        kwargs = _take(entry, {
-            "observed_pct": as_fraction,
-            "tolerance_pp": as_fraction,
-        }, f"observed.{source}")
-        if set(kwargs) != {"observed_pct", "tolerance_pp"}:
-            raise ConfigError(f"observed.{source} needs observed_pct "
-                              "and tolerance_pp")
-        out[str(source)] = ObservedChange(**kwargs)
-    return out
+@dataclass(frozen=True)
+class ObservedChanges:
+    """Observed aggregate change of each income source validate checks."""
+
+    self_employment: ObservedChange
+    wage: ObservedChange
+
+
+#: Field metadata of StudyConfig's provenance: set by the loader, never
+#: read from or echoed into a config.
+_NOT_A_KEY = {"config_key": False}
 
 
 @dataclass(frozen=True)
@@ -197,41 +285,20 @@ class StudyConfig:
     """Parsed study configuration plus provenance of the file it came from."""
 
     seed: int | None = None
-    synth: SynthConfig | None = None
     policy: PolicyParameters = field(default_factory=PolicyParameters)
     poverty: PovertyConfig = field(default_factory=PovertyConfig)
     scenario: ScenarioSettings = field(default_factory=ScenarioSettings)
+    synth: SynthConfig | None = None
     calibration: CalibrationSettings | None = None
-    observed: Mapping[str, ObservedChange] | None = None
-    source_path: str | None = None
-    source_sha256: str | None = None
+    observed: ObservedChanges | None = None
+    source_path: str | None = field(default=None, metadata=_NOT_A_KEY)
+    source_sha256: str | None = field(default=None, metadata=_NOT_A_KEY)
 
 
 def study_config_from_dict(data: Mapping, *, source_path: str | None = None,
                            source_sha256: str | None = None) -> StudyConfig:
-    unknown = set(data) - set(_TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in config "
-                          f"(allowed: {', '.join(_TOP_KEYS)})")
-    kwargs: dict = {"source_path": source_path, "source_sha256": source_sha256}
-    try:
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        if "synth" in data:
-            kwargs["synth"] = synth_config_from_dict(data["synth"])
-        if "policy" in data:
-            kwargs["policy"] = params_from_dict(data["policy"])
-        if "poverty" in data:
-            kwargs["poverty"] = poverty_from_dict(data["poverty"])
-        if "scenario" in data:
-            kwargs["scenario"] = scenario_settings_from_dict(data["scenario"])
-        if "calibration" in data:
-            kwargs["calibration"] = calibration_from_dict(data["calibration"])
-        if "observed" in data:
-            kwargs["observed"] = observed_from_dict(data["observed"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad value in config: {exc}") from exc
-    return StudyConfig(**kwargs)
+    return replace(decode(StudyConfig, data, ""), source_path=source_path,
+                   source_sha256=source_sha256)
 
 
 def load_study_config(path: str | Path) -> StudyConfig:
@@ -242,7 +309,7 @@ def load_study_config(path: str | Path) -> StudyConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -250,90 +317,9 @@ def load_study_config(path: str | Path) -> StudyConfig:
                                   source_sha256=sha256_text(text))
 
 
-def _synth_to_dict(cfg: SynthConfig) -> dict:
-    def dist(d) -> dict:
-        out = {"median": d.median, "sigma": d.sigma, "floor": d.floor}
-        if d.cap is not None:
-            out["cap"] = d.cap
-        return out
-
-    return {
-        "n_households": cfg.n_households,
-        "base_year": cfg.base_year,
-        "child_share": cfg.child_share,
-        "share_tolerance": cfg.share_tolerance,
-        "household_size_dist": {str(k): v for k, v
-                                in sorted(cfg.household_size_dist.items())},
-        "adult_labor_shares": dict(sorted(cfg.adult_labor_shares.items())),
-        "weight_range": list(cfg.weight_range),
-        "wage": dist(cfg.wage),
-        "informal_share": cfg.informal_share,
-        "informal_wage_factor": cfg.informal_wage_factor,
-        "selfemp_income": dist(cfg.selfemp_income),
-        "pension": dist(cfg.pension),
-        "rent_income": dist(cfg.rent_income),
-        "rent_share": cfg.rent_share,
-        "transfer_income": dist(cfg.transfer_income),
-        "transfer_share": cfg.transfer_share,
-        "transfer_share_no_earner": cfg.transfer_share_no_earner,
-        "industry_dist": dict(sorted(cfg.industry_dist.items())),
-        "selfemp_industry_dist": dict(sorted(cfg.selfemp_industry_dist.items())),
-        "sector_wage_multipliers": dict(sorted(
-            cfg.sector_wage_multipliers.items())),
-        "couple_sector_assortativity": cfg.couple_sector_assortativity,
-        "education_shares": dict(sorted(cfg.education_shares.items())),
-        "enrollment_rate": cfg.enrollment_rate,
-        "special_category_share": cfg.special_category_share,
-        "owns_residence_share": cfg.owns_residence_share,
-        "other_real_estate_share": cfg.other_real_estate_share,
-        "car_share": cfg.car_share,
-        "car_max_age": cfg.car_max_age,
-        "land_share": cfg.land_share,
-        "land_m2": dist(cfg.land_m2),
-        "elderly_worker_share": cfg.elderly_worker_share,
-    }
-
-
 def effective_config_dict(cfg: StudyConfig) -> dict:
     """The merged configuration a run actually used, JSON-ready."""
-    scale = cfg.poverty.equivalence_scale
-    out: dict = {
-        "seed": cfg.seed,
-        "policy": params_to_dict(cfg.policy),
-        "poverty": {
-            "absolute_extreme": cfg.poverty.absolute_extreme,
-            "absolute_upper": cfg.poverty.absolute_upper,
-            "child_population": cfg.poverty.child_population,
-            "equivalence_scale": {
-                "first_adult": str(scale.first_adult),
-                "additional_adult_14plus": str(scale.additional_adult_14plus),
-                "child_under_14": str(scale.child_under_14),
-            },
-        },
-        "scenario": {
-            "factors": list(cfg.scenario.factors),
-            "shock_scale": str(cfg.scenario.shock_scale),
-            "shock_start_month": cfg.scenario.shock_start_month,
-            "transfers_on_shocked": cfg.scenario.transfers_on_shocked,
-            "band_scales": [str(s) for s in cfg.scenario.band_scales],
-            "dimensions": list(cfg.scenario.dimensions),
-        },
-    }
-    if cfg.synth is not None:
-        out["synth"] = _synth_to_dict(cfg.synth)
-    if cfg.calibration is not None:
-        out["calibration"] = {
-            "target_child_poverty": str(cfg.calibration.target_child_poverty),
-            "tolerance": cfg.calibration.tolerance,
-            "max_evaluations": cfg.calibration.max_evaluations,
-        }
-    if cfg.observed is not None:
-        out["observed"] = {
-            source: {"observed_pct": str(entry.observed_pct),
-                     "tolerance_pp": str(entry.tolerance_pp)}
-            for source, entry in sorted(cfg.observed.items())
-        }
-    return out
+    return encode(cfg)
 
 
 def write_manifest(out_dir: str | Path, command: str, cfg: StudyConfig | None,

@@ -18,9 +18,9 @@ resolved last against income including every other component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, DataError
 from .money import MONTHS, ZERO_YEAR, as_fraction, round_half_away, round_mul_div
@@ -37,8 +37,10 @@ LAND_TOO_LARGE = "land_500m2_or_larger"
 INCOME_TOO_HIGH = "income_at_or_above_threshold"
 
 
-def _frac_field(value) -> Fraction:
-    return as_fraction(value)
+def _require_nonnegative(obj, names: Sequence[str]) -> None:
+    for name in names:
+        if getattr(obj, name) < 0:
+            raise ConfigError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class GmaScale:
 
     def __post_init__(self) -> None:
         for name in ("first_adult", "additional_adult", "child"):
-            object.__setattr__(self, name, _frac_field(getattr(self, name)))
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ConfigError(f"GMA scale coefficient {name} must be nonnegative")
 
@@ -75,6 +77,9 @@ class OneOffMay:
     student_age_min: int = 16
     student_age_max: int = 29
 
+    def __post_init__(self) -> None:
+        _require_nonnegative(self, [f.name for f in fields(self)])
+
 
 @dataclass(frozen=True)
 class OneOffDec:
@@ -83,6 +88,9 @@ class OneOffDec:
     amount: int = 6000
     passive_jobseeker_cap: int = 15000
     pension_cap: int = 15000
+
+    def __post_init__(self) -> None:
+        _require_nonnegative(self, [f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -94,9 +102,9 @@ class TbiParams:
     vulnerability_multiplier: Fraction = Fraction(5, 4)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "transfer_rule", _frac_field(self.transfer_rule))
+        object.__setattr__(self, "transfer_rule", as_fraction(self.transfer_rule))
         object.__setattr__(self, "vulnerability_multiplier",
-                           _frac_field(self.vulnerability_multiplier))
+                           as_fraction(self.vulnerability_multiplier))
         if self.transfer_rule < 0:
             raise ConfigError("TBI transfer rule must be nonnegative")
         if self.vulnerability_multiplier <= 0:
@@ -122,16 +130,15 @@ class PolicyParameters:
     tbi: TbiParams = field(default_factory=TbiParams)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pit_rate", _frac_field(self.pit_rate))
-        object.__setattr__(self, "ssc_rate", _frac_field(self.ssc_rate))
+        object.__setattr__(self, "pit_rate", as_fraction(self.pit_rate))
+        object.__setattr__(self, "ssc_rate", as_fraction(self.ssc_rate))
         for name in ("pit_rate", "ssc_rate"):
             rate = getattr(self, name)
             if not 0 <= rate < 1:
                 raise ConfigError(f"{name} must lie in [0, 1)")
-        for name in ("gma_base_amount", "energy_supplement_amount",
-                     "child_allowance_amount", "education_allowance_amount"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        _require_nonnegative(self, ("gma_base_amount", "energy_supplement_amount",
+                                    "child_allowance_amount",
+                                    "education_allowance_amount"))
         for name in ("energy_months_pre", "energy_months_relaxed"):
             if not 0 <= getattr(self, name) <= 12:
                 raise ConfigError(f"{name} must lie in 0..12")
@@ -469,86 +476,3 @@ def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
         oneoff_dec=tuple(dec),
         tbi=(tbi_monthly,) * MONTHS,
     )
-
-
-def params_from_dict(data: Mapping) -> PolicyParameters:
-    """Parse the policy-parameter JSON section; unknown keys are rejected."""
-
-    def take(mapping: Mapping, allowed: dict, where: str) -> dict:
-        unknown = set(mapping) - set(allowed)
-        if unknown:
-            raise ConfigError(
-                f"unknown key {sorted(unknown)[0]!r} in {where} "
-                f"(allowed: {', '.join(sorted(allowed))})")
-        out = {}
-        for key, conv in allowed.items():
-            if key in mapping:
-                out[key] = conv(mapping[key])
-        return out
-
-    top = take(data, {
-        "pit_rate": as_fraction, "ssc_rate": as_fraction,
-        "gma_base_amount": int, "gma_scale": dict,
-        "energy_supplement_amount": int, "energy_months_pre": int,
-        "energy_months_relaxed": int, "child_allowance_amount": int,
-        "education_allowance_amount": int, "universal_child_allowance": bool,
-        "oneoff_may": dict, "oneoff_dec": dict, "tbi": dict,
-    }, "params")
-    if "gma_scale" in top:
-        top["gma_scale"] = GmaScale(**take(top["gma_scale"], {
-            "first_adult": as_fraction, "additional_adult": as_fraction,
-            "child": as_fraction}, "params.gma_scale"))
-    if "oneoff_may" in top:
-        top["oneoff_may"] = OneOffMay(**take(top["oneoff_may"], {
-            "adult_sa_amount": int, "low_wage_amount": int, "low_wage_cap": int,
-            "student_amount": int, "student_age_min": int, "student_age_max": int},
-            "params.oneoff_may"))
-    if "oneoff_dec" in top:
-        top["oneoff_dec"] = OneOffDec(**take(top["oneoff_dec"], {
-            "amount": int, "passive_jobseeker_cap": int, "pension_cap": int},
-            "params.oneoff_dec"))
-    if "tbi" in top:
-        top["tbi"] = TbiParams(**take(top["tbi"], {
-            "transfer_rule": as_fraction, "vulnerability_multiplier": as_fraction},
-            "params.tbi"))
-    try:
-        return PolicyParameters(**top)
-    except TypeError as exc:
-        raise ConfigError(f"bad params section: {exc}") from None
-
-
-def params_to_dict(params: PolicyParameters) -> dict:
-    """JSON-ready echo of the effective parameters."""
-    return {
-        "pit_rate": str(params.pit_rate),
-        "ssc_rate": str(params.ssc_rate),
-        "gma_base_amount": params.gma_base_amount,
-        "gma_scale": {
-            "first_adult": str(params.gma_scale.first_adult),
-            "additional_adult": str(params.gma_scale.additional_adult),
-            "child": str(params.gma_scale.child),
-        },
-        "energy_supplement_amount": params.energy_supplement_amount,
-        "energy_months_pre": params.energy_months_pre,
-        "energy_months_relaxed": params.energy_months_relaxed,
-        "child_allowance_amount": params.child_allowance_amount,
-        "education_allowance_amount": params.education_allowance_amount,
-        "universal_child_allowance": params.universal_child_allowance,
-        "oneoff_may": {
-            "adult_sa_amount": params.oneoff_may.adult_sa_amount,
-            "low_wage_amount": params.oneoff_may.low_wage_amount,
-            "low_wage_cap": params.oneoff_may.low_wage_cap,
-            "student_amount": params.oneoff_may.student_amount,
-            "student_age_min": params.oneoff_may.student_age_min,
-            "student_age_max": params.oneoff_may.student_age_max,
-        },
-        "oneoff_dec": {
-            "amount": params.oneoff_dec.amount,
-            "passive_jobseeker_cap": params.oneoff_dec.passive_jobseeker_cap,
-            "pension_cap": params.oneoff_dec.pension_cap,
-        },
-        "tbi": {
-            "transfer_rule": str(params.tbi.transfer_rule),
-            "vulnerability_multiplier": str(params.tbi.vulnerability_multiplier),
-        },
-    }

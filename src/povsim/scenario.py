@@ -76,10 +76,10 @@ BASELINE_SPEC = ScenarioSpec()
 class PovertyConfig:
     """Measurement settings shared by every scenario of a study."""
 
-    equivalence_scale: EquivalenceScale = field(default_factory=EquivalenceScale)
     absolute_extreme: int = 42000
     absolute_upper: int = 150000
     child_population: int = 407865
+    equivalence_scale: EquivalenceScale = field(default_factory=EquivalenceScale)
 
     def __post_init__(self) -> None:
         if not 0 < self.absolute_extreme < self.absolute_upper:

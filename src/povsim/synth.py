@@ -165,35 +165,6 @@ class SynthConfig:
             raise ConfigError("couple_sector_assortativity must lie in [0, 1]")
 
 
-def synth_config_from_dict(data: Mapping) -> SynthConfig:
-    """Strict parse of the synth config section; unknown keys rejected."""
-    allowed = {f.name for f in dc_fields(SynthConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in synth section "
-                          f"(allowed: {', '.join(sorted(allowed))})")
-    kwargs = dict(data)
-    for dist_key in ("wage", "selfemp_income", "pension", "rent_income",
-                     "transfer_income", "land_m2"):
-        if dist_key in kwargs:
-            spec = kwargs[dist_key]
-            extra = set(spec) - {"median", "sigma", "floor", "cap"}
-            if extra:
-                raise ConfigError(f"unknown key {sorted(extra)[0]!r} in "
-                                  f"synth.{dist_key}")
-            kwargs[dist_key] = IncomeDist(**spec)
-    if "household_size_dist" in kwargs:
-        kwargs["household_size_dist"] = {int(k): float(v) for k, v
-                                         in kwargs["household_size_dist"].items()}
-    if "weight_range" in kwargs:
-        lo, hi = kwargs["weight_range"]
-        kwargs["weight_range"] = (float(lo), float(hi))
-    try:
-        return SynthConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth section: {exc}") from None
-
-
 def _flat(value: int) -> tuple[int, ...]:
     return (value,) * 12
 

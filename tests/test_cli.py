@@ -180,10 +180,11 @@ class TestShocks:
         assert -14 < float(changes["wage"]) < -13
         assert -21 < float(changes["self_employment"]) < -19
 
-    def test_bad_scale(self, ws, capsys):
+    @pytest.mark.parametrize("scale", ["big", " 0.8", "1_0", "٣", "1/0"])
+    def test_bad_scale(self, ws, capsys, scale):
         assert main(["shocks", "--persons", str(ws.gen / "persons.csv"),
                      "--households", str(ws.gen / "households.csv"),
-                     "--cells", str(ws.cal / "cells.csv"), "--scale", "big",
+                     "--cells", str(ws.cal / "cells.csv"), "--scale", scale,
                      "--out", str(ws.root / "x5")]) == 1
         assert "scale must be a number" in capsys.readouterr().err
 
@@ -287,12 +288,13 @@ class TestSimulate:
                      "--out", str(ws.root / "x8")]) == 1
         assert "given together" in capsys.readouterr().err
 
-    def test_bad_scale_override(self, ws, capsys):
+    @pytest.mark.parametrize("scale", ["0.8.1", " 0.8", "1_0", "٣"])
+    def test_bad_scale_override(self, ws, capsys, scale):
         assert main(["simulate", "--config", str(ws.cfg),
                      "--persons", str(ws.gen / "persons.csv"),
                      "--households", str(ws.gen / "households.csv"),
                      "--cells", str(ws.cal / "cells.csv"),
-                     "--scale", "0.8.1", "--out", str(ws.root / "x9")]) == 1
+                     "--scale", scale, "--out", str(ws.root / "x9")]) == 1
         assert "scale must be a number" in capsys.readouterr().err
 
 

@@ -2,24 +2,33 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from povsim.config import (CalibrationSettings, ObservedChange,
-                           ScenarioSettings, StudyConfig,
-                           calibration_from_dict, effective_config_dict,
-                           load_study_config, observed_from_dict,
-                           poverty_from_dict, scenario_settings_from_dict,
-                           sha256_file, sha256_text, study_config_from_dict,
-                           write_manifest)
+                           ObservedChanges, ScenarioSettings, StudyConfig,
+                           decode, effective_config_dict, encode,
+                           load_study_config, sha256_file, sha256_text,
+                           study_config_from_dict, write_manifest)
 from povsim.errors import ConfigError
 from povsim.metrics import EquivalenceScale
 from povsim.reporting import dumps_json
 from povsim.rules import PolicyParameters
 from povsim.scenario import DIMENSIONS, FACTOR_NAMES, PovertyConfig
+from povsim.synth import IncomeDist, SynthConfig
+
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+
+
+def section(name: str, data: dict):
+    """The parsed section `name` of a config holding only `data` there."""
+    return getattr(study_config_from_dict({name: data}), name)
 
 
 class TestHashes:
@@ -86,28 +95,28 @@ class TestScenarioSettings:
         assert not spec.tbi
 
     def test_from_dict_parses_exact_scale(self):
-        s = scenario_settings_from_dict({"shock_scale": "0.8"})
+        s = section("scenario", {"shock_scale": "0.8"})
         assert s.shock_scale == Fraction(4, 5)
-        s = scenario_settings_from_dict({"shock_scale": 0.8})
+        s = section("scenario", {"shock_scale": 0.8})
         assert s.shock_scale == Fraction(4, 5)
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key 'scal' in scenario"):
-            scenario_settings_from_dict({"scal": 1})
+            section("scenario", {"scal": 1})
 
     def test_from_dict_bad_value(self):
         with pytest.raises(ConfigError,
-                           match="bad value for scenario.shock_scale"):
-            scenario_settings_from_dict({"shock_scale": "huge"})
+                           match="^scenario.shock_scale: expected an exact"):
+            section("scenario", {"shock_scale": "huge"})
 
     def test_from_dict_band_scales(self):
-        s = scenario_settings_from_dict({"band_scales": ["1.2", "0.8", 1]})
+        s = section("scenario", {"band_scales": ["1.2", "0.8", 1]})
         assert s.band_scales == (Fraction(4, 5), Fraction(1), Fraction(6, 5))
 
 
-class TestPovertyFromDict:
+class TestPovertySection:
     def test_full_section(self):
-        pov = poverty_from_dict({
+        pov = section("poverty", {
             "absolute_extreme": 40000,
             "absolute_upper": 160000,
             "child_population": 400000,
@@ -122,13 +131,13 @@ class TestPovertyFromDict:
             Fraction(1), Fraction(1, 2), Fraction(3, 10))
 
     def test_empty_section_gives_defaults(self):
-        assert poverty_from_dict({}) == PovertyConfig()
+        assert section("poverty", {}) == PovertyConfig()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="in poverty "):
-            poverty_from_dict({"extreme": 1})
+            section("poverty", {"extreme": 1})
         with pytest.raises(ConfigError, match="in poverty.equivalence_scale"):
-            poverty_from_dict({"equivalence_scale": {"second_adult": "0.5"}})
+            section("poverty", {"equivalence_scale": {"second_adult": "0.5"}})
 
 
 class TestCalibrationSettings:
@@ -145,39 +154,48 @@ class TestCalibrationSettings:
             CalibrationSettings(Fraction(1, 4), max_evaluations=0)
 
     def test_from_dict_requires_target(self):
-        with pytest.raises(ConfigError, match="needs target_child_poverty"):
-            calibration_from_dict({"tolerance": 0.01})
+        with pytest.raises(ConfigError, match="missing key "
+                           "'target_child_poverty' in calibration"):
+            section("calibration", {"tolerance": 0.01})
 
     def test_from_dict_exact_target(self):
-        cal = calibration_from_dict({"target_child_poverty": "0.278",
-                                     "tolerance": 0.002,
-                                     "max_evaluations": 24})
+        cal = section("calibration", {"target_child_poverty": "0.278",
+                                      "tolerance": 0.002,
+                                      "max_evaluations": 24})
         assert cal.target_child_poverty == Fraction(278, 1000)
         assert cal.tolerance == 0.002
         assert cal.max_evaluations == 24
 
 
-class TestObservedFromDict:
+SELF_EMPLOYMENT = {"observed_pct": "-10.7", "tolerance_pp": "2"}
+
+
+class TestObservedSection:
     def test_parses_sources(self):
-        obs = observed_from_dict({
+        obs = section("observed", {
             "wage": {"observed_pct": "9.8", "tolerance_pp": 5},
-            "self_employment": {"observed_pct": "-10.7", "tolerance_pp": "2"},
+            "self_employment": SELF_EMPLOYMENT,
         })
-        assert obs["wage"] == ObservedChange(Fraction(49, 5), Fraction(5))
-        assert obs["self_employment"].observed_pct == Fraction(-107, 10)
+        assert obs.wage == ObservedChange(Fraction(49, 5), Fraction(5))
+        assert obs.self_employment.observed_pct == Fraction(-107, 10)
 
     def test_both_fields_required(self):
-        with pytest.raises(ConfigError, match="needs observed_pct"):
-            observed_from_dict({"wage": {"observed_pct": "1"}})
+        with pytest.raises(ConfigError,
+                           match="missing key 'tolerance_pp' in observed.wage"):
+            section("observed", {"wage": {"observed_pct": "1"},
+                                 "self_employment": SELF_EMPLOYMENT})
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ConfigError, match="nonnegative"):
-            observed_from_dict({"wage": {"observed_pct": "1",
-                                         "tolerance_pp": -1}})
+        with pytest.raises(ConfigError,
+                           match="observed.wage.tolerance_pp must be nonnegative"):
+            section("observed", {"wage": {"observed_pct": "1",
+                                          "tolerance_pp": -1},
+                                 "self_employment": SELF_EMPLOYMENT})
 
     def test_unknown_key_names_source(self):
         with pytest.raises(ConfigError, match="in observed.wage"):
-            observed_from_dict({"wage": {"observed": "1", "tolerance_pp": 1}})
+            section("observed", {"wage": {"observed": "1", "tolerance_pp": 1},
+                                 "self_employment": SELF_EMPLOYMENT})
 
 
 class TestStudyConfig:
@@ -197,11 +215,11 @@ class TestStudyConfig:
             study_config_from_dict({"sede": 1})
 
     def test_gma_regime_is_an_unknown_policy_key(self):
-        with pytest.raises(ConfigError, match="unknown key 'gma_regime' in params"):
+        with pytest.raises(ConfigError, match="unknown key 'gma_regime' in policy"):
             study_config_from_dict({"policy": {"gma_regime": "relaxed"}})
 
     def test_bad_seed_value(self):
-        with pytest.raises(ConfigError, match="bad value in config"):
+        with pytest.raises(ConfigError, match="^seed: expected an integer"):
             study_config_from_dict({"seed": "not-a-number"})
 
     def test_sections_dispatch(self):
@@ -231,6 +249,12 @@ class TestStudyConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_study_config(path)
 
+    def test_load_integer_too_long_to_convert(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_study_config(path)
+
     def test_load_non_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -250,7 +274,8 @@ FULL_STUDY = {
                 "equivalence_scale": {"child_under_14": "0.3"}},
     "scenario": {"factors": ["wage_shock", "one_offs"], "shock_scale": "0.8"},
     "calibration": {"target_child_poverty": "0.278"},
-    "observed": {"wage": {"observed_pct": "5.0", "tolerance_pp": 5}},
+    "observed": {"wage": {"observed_pct": "5.0", "tolerance_pp": 5},
+                 "self_employment": SELF_EMPLOYMENT},
 }
 
 
@@ -279,7 +304,7 @@ class TestEffectiveConfig:
         assert "synth" not in eff
         assert "calibration" not in eff
         assert "observed" not in eff
-        assert set(eff) == {"seed", "policy", "poverty", "scenario"}
+        assert list(eff) == ["policy", "poverty", "scenario"]
 
 
 class TestWriteManifest:
@@ -323,3 +348,173 @@ class TestWriteManifest:
                            {"t.csv": "a" * 64})
         assert ((one / "manifest.json").read_bytes()
                 == (two / "manifest.json").read_bytes())
+
+
+# -- the codec ----------------------------------------------------------------
+
+#: Every section present, so every field of every section is encoded.
+ALL_SECTIONS = StudyConfig(
+    seed=1,
+    synth=SynthConfig(n_households=100),
+    calibration=CalibrationSettings(Fraction(1, 4)),
+    observed=ObservedChanges(
+        self_employment=ObservedChange(Fraction(-15), Fraction(2)),
+        wage=ObservedChange(Fraction(-46, 5), Fraction(3, 2))),
+)
+
+
+def _wrong_type(value):
+    """A JSON value of the wrong type for a field encoded as `value`."""
+    if isinstance(value, bool):
+        return "true"
+    if isinstance(value, (int, float)):
+        return True
+    if isinstance(value, str):
+        # A numeric string encodes a Fraction, which a number would fill.
+        return True if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value) else 1
+    if isinstance(value, dict):
+        return []
+    return {}
+
+
+def _leaves(node, path=""):
+    """(dotted path, parent, key) of every value below an encoded node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, list):
+            sub = f"{path}[{key}]"
+        else:
+            sub = f"{path}.{key}" if path else key
+        yield sub, node, key
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, sub)
+
+
+def test_every_leaf_of_the_wrong_type_is_rejected_by_path():
+    encoded = encode(ALL_SECTIONS)
+    paths = [path for path, _, _ in _leaves(encoded)]
+    assert {"synth.wage.sigma", "policy.gma_scale.child",
+            "synth.household_size_dist.1", "scenario.band_scales[0]",
+            "observed.wage.tolerance_pp", "seed"} <= set(paths)
+    missed = []
+    for i, path in enumerate(paths):
+        data = copy.deepcopy(encoded)
+        _, parent, key = list(_leaves(data))[i]
+        parent[key] = _wrong_type(parent[key])
+        try:
+            study_config_from_dict(data)
+        except ConfigError as exc:
+            if not str(exc).startswith(f"{path}: expected "):
+                missed.append((path, str(exc)))
+        else:
+            missed.append((path, "accepted"))
+    assert missed == []
+
+
+NAN_TOLERANCE = json.loads(
+    '{"calibration": {"target_child_poverty": "0.2", "tolerance": NaN}}')
+NAN_SIGMA = json.loads(
+    '{"synth": {"n_households": 10, "wage": {"median": 1, "sigma": NaN}}}')
+OBSERVED_CHANGE = {"observed_pct": "1", "tolerance_pp": "1"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"scenario": {"transfers_on_shocked": "false"}},
+     "scenario.transfers_on_shocked: expected true or false"),
+    ({"policy": {"universal_child_allowance": "false"}},
+     "policy.universal_child_allowance: expected true or false"),
+    ({"seed": 1.5}, "seed: expected an integer"),
+    ({"seed": True}, "seed: expected an integer"),
+    ({"policy": {"gma_base_amount": 4000.9}},
+     "policy.gma_base_amount: expected an integer"),
+    ({"synth": {"n_households": 10.5}}, "synth.n_households: expected an integer"),
+    ({"synth": {"n_households": True}}, "synth.n_households: expected an integer"),
+    (NAN_TOLERANCE, "calibration.tolerance: expected a finite number"),
+    (NAN_SIGMA, "synth.wage.sigma: expected a finite number"),
+    ({"synth": {"n_households": 10, "child_share": 10 ** 400}},
+     "synth.child_share: expected a finite number"),
+    ({"policy": {"gma_scale": []}}, "policy.gma_scale: expected an object"),
+    ({"observed": []}, "observed: expected an object"),
+    ({"scenario": {"shock_start_month": 13}},
+     "scenario.shock_start_month 13 outside 1..12"),
+    ({"scenario": {"shock_start_month": 0}},
+     "scenario.shock_start_month 0 outside 1..12"),
+    ({"policy": {"oneoff_may": {"student_age_min": -5}}},
+     "policy.oneoff_may.student_age_min must be nonnegative"),
+    ({"policy": {"oneoff_dec": {"pension_cap": -1}}},
+     "policy.oneoff_dec.pension_cap must be nonnegative"),
+    ({"observed": {"wages": OBSERVED_CHANGE, "self_employment": OBSERVED_CHANGE}},
+     "unknown key 'wages' in observed"),
+    ({"observed": {"wage": OBSERVED_CHANGE}},
+     "missing key 'self_employment' in observed"),
+    ({"synth": {}}, "missing key 'n_households' in synth"),
+    ({"synth": {"n_households": 10, "wage": {"median": 1, "mode": 1}}},
+     "unknown key 'mode' in synth.wage"),
+    ({"synth": {"n_households": 10, "household_size_dist": {"01": 1.0}}},
+     "synth.household_size_dist: key '01' is not an integer"),
+    ({"synth": {"n_households": 10, "household_size_dist": {"1" * 5000: 1.0}}},
+     "synth.household_size_dist: key '11"),
+    ({"synth": {"n_households": 10, "weight_range": [1.0]}},
+     "synth.weight_range: expected a list of 2 items"),
+    ({"policy": {"gma_scale": {"child": "1/0"}}},
+     "policy.gma_scale.child: expected an exact number"),
+    ({"policy": {"gma_scale": {"child": -1}}},
+     "policy.gma_scale: GMA scale coefficient child must be nonnegative"),
+    ({"policy": {"pit_rate": "0." + "1" * 5000}},
+     "policy.pit_rate: expected an exact number"),
+    ({"source_path": "study.json"}, "unknown key 'source_path' in config"),
+    ({"source_sha256": "0" * 64}, "unknown key 'source_sha256' in config"),
+])
+def test_rejection_names_the_path(data, message):
+    with pytest.raises(ConfigError) as info:
+        study_config_from_dict(data)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, Fraction(3)), (-2, Fraction(-2)), (0.8, Fraction(4, 5)),
+    (0.1, Fraction(1, 10)), ("0.648", Fraction(81, 125)),
+    ("-10.7", Fraction(-107, 10)), ("4/5", Fraction(4, 5)),
+    ("-3/10", Fraction(-3, 10)), ("007", Fraction(7)), ("1/05", Fraction(1, 5)),
+])
+def test_exact_number_accepted(value, expected):
+    assert decode(Fraction, value, "x") == expected
+
+
+@pytest.mark.parametrize("value", [
+    " 0.8", "0.8 ", "1_0", "٣", "+1", "1.", ".5", "1e3", "1/0", "1/00",
+    "1/-2", "inf", "nan", "", "1/2/3", True, None, [], float("nan"),
+    float("inf"),
+])
+def test_exact_number_rejected(value):
+    with pytest.raises(ConfigError, match="^x: expected an exact number"):
+        decode(Fraction, value, "x")
+
+
+ROUND_TRIP = {
+    "defaults": StudyConfig(),
+    "demo": study_config_from_dict(json.loads(DEMO.read_text(encoding="utf-8"))),
+    "full_study": study_config_from_dict(FULL_STUDY),
+    "all_sections": ALL_SECTIONS,
+    "capless_income": StudyConfig(synth=SynthConfig(
+        n_households=50, wage=IncomeDist(median=1000, sigma=0.5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_encode_decode_round_trip(name):
+    cfg = ROUND_TRIP[name]
+    echoed = json.loads(dumps_json(encode(cfg)))
+    again = decode(StudyConfig, echoed, "")
+    assert again == cfg
+    assert encode(again) == encode(cfg) == echoed
+
+
+def test_echo_leaves_out_unset_values():
+    eff = effective_config_dict(study_config_from_dict(
+        {"synth": {"n_households": 5}}))
+    assert "seed" not in eff
+    assert "share_tolerance" not in eff["synth"]
+    assert "cap" in eff["synth"]["wage"]
+    capless = ROUND_TRIP["capless_income"]
+    assert "cap" not in effective_config_dict(capless)["synth"]["wage"]

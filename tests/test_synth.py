@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from povsim.config import study_config_from_dict
 from povsim.errors import CalibrationError, ConfigError
 from povsim.population import LaborStatus
 from povsim.scenario import prepare_baseline
@@ -15,7 +16,6 @@ from povsim.synth import (
     SynthConfig,
     calibrate_to_baseline,
     generate_synthetic,
-    synth_config_from_dict,
 )
 
 from conftest import acceptance_config
@@ -76,18 +76,20 @@ class TestConfigValidation:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            synth_config_from_dict({"n_households": 10, "n_housholds": 10})
+            study_config_from_dict(
+                {"synth": {"n_households": 10, "n_housholds": 10}})
         with pytest.raises(ConfigError, match="unknown key"):
-            synth_config_from_dict({"n_households": 10,
-                                    "wage": {"median": 100, "mode": 1}})
+            study_config_from_dict(
+                {"synth": {"n_households": 10,
+                           "wage": {"median": 100, "mode": 1}}})
 
     def test_from_dict_builds_distributions(self):
-        cfg = synth_config_from_dict({
+        cfg = study_config_from_dict({"synth": {
             "n_households": 10,
             "wage": {"median": 25000, "sigma": 0.4, "floor": 15000},
             "household_size_dist": {"1": 0.5, "2": 0.5},
             "weight_range": [10, 20],
-        })
+        }}).synth
         assert cfg.wage == IncomeDist(median=25000, sigma=0.4, floor=15000)
         assert cfg.household_size_dist == {1: 0.5, 2: 0.5}
         assert cfg.weight_range == (10.0, 20.0)
