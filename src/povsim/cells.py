@@ -15,12 +15,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import DataError
 from .money import as_fraction, round_mul_div
 from .nace import DIVISIONS, SECTIONS, is_division, section_of
-from .population import LaborStatus, Person, Population, Sex
+from .population import IncomeVectors, LaborStatus, Person, Population, Sex
 
 AGE_BANDS: tuple[str, ...] = ("youth_15_24", "adult_25_49", "elderly_50_64")
 
@@ -393,53 +395,54 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
         return vec[:start] + tuple(
             round_mul_div(v, num, den) for v in vec[start:])
 
-    def transform(p: Person) -> Person:
+    def transform(p: Person) -> IncomeVectors | None:  # None: p is kept
         if p.labor_status is LaborStatus.EMPLOYEE:
             if p.nace2 is None:
                 raise DataError(f"employee {p.person_id} has no industry code")
             band = age_band_of(p.age)
             if band is None:
-                return p
+                return None
             num, den = wage_eff[WageCellKey(p.nace2, p.sex.value, band)]
-            new_wage = shock_vector(p.wage, num, den)
-            if new_wage is p.wage:
-                return p
-            return replace(p, wage=new_wage)
+            wage = shock_vector(p.wage, num, den)
+            return None if wage is p.wage else (wage, *p.incomes[1:])
         if p.labor_status is LaborStatus.SELF_EMPLOYED:
             if p.nace2 is None:
                 raise DataError(f"self-employed {p.person_id} has no industry code")
             if p.age >= 65:
-                return p
+                return None
             section = section_of(p.nace2)
             if section is None:
-                return p
+                return None
             num, den = se_eff[SelfEmpCellKey(section)]
-            new_se = shock_vector(p.self_employment, num, den)
-            if new_se is p.self_employment:
-                return p
-            return replace(p, self_employment=new_se)
-        return p
+            se = shock_vector(p.self_employment, num, den)
+            return None if se is p.self_employment else (p.wage, se, *p.incomes[2:])
+        return None
 
-    return pop._rescale_incomes(transform)
+    return pop._rescale_incomes(map(transform, pop.persons))
 
 
 def aggregate_income_change(before: Population, after: Population,
                             source: str) -> Fraction:
     """Weighted relative change in total annual income from one source.
 
-    Weighted by household survey weights; exact. Raises when the two
+    Weighted by before's household survey weights; exact; the change sums
+    only persons after does not share with before. Raises when the two
     populations do not describe the same persons or the base total is zero.
     """
     if source not in ("wage", "self_employment"):
         raise DataError(f"unsupported source {source!r}")
-    if [p.person_id for p in before.persons] != [p.person_id for p in after.persons]:
+    if len(before.persons) != len(after.persons):
         raise DataError("populations cover different persons")
-    total_before = 0
-    total_after = 0
-    for pb, pa in zip(before.persons, after.persons):
-        w = before.household(pb.household_id).weight_centi
-        total_before += w * sum(pb.income(source))
-        total_after += w * sum(pa.income(source))
+    income = attrgetter(source)
+    pairs = zip(before.persons, after.persons)
+    total_before = total_change = 0
+    for hh in before.households:
+        for pb, pa in islice(pairs, hh.size):
+            total_before += hh.weight_centi * sum(income(pb))
+            if pa is not pb:
+                if pa.person_id != pb.person_id:
+                    raise DataError("populations cover different persons")
+                total_change += hh.weight_centi * (sum(income(pa)) - sum(income(pb)))
     if total_before == 0:
         raise DataError(f"zero base-period total for source {source!r}")
-    return Fraction(total_after - total_before, total_before)
+    return Fraction(total_change, total_before)

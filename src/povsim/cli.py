@@ -71,8 +71,11 @@ def _load_config_with_overrides(config_path: str, seed: int | None,
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if scale is not None:
-        cfg = replace(cfg, scenario=replace(cfg.scenario,
-                                            shock_scale=_parse_scale(scale)))
+        shock_scale = _parse_scale(scale)
+        try:
+            cfg = replace(cfg, scenario=replace(cfg.scenario, shock_scale=shock_scale))
+        except ConfigError as exc:  # named as the config key it overrides
+            raise ConfigError(f"scenario.{exc}") from None
     if factors is not None:
         wanted = tuple(f.strip() for f in factors.split(",") if f.strip())
         cfg = replace(cfg, scenario=replace(cfg.scenario, factors=wanted))

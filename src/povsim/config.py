@@ -215,6 +215,8 @@ class ScenarioSettings:
         if not 1 <= self.shock_start_month <= 12:
             raise ConfigError(
                 f"shock_start_month {self.shock_start_month} outside 1..12")
+        if self.shock_scale < 0:
+            raise ConfigError(f"shock_scale {self.shock_scale} must be nonnegative")
         unknown = set(self.dimensions) - set(DIMENSIONS)
         if unknown:
             raise ConfigError(f"unknown dimension {sorted(unknown)[0]!r} "

@@ -21,6 +21,7 @@ from .money import MONTHS, ZERO_YEAR, parse_weight, weight_to_str
 from .nace import is_division
 
 MonthVector = tuple[int, ...]
+IncomeVectors = tuple[MonthVector, MonthVector, MonthVector, MonthVector, MonthVector]
 
 _T = TypeVar("_T")
 
@@ -82,8 +83,10 @@ class Person:
     capital_rent: MonthVector = ZERO_YEAR
     interhousehold_transfers: MonthVector = ZERO_YEAR
 
-    def income(self, source: str) -> MonthVector:
-        return getattr(self, source)
+    @property
+    def incomes(self) -> IncomeVectors:
+        return (self.wage, self.self_employment, self.pension, self.capital_rent,
+                self.interhousehold_transfers)
 
     def total_income(self, month: int) -> int:
         """Sum over all recorded sources for a calendar month (1..12)."""
@@ -111,9 +114,7 @@ class Person:
             out.append("informal_wage_flag on non-employee")
         if self.age < 18 and self.labor_status not in (LaborStatus.CHILD, LaborStatus.STUDENT):
             out.append(f"minor with labor status {self.labor_status.value}")
-        for source, vec in zip(INCOME_SOURCES, (
-                self.wage, self.self_employment, self.pension, self.capital_rent,
-                self.interhousehold_transfers)):
+        for source, vec in zip(INCOME_SOURCES, self.incomes):
             if vec is ZERO_YEAR:
                 continue
             if len(vec) != MONTHS:
@@ -272,16 +273,19 @@ class Population:
             return self
         return self.replace_persons(new_persons)
 
-    def _rescale_incomes(self, fn: Callable[[Person], Person]) -> "Population":
-        """map_persons for fn that only rescales nonnegative income vectors.
-
-        Internal constructor for the engine's shocks and calibration
-        scaling: the result shares this population's household index and
-        skips validation, which is sound because such an fn keeps every id,
-        every demographic field and every invariant of an already valid
-        person. Returns self when nothing changed.
-        """
-        new_persons = tuple(fn(p) for p in self.persons)
+    def _rescale_incomes(self, incomes: Iterable[IncomeVectors | None]) -> "Population":
+        """The population with, person by person, new Person.incomes or
+        None to keep the person. Internal constructor for the engine's
+        shocks and calibration scaling: it builds persons positionally,
+        shares this population's household index and skips validation,
+        sound as each new vector rescales the old one. Returns self when
+        nothing changed."""
+        new_persons = tuple(
+            p if vectors is None else Person(
+                p.person_id, p.household_id, p.age, p.sex, p.labor_status,
+                p.education_level, p.nace2, p.informal_wage_flag,
+                p.in_public_education, p.special_category_flag, *vectors)
+            for p, vectors in zip(self.persons, incomes, strict=True))
         if all(a is b for a, b in zip(new_persons, self.persons)):
             return self
         members: dict[int, tuple[Person, ...]] = {}
@@ -529,8 +533,7 @@ def _person_row(p: Person) -> list[str]:
         "1" if p.in_public_education else "0",
         "1" if p.special_category_flag else "0",
     ]
-    for vec in (p.wage, p.self_employment, p.pension, p.capital_rent,
-                p.interhousehold_transfers):
+    for vec in p.incomes:
         row.extend(_ZERO_TEXTS if vec == ZERO_YEAR else map(str, vec))
     return row
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import ConfigError, DataError
 from .money import MONTHS, ZERO_YEAR, as_fraction, round_half_away, round_mul_div
-from .population import Household, LaborStatus, Person
+from .population import Household, IncomeVectors, LaborStatus, Person
 
 
 # GMA ineligibility reasons.
@@ -174,15 +175,21 @@ def _net_vector(gross: tuple[int, ...], params: PolicyParameters) -> tuple[int, 
     return tuple(net[v] for v in gross)
 
 
-def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
-    """Twelve months of net market income (wage plus self-employment)."""
-    wage = person.wage
-    if not person.informal_wage_flag:
+def net_market_vector(wage: tuple[int, ...], self_employment: tuple[int, ...],
+                      informal: bool, params: PolicyParameters) -> tuple[int, ...]:
+    """person_net_market from gross vectors and the informal wage flag."""
+    if not informal:
         wage = _net_vector(wage, params)
-    se = _net_vector(person.self_employment, params)
+    se = _net_vector(self_employment, params)
     if se == ZERO_YEAR:
         return wage
     return tuple(w + s for w, s in zip(wage, se))
+
+
+def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
+    """Twelve months of net market income (wage plus self-employment)."""
+    return net_market_vector(person.wage, person.self_employment,
+                             person.informal_wage_flag, params)
 
 
 def _sum_vectors(vectors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -222,37 +229,52 @@ class HouseholdLedger:
         return len(self.members)
 
 
+def household_demography(members: Sequence[Person], params: PolicyParameters,
+                         ) -> tuple[Fraction, int, int]:
+    """GMA threshold, children and enrolled children: no income moves them."""
+    return (params.gma_base_amount * params.gma_scale.coefficient(members),
+            sum(1 for m in members if m.is_child),
+            sum(1 for m in members if m.is_child and m.in_public_education))
+
+
 def ledger_from_vectors(household: Household, members: Sequence[Person],
                         net_vectors: Sequence[tuple[int, ...]],
                         params: PolicyParameters,
-                        baseline: HouseholdLedger | None = None,
+                        baseline: HouseholdLedger | None = None, *,
+                        incomes: Sequence[IncomeVectors] | None = None,
+                        demography: tuple[Fraction, int, int] | None = None,
                         ) -> HouseholdLedger:
-    """Assemble one household's ledger from its members' net-market vectors.
+    """Assemble one household's ledger from its members' income vectors.
 
-    net_vectors[i] is person_net_market(members[i], params). baseline is
-    the household's pre-shock ledger; it defaults to this ledger itself
-    (appropriate when no shock was applied).
+    net_vectors[i] is person_net_market(members[i], params); incomes[i]
+    (members[i].incomes) and household_demography(members, params) can be
+    given. baseline is the household's pre-shock ledger; it defaults to
+    this ledger itself (appropriate when no shock was applied).
     """
-    members = tuple(members)
+    _, _, pensions, rents, transfers = zip(*(incomes or [m.incomes for m in members]))
     net_market = _sum_vectors(net_vectors)
-    pensions = _sum_vectors([m.pension for m in members])
-    transfers = _sum_vectors([m.interhousehold_transfers for m in members])
-    rent = _sum_vectors([m.capital_rent for m in members])
-    core = tuple(n + p + t for n, p, t in zip(net_market, pensions, transfers))
-    carried = tuple(p + r + t for p, r, t in zip(pensions, rent, transfers))
-    if baseline is None:
-        base_core, base_rent = core, rent
-    else:
-        base_core, base_rent = baseline.core_countable, baseline.rent
+    pensions, rent, transfers = map(_sum_vectors, (pensions, rents, transfers))
+    unearned = tuple(map(add, pensions, transfers))
+    core = tuple(map(add, net_market, unearned))
+    base_core, base_rent = ((core, rent) if baseline is None
+                            else (baseline.core_countable, baseline.rent))
+    return HouseholdLedger(household, tuple(members), net_market,
+                           tuple(map(add, unearned, rent)), core, rent,
+                           base_core, base_rent,
+                           *(demography or household_demography(members, params)))
+
+
+def shocked_ledger(baseline: HouseholdLedger, members: Sequence[Person],
+                   net_vectors: Sequence[tuple[int, ...]]) -> HouseholdLedger:
+    """ledger_from_vectors(..., baseline=baseline) after a shock: it moves only
+    wage and self-employment, so only net_market and core_countable change."""
+    net_market = _sum_vectors(net_vectors)
+    core = tuple(n + c - b for n, c, b in zip(net_market, baseline.core_countable,
+                                              baseline.net_market))
     return HouseholdLedger(
-        household=household, members=members, net_market=net_market,
-        carried=carried, core_countable=core, rent=rent,
-        base_core_countable=base_core, base_rent=base_rent,
-        threshold=params.gma_base_amount * params.gma_scale.coefficient(members),
-        n_children=sum(1 for m in members if m.is_child),
-        n_enrolled_children=sum(1 for m in members
-                                if m.is_child and m.in_public_education),
-    )
+        baseline.household, tuple(members), net_market, baseline.carried, core,
+        baseline.rent, baseline.core_countable, baseline.rent, baseline.threshold,
+        baseline.n_children, baseline.n_enrolled_children)
 
 
 def build_ledger(household: Household, members: Sequence[Person],
@@ -264,11 +286,8 @@ def build_ledger(household: Household, members: Sequence[Person],
     baseline_members supplies the pre-shock profile; it defaults to the
     current members (appropriate when no shock was applied).
     """
-    baseline = None
-    if baseline_members is not None:
-        baseline = ledger_from_vectors(
-            household, baseline_members,
-            [person_net_market(m, params) for m in baseline_members], params)
+    baseline = (None if baseline_members is None
+                else build_ledger(household, baseline_members, params))
     return ledger_from_vectors(
         household, members, [person_net_market(m, params) for m in members],
         params, baseline)
@@ -416,11 +435,9 @@ class HouseholdFiscalResult:
     tbi: tuple[int, ...]
 
     def monthly_disposable(self) -> tuple[int, ...]:
-        return tuple(
-            self.net_market[i] + self.carried[i] + self.gma[i] + self.energy[i]
-            + self.allowances[i] + self.oneoff_may[i] + self.oneoff_dec[i]
-            + self.tbi[i]
-            for i in range(MONTHS))
+        return tuple(map(sum, zip(self.net_market, self.carried, self.gma, self.energy,
+                                  self.allowances, self.oneoff_may, self.oneoff_dec,
+                                  self.tbi)))
 
     @property
     def annual_disposable(self) -> int:

@@ -18,7 +18,8 @@ prepare_baseline are one-study wrappers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -32,10 +33,11 @@ from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
                       adult_education_group, build_person_rows,
                       headcount_from_pp)
 from .money import as_fraction
-from .population import Person, Population
+from .population import IncomeVectors, Person, Population
 from .rules import (HouseholdFiscalResult, HouseholdLedger, PolicyParameters,
-                    TbiContext, disposable_income, ledger_from_vectors,
-                    person_net_market)
+                    TbiContext, disposable_income, household_demography,
+                    ledger_from_vectors, net_market_vector, person_net_market,
+                    shocked_ledger)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -153,31 +155,52 @@ _GROUPERS: dict[str, tuple[tuple[str, ...],
 }
 
 
+class HouseholdDemography:
+    """What no income change moves, in household order: members (their
+    demographic fields), household_demography fields, frame, group counts."""
+
+    def __init__(self, pop: Population, params: PolicyParameters,
+                 pov: PovertyConfig) -> None:
+        self.members = tuple(pop.members(hh.household_id) for hh in pop.households)
+        self.fields = tuple(household_demography(ms, params) for ms in self.members)
+        self.frame = HouseholdFrame.of(pop, pov.equivalence_scale)
+
+    @cached_property
+    def group_counts(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """(dimension, group) -> that group's children in each household."""
+        counts = {(dim, group): [0] * len(self.members)
+                  for dim, (groups, _) in _GROUPERS.items() for group in groups}
+        for i, (members, n_children) in enumerate(zip(self.members, self.frame.children)):
+            edu = adult_education_group(members)
+            for child in members:
+                if child.is_child:
+                    for dim, (_, grouper) in _GROUPERS.items():
+                        counts[(dim, grouper(child, n_children, edu))][i] += 1
+        return {key: tuple(c) for key, c in counts.items()}
+
+
 class HouseholdBase:
     """Per-household data of one population that no scenario changes.
 
-    For each household: its members' net-market vectors and its baseline
-    ledger (pension, rent and transfer streams, baseline core countable
-    income, GMA threshold, child and enrolled-child counts); the scoring
-    frame (equivalence divisors and weights); the child counts of every
-    disaggregation group; and, once evaluated, the baseline run. Shocks
-    change only income vectors, so every scenario over the population
-    reuses it. Get one through household_base().
+    Its demography and an income part: each member's net-market vector
+    and each household's baseline ledger; once evaluated, the baseline
+    run. Shocks change only income vectors, so every scenario over the
+    population reuses it. Get one through household_base().
     """
 
     def __init__(self, pop: Population, params: PolicyParameters,
                  pov: PovertyConfig) -> None:
         self.params = params
-        net_vectors = []
-        ledgers = []
-        for hh in pop.households:
-            members = pop.members(hh.household_id)
-            vectors = tuple(person_net_market(m, params) for m in members)
-            net_vectors.append(vectors)
-            ledgers.append(ledger_from_vectors(hh, members, vectors, params))
-        self.net_vectors: tuple[tuple[tuple[int, ...], ...], ...] = tuple(net_vectors)
-        self.ledgers: tuple[HouseholdLedger, ...] = tuple(ledgers)
-        self.frame = HouseholdFrame.of(pop, pov.equivalence_scale)
+        self.pov = pov
+        self.demography = demo = HouseholdDemography(pop, params, pov)
+        self.frame = demo.frame
+        self.net_vectors: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
+            tuple(person_net_market(m, params) for m in members)
+            for members in demo.members)
+        self.ledgers: tuple[HouseholdLedger, ...] = tuple(
+            ledger_from_vectors(hh, members, vectors, params, demography=fields)
+            for hh, members, vectors, fields in zip(
+                pop.households, demo.members, self.net_vectors, demo.fields))
         # report, fiscal results and scores of the baseline run; no
         # reference to the population, which holds this base
         self.baseline: tuple[PovertyReport, Mapping[int, HouseholdFiscalResult],
@@ -187,8 +210,8 @@ class HouseholdBase:
         """Ledgers of a population apply_shock derived from this one.
 
         Only households where the shock replaced a member, told apart by
-        object identity, get a new ledger; it reuses the net-market vector
-        of every member the shock kept.
+        object identity, get a new ledger (rules.shocked_ledger); it
+        reuses the net-market vector of every member the shock kept.
         """
         out = []
         for base, vectors in zip(self.ledgers, self.net_vectors):
@@ -196,24 +219,72 @@ class HouseholdBase:
             if all(a is b for a, b in zip(members, base.members)):
                 out.append(base)
                 continue
-            new_vectors = [v if a is b else person_net_market(a, self.params)
-                           for a, b, v in zip(members, base.members, vectors)]
-            out.append(ledger_from_vectors(base.household, members, new_vectors,
-                                           self.params, baseline=base))
+            out.append(shocked_ledger(base, members, [
+                v if a is b else person_net_market(a, self.params)
+                for a, b, v in zip(members, base.members, vectors)]))
         return tuple(out)
 
-    @cached_property
-    def group_counts(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        """(dimension, group) -> that group's children in each household."""
-        counts = {(dim, group): [0] * len(self.ledgers)
-                  for dim, (groups, _) in _GROUPERS.items() for group in groups}
-        for i, ledger in enumerate(self.ledgers):
-            edu = adult_education_group(ledger.members)
-            for child in ledger.members:
-                if child.is_child:
-                    for dim, (_, grouper) in _GROUPERS.items():
-                        counts[(dim, grouper(child, ledger.n_children, edu))][i] += 1
-        return {key: tuple(c) for key, c in counts.items()}
+    def rescaled(self, incomes: Sequence[IncomeVectors | None]) -> "HouseholdBase":
+        """The base, baseline run included, of pop._rescale_incomes(incomes)
+        for this base's pop, without building it: a household with new
+        incomes gets new net vectors and a ledger with the demography's
+        fields, listing this base's members (their incomes unread by the
+        baseline cascade) until materialize()."""
+        net_vectors, ledgers, start = [], [], 0
+        for ledger, vectors, fields in zip(self.ledgers, self.net_vectors,
+                                           self.demography.fields):
+            members = ledger.members
+            new = incomes[start:start + len(members)]
+            start += len(members)
+            if any(new):
+                new = [n or m.incomes for m, n in zip(members, new)]
+                vectors = tuple(net_market_vector(w, s, m.informal_wage_flag, self.params)
+                                for m, (w, s, *_) in zip(members, new))
+                ledger = ledger_from_vectors(ledger.household, members, vectors, self.params,
+                                             incomes=new, demography=fields)
+            net_vectors.append(vectors)
+            ledgers.append(ledger)
+        derived = copy.copy(self)
+        derived.net_vectors, derived.ledgers = tuple(net_vectors), tuple(ledgers)
+        derived.baseline = derived.evaluate(derived.ledgers, BASELINE_SPEC, None)
+        return derived
+
+    def materialize(self, source: Population,
+                    incomes: Sequence[IncomeVectors | None]) -> Population:
+        """source._rescale_incomes(incomes); this base, source's base
+        rescaled(incomes), gets its members and is kept with it."""
+        pop = source._rescale_incomes(incomes)
+        self.ledgers = tuple(
+            replace(ledger, members=pop.members(ledger.household.household_id))
+            for ledger in self.ledgers)
+        pop.derived((HouseholdBase, self.params, self.pov), lambda: self)
+        return pop
+
+    def evaluate(self, ledgers: Sequence[HouseholdLedger], spec: ScenarioSpec,
+                 tbi_ctx: TbiContext | None) -> tuple:
+        """(report, fiscal results, scores) of spec's cascade over ledgers
+        (this or a shocked population's)."""
+        try:
+            fiscal = {ledger.household.household_id: disposable_income(
+                          ledger, self.params, relaxed=spec.gma_relaxation,
+                          one_offs=spec.one_offs, tbi=spec.tbi, tbi_ctx=tbi_ctx)
+                      for ledger in ledgers}
+        except (PipelineError, ConfigError):
+            raise
+        except Exception as exc:
+            raise PipelineError("fiscal_rules", str(exc)) from exc
+        try:
+            scores = self.frame.scores(
+                [res.annual_disposable for res in fiscal.values()])
+            lines = PovertyLines(
+                relative=RELATIVE_LINE_SHARE * scores.median_equivalized(),
+                absolute_extreme=Fraction(self.pov.absolute_extreme),
+                absolute_upper=Fraction(self.pov.absolute_upper),
+            )
+            report = scores.report(lines)
+        except Exception as exc:
+            raise PipelineError("poverty_metrics", str(exc)) from exc
+        return report, fiscal, scores
 
 
 def household_base(pop: Population, params: PolicyParameters,
@@ -304,33 +375,13 @@ class Study:
                    spec.shock_start_month)
         try:
             shocked = self._shock(spec, key)
+            ledgers = self._ledgers_of(key, shocked)
         except Exception as exc:
             if isinstance(exc, (PipelineError, ConfigError)):
                 raise
             raise PipelineError("shock_application", str(exc)) from exc
-
-        try:
-            tbi_ctx = stats.tbi_context(self.params) if spec.tbi else None
-            fiscal = {ledger.household.household_id: disposable_income(
-                          ledger, self.params, relaxed=spec.gma_relaxation,
-                          one_offs=spec.one_offs, tbi=spec.tbi, tbi_ctx=tbi_ctx)
-                      for ledger in self._ledgers_of(key, shocked)}
-        except Exception as exc:
-            if isinstance(exc, (PipelineError, ConfigError)):
-                raise
-            raise PipelineError("fiscal_rules", str(exc)) from exc
-
-        try:
-            scores = self.base.frame.scores(
-                [res.annual_disposable for res in fiscal.values()])
-            lines = PovertyLines(
-                relative=RELATIVE_LINE_SHARE * scores.median_equivalized(),
-                absolute_extreme=Fraction(self.pov.absolute_extreme),
-                absolute_upper=Fraction(self.pov.absolute_upper),
-            )
-            report = scores.report(lines)
-        except Exception as exc:
-            raise PipelineError("poverty_metrics", str(exc)) from exc
+        report, fiscal, scores = self.base.evaluate(
+            ledgers, spec, stats.tbi_context(self.params) if spec.tbi else None)
 
         self.runs += 1
         return ScenarioResult(spec=spec, report=report, fiscal=fiscal,
@@ -393,7 +444,7 @@ class Study:
                                   f"(allowed: {', '.join(_GROUPERS)})")
         baseline = self.result(BASELINE_SPEC)
         scenario = self.result(spec)
-        counts = self.base.group_counts
+        counts = self.base.demography.group_counts
         breakdowns = []
         for dim in dimensions:
             group_names, _ = _GROUPERS[dim]

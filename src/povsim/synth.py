@@ -14,7 +14,7 @@ rate lands on a target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,8 +23,8 @@ import random
 from .errors import CalibrationError, ConfigError
 from .money import as_fraction, round_mul_div
 from .nace import DIVISIONS
-from .population import (INCOME_SOURCES, EducationLevel, Household,
-                         LaborStatus, Person, Population, Sex)
+from .population import (EducationLevel, Household, IncomeVectors, LaborStatus,
+                         Person, Population, Sex)
 
 _DEFAULT_SIZE_DIST: dict[int, float] = {1: 0.13, 2: 0.22, 3: 0.20, 4: 0.27,
                                         5: 0.12, 6: 0.06}
@@ -328,10 +328,8 @@ class _Maker:
         if rng.random() < tr_share:
             transfer_vec = _flat(cfg.transfer_income.draw(rng))
         if any(rent_vec) or any(transfer_vec):
-            persons[0] = Person(
-                **{**{f.name: getattr(head, f.name) for f in dc_fields(Person)},
-                   "capital_rent": rent_vec,
-                   "interhousehold_transfers": transfer_vec})
+            persons[0] = replace(head, capital_rent=rent_vec,
+                                 interhousehold_transfers=transfer_vec)
 
         lo, hi = cfg.weight_range
         weight_centi = rng.randint(int(round(lo * 100)), int(round(hi * 100)))
@@ -371,26 +369,11 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> Population:
     return pop
 
 
-def _scale_population(pop: Population, factors: Mapping[int, Fraction]) -> Population:
-    """Multiply every member's income vectors by the household factor."""
-
-    def transform(p: Person) -> Person:
-        f = factors[p.household_id]
-        if f == 1:
-            return p
-        num, den = f.numerator, f.denominator
-        changes = {}
-        for name in INCOME_SOURCES:
-            vec = getattr(p, name)
-            if any(vec):
-                changes[name] = tuple(round_mul_div(v, num, den) for v in vec)
-        if not changes:
-            return p
-        base = {f.name: getattr(p, f.name) for f in dc_fields(Person)}
-        base.update(changes)
-        return Person(**base)
-
-    return pop._rescale_incomes(transform)
+def _scaled(vec: tuple[int, ...], f: Fraction) -> tuple[int, ...]:
+    """vec times f, each month rounded half away from zero; computed once
+    per distinct amount."""
+    scaled = {v: round_mul_div(v, f.numerator, f.denominator) for v in set(vec)}
+    return tuple(map(scaled.__getitem__, vec))
 
 
 def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fraction,
@@ -403,19 +386,16 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
     bisection. Returns the input population unchanged when it already sits
     within tolerance. Raises CalibrationError when the target cannot be
     reached within the evaluation budget, reporting the best achieved rate.
+
+    A candidate is scored from its scaled income vectors on the input's
+    household base (HouseholdBase.rescaled); only the accepted one becomes
+    a Population, which keeps its baseline run.
     """
-    from .scenario import prepare_baseline  # local import, avoids a cycle
+    from .scenario import household_base, prepare_baseline  # avoids a cycle
 
     target = float(as_fraction(target_child_poverty))
     if not 0 <= target <= 1:
         raise ConfigError("target child poverty must lie in [0, 1]")
-
-    def rate_of(candidate: Population) -> float:
-        _, result = prepare_baseline(candidate, params, pov)
-        rate = result.report.child_rate("relative")
-        if rate is None:
-            raise CalibrationError("population has no children to calibrate on")
-        return float(rate)
 
     _, base_result = prepare_baseline(pop, params, pov)
     base_rate = base_result.report.child_rate("relative")
@@ -425,37 +405,38 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
     if abs(base_rate - target) <= tolerance:
         return pop
 
-    # Anchor ratios from the original distribution; computed only once.
-    eq_by_household = base_result.scores.equivalized()
+    # Anchor ratios from the original distribution, once, in household order.
     median_eq = base_result.scores.median_equivalized()
     if median_eq <= 0:
         raise CalibrationError("median equivalized income is zero",
                                best_rate=base_rate)
-    ratios = {hid: float(eq / median_eq) for hid, eq in eq_by_household.items()}
+    ratios = [float(eq / median_eq) for eq in base_result.scores.equivalized().values()]
+    base = household_base(pop, params, pov)
 
-    def candidate_for(gamma: float) -> Population:
-        factors = {}
-        for hid, ratio in ratios.items():
-            if ratio <= 0:
-                factors[hid] = Fraction(1)
-                continue
-            c = ratio ** (gamma - 1.0)
-            c = min(20.0, max(0.05, c))
-            factors[hid] = as_fraction(round(c, 9))
-        return _scale_population(pop, factors)
+    def incomes_for(gamma: float) -> list[IncomeVectors | None]:
+        """Each person's scaled incomes, None where unchanged."""
+        incomes: list[IncomeVectors | None] = []
+        for ratio, members in zip(ratios, base.demography.members):
+            f = 1 if ratio <= 0 else as_fraction(
+                round(min(20.0, max(0.05, ratio ** (gamma - 1.0))), 9))
+            incomes += [None if f == 1 or not any(map(any, p.incomes)) else
+                        tuple([_scaled(v, f) if any(v) else v for v in p.incomes])
+                        for p in members]
+        return incomes
 
     lo, hi = 0.3, 3.0
     best_rate = base_rate
     evaluations = 0
     while evaluations < max_evaluations:
         gamma = 0.5 * (lo + hi)
-        candidate = candidate_for(gamma)
-        rate = rate_of(candidate)
+        incomes = incomes_for(gamma)
+        candidate = base.rescaled(incomes)  # the same children as pop
+        rate = float(candidate.baseline[0].child_rate("relative"))
         evaluations += 1
         if abs(rate - target) < abs(best_rate - target):
             best_rate = rate
         if abs(rate - target) <= tolerance:
-            return candidate
+            return candidate.materialize(pop, incomes)
         if rate < target:
             lo = gamma
         else:

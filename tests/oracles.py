@@ -100,6 +100,20 @@ def cell_factor_by_definition(base_income: int, base_count: int,
     return annual_shock / annual_base, "estimated"
 
 
+def aggregate_change_by_scan(before, after, source: str) -> Fraction:
+    """Weighted relative change of one source's annual income total between
+    two populations of the same persons, from the definition: each person
+    found in after by id, weighted by their household's weight in before."""
+    weight = {hh.household_id: hh.weight_centi for hh in before.households}
+    after_by_id = {p.person_id: p for p in after.persons}
+    total_before = total_after = 0
+    for person in before.persons:
+        w = weight[person.household_id]
+        total_before += w * sum(getattr(person, source))
+        total_after += w * sum(getattr(after_by_id[person.person_id], source))
+    return Fraction(total_after - total_before, total_before)
+
+
 def gma_monthly_by_definition(monthly_countable: Sequence[int],
                               baseline_countable: Sequence[int],
                               monthly_rent: Sequence[int],

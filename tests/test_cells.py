@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,9 +32,12 @@ from povsim.cells import (
     save_lfs_aggregate,
 )
 from povsim.errors import DataError
+from povsim.population import Population
+from povsim.synth import generate_synthetic
 
-from conftest import build_micro_population, build_micro_table
-from oracles import cell_factor_by_definition
+from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
+                      build_micro_population, build_micro_table)
+from oracles import aggregate_change_by_scan, cell_factor_by_definition
 
 
 class TestKeys:
@@ -272,6 +276,51 @@ class TestAggregateIncomeChange:
                  + 100 * (12000 * 2 + 9600 * 10)
                  + 100 * (15000 * 2 + 10500 * 10))
         assert got == Fraction(after - before, before)
+
+    @pytest.mark.parametrize("scale, start", [(1, 3), (Fraction(4, 5), 5),
+                                              (Fraction(3, 2), 1)])
+    def test_shocked_population_matches_scan(self, scale, start):
+        pop = generate_synthetic(acceptance_config(200), ACCEPT_SEED)
+        shocked = apply_shock(pop, CellChangeTable.from_factors(WAGE_F, SE_F),
+                              shock_start_month=start, scale=scale)
+        for source in ("wage", "self_employment"):
+            got = aggregate_income_change(pop, shocked, source)
+            assert got == aggregate_change_by_scan(pop, shocked, source)
+            assert got < 0
+
+    def test_equal_ids_not_derived_match_scan(self):
+        """A population built separately with the same person ids: every
+        person is a different object, some with different incomes."""
+        pop = generate_synthetic(acceptance_config(200), ACCEPT_SEED)
+        rng = random.Random(7)
+        other = Population(
+            persons=tuple(replace(p, wage=tuple(v + rng.randint(0, 900)
+                                                for v in p.wage))
+                          if any(p.wage) and rng.random() < 0.5 else replace(p)
+                          for p in pop.persons),
+            households=pop.households)
+        assert not any(a is b for a, b in zip(pop.persons, other.persons))
+        for source in ("wage", "self_employment"):
+            got = aggregate_income_change(pop, other, source)
+            assert got == aggregate_change_by_scan(pop, other, source)
+        assert aggregate_income_change(pop, other, "wage") > 0
+        assert aggregate_income_change(pop, other, "self_employment") == 0
+
+    def test_different_persons(self):
+        pop = build_micro_population()
+        renumbered = Population(
+            persons=tuple(replace(p, person_id=p.person_id + 100)
+                          if p.person_id == 12 else p for p in pop.persons),
+            households=tuple(replace(hh, member_ids=tuple(
+                i + 100 if i == 12 else i for i in hh.member_ids))
+                for hh in pop.households))
+        fewer = Population(
+            persons=tuple(p for p in pop.persons if p.person_id != 12),
+            households=tuple(replace(hh, member_ids=tuple(
+                i for i in hh.member_ids if i != 12)) for hh in pop.households))
+        for other in (renumbered, fewer):
+            with pytest.raises(DataError, match="different persons"):
+                aggregate_income_change(pop, other, "wage")
 
     def test_source_validation(self):
         pop = build_micro_population()

@@ -297,6 +297,18 @@ class TestSimulate:
                      "--scale", scale, "--out", str(ws.root / "x9")]) == 1
         assert "scale must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["-1", "-1/5"])
+    def test_negative_scale_override(self, ws, capsys, scale):
+        # rejected as the config key is, before any shock is applied
+        assert main(["simulate", "--config", str(ws.cfg),
+                     "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(ws.cal / "cells.csv"),
+                     "--scale", scale, "--out", str(ws.root / "x13")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario.shock_scale {scale} must be nonnegative\n")
+        assert not (ws.root / "x13").exists()
+
 
 def observed_config(ws, offset: Fraction, tolerance: str) -> str:
     """Study config whose observed section sits `offset` pp from simulated."""

@@ -464,6 +464,10 @@ OBSERVED_CHANGE = {"observed_pct": "1", "tolerance_pp": "1"}
      "policy.pit_rate: expected an exact number"),
     ({"source_path": "study.json"}, "unknown key 'source_path' in config"),
     ({"source_sha256": "0" * 64}, "unknown key 'source_sha256' in config"),
+    ({"scenario": {"shock_scale": "-1"}},
+     "scenario.shock_scale -1 must be nonnegative"),
+    ({"scenario": {"shock_scale": -0.2}},
+     "scenario.shock_scale -1/5 must be nonnegative"),
 ])
 def test_rejection_names_the_path(data, message):
     with pytest.raises(ConfigError) as info:

@@ -17,7 +17,7 @@ from povsim.cells import save_cell_table
 from povsim.cli import main
 from povsim.errors import DataError
 from povsim.money import ZERO_YEAR
-from povsim.population import (HOUSEHOLD_COLUMNS, INCOME_SOURCES, PERSON_COLUMNS,
+from povsim.population import (HOUSEHOLD_COLUMNS, PERSON_COLUMNS,
                                Population, load_population, save_population)
 from povsim.synth import generate_synthetic
 
@@ -296,7 +296,7 @@ def test_loaded_population_equals_a_fully_validated_one(tmp_path, make):
     assert same_tables(loaded, pop)
     # a month vector of zeros is one shared object
     zero_vectors = [vec for p in loaded.persons
-                    for vec in map(p.income, INCOME_SOURCES) if vec == ZERO_YEAR]
+                    for vec in p.incomes if vec == ZERO_YEAR]
     assert zero_vectors and all(vec is ZERO_YEAR for vec in zero_vectors)
 
 

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,22 +19,26 @@ import pytest
 
 from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
                       build_micro_population, build_micro_table)
+from oracles import dec_round_half_up
 
 import povsim.cli as cli_mod
 import povsim.scenario as scenario_mod
 from povsim.cells import CellChangeTable, apply_shock, save_cell_table
 from povsim.cli import main
 from povsim.config import ScenarioSettings
-from povsim.errors import ConfigError
+from povsim.errors import CalibrationError, ConfigError
 from povsim.metrics import (EquivalenceScale, PovertyLines, build_person_rows,
                             compute_report, is_child_row, poverty_rate,
                             relative_poverty_line, weighted_median)
 from povsim.population import (EducationLevel, Household, LaborStatus, Person,
                                Population, Sex)
-from povsim.rules import (PolicyParameters, TbiContext, build_ledger,
-                          disposable_income)
-from povsim.scenario import (PovertyConfig, ScenarioSpec, Study,
-                             household_base, prepare_baseline, run_scenario)
+from povsim.nace import DIVISIONS, SECTIONS
+from povsim.rules import (HouseholdLedger, PolicyParameters, TbiContext,
+                          build_ledger, disposable_income, ledger_from_vectors,
+                          person_net_market)
+from povsim.scenario import (HouseholdBase, HouseholdDemography, PovertyConfig,
+                             ScenarioSpec, Study, household_base,
+                             prepare_baseline, run_scenario)
 from povsim.synth import calibrate_to_baseline, generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,7 +119,7 @@ def test_household_scoring_equals_person_rows():
             assert scores.rate(line, base.frame.sizes) == poverty_rate(rows, line)
             assert scores.rate(line, base.frame.children) == poverty_rate(
                 rows, line, is_child_row)
-            for (dim, group), counts in base.group_counts.items():
+            for (dim, group), counts in base.demography.group_counts.items():
                 grouper = ROW_GROUPS[dim]
                 assert scores.rate(line, counts) == poverty_rate(
                     rows, line, lambda r: r.is_child and grouper(r) == group), \
@@ -302,21 +307,208 @@ def test_calibrated_population_is_scored_once(tolerance, monkeypatch, params,
     """prepare_baseline on a calibrated population returns the evaluation
     calibration accepted, also when the input was already within tolerance."""
     evaluated = []
-    evaluate = Study._evaluate
+    evaluate = HouseholdBase.evaluate
 
-    def counting_evaluate(self, spec, stats):
+    def counting_evaluate(self, ledgers, spec, tbi_ctx):
         evaluated.append(spec)
-        return evaluate(self, spec, stats)
+        return evaluate(self, ledgers, spec, tbi_ctx)
 
-    monkeypatch.setattr(Study, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(HouseholdBase, "evaluate", counting_evaluate)
     raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
     calibrated = calibrate_to_baseline(raw, 0.278, params, pov,
                                        tolerance=tolerance)
     assert (calibrated is raw) == (tolerance == 0.5)
     n_calibration = len(evaluated)
+    assert (n_calibration > 1) == (tolerance == 0.01)
     stats, _ = prepare_baseline(calibrated, params, pov)
     assert len(evaluated) == n_calibration
     assert abs(float(stats.child_rate) - 0.278) <= tolerance
+
+
+def test_bisection_materializes_one_population(monkeypatch, params, pov):
+    """A bisection scores its candidates on the input's demography and
+    builds the demographic part once and one Population, the accepted
+    candidate, whose household base equals a fresh one."""
+    built = Counter()
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            built[f"{cls.__name__}.{name}"] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
+    for cls, name in ((Population, "__post_init__"),
+                      (Population, "_rescale_incomes"),
+                      (HouseholdDemography, "__init__"),
+                      (HouseholdBase, "__init__"), (HouseholdBase, "evaluate")):
+        counting(cls, name)
+    calibrated = calibrate_to_baseline(raw, 0.278, params, pov, tolerance=0.01)
+    evaluations = built.pop("HouseholdBase.evaluate")
+    assert evaluations > 2
+    assert built == {"Population._rescale_incomes": 1,
+                     "HouseholdDemography.__init__": 1,
+                     "HouseholdBase.__init__": 1}
+
+    monkeypatch.undo()
+    fresh = Population(persons=calibrated.persons, households=raw.households)
+    base, fresh_base = (household_base(p, params, pov) for p in (calibrated, fresh))
+    assert base.ledgers == fresh_base.ledgers
+    assert base.net_vectors == fresh_base.net_vectors
+    assert base.demography.group_counts == fresh_base.demography.group_counts
+    _, result = prepare_baseline(fresh, params, pov)
+    assert base.baseline[0] == result.report
+    assert base.baseline[1] == result.fiscal
+
+
+def random_income_population(rng: random.Random,
+                             n_households: int) -> Population:
+    """Households of 1-6 members with every income source: formal and
+    informal wages, self-employment, pensions, rent and transfers, flat or
+    varying by month, spread over four orders of magnitude. About one
+    household in six has no income at all, and half of those fail the GMA
+    asset test, so their equivalized income is zero."""
+
+    def vector() -> tuple[int, ...]:
+        amount = int(10 ** rng.uniform(2, 5.5))
+        if rng.random() < 0.5:
+            return (amount,) * 12
+        return tuple(rng.randint(amount // 2, amount) for _ in range(12))
+
+    def extra(share: float) -> tuple[int, ...]:
+        return vector() if rng.random() < share else (0,) * 12
+
+    persons, households = [], []
+    pid = 0
+    for hid in range(1, n_households + 1):
+        penniless = rng.random() < 1 / 6
+        ids = []
+        for _ in range(rng.randint(1, 6)):
+            pid += 1
+            age = rng.randint(0, 17) if rng.random() < 0.3 else rng.randint(18, 80)
+            status = (rng.choice((LaborStatus.CHILD, LaborStatus.STUDENT))
+                      if age < 18 else rng.choice([s for s in LaborStatus
+                                                   if s is not LaborStatus.CHILD]))
+            worker = status in (LaborStatus.EMPLOYEE, LaborStatus.SELF_EMPLOYED)
+            if penniless and (worker or status is LaborStatus.PENSIONER):
+                status = LaborStatus.INACTIVE
+                worker = False
+            adult_income = not penniless and age >= 18
+            persons.append(Person(
+                person_id=pid, household_id=hid, age=age,
+                sex=rng.choice(list(Sex)), labor_status=status,
+                education_level=rng.choice(list(EducationLevel)),
+                nace2=rng.choice(DIVISIONS) if worker else None,
+                informal_wage_flag=(status is LaborStatus.EMPLOYEE
+                                    and rng.random() < 0.3),
+                in_public_education=status is LaborStatus.STUDENT,
+                wage=vector() if status is LaborStatus.EMPLOYEE else (0,) * 12,
+                self_employment=(vector() if status is LaborStatus.SELF_EMPLOYED
+                                 else (0,) * 12),
+                pension=vector() if status is LaborStatus.PENSIONER else (0,) * 12,
+                capital_rent=extra(0.2 * adult_income),
+                interhousehold_transfers=extra(0.2 * adult_income)))
+            ids.append(pid)
+        households.append(Household(
+            household_id=hid, member_ids=tuple(ids),
+            weight_centi=rng.randint(1, 50_000),
+            owns_other_real_estate=penniless and rng.random() < 0.5,
+            car_age_years=rng.choice((None, 2, 9))))
+    return Population(persons=tuple(persons), households=tuple(households))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
+                                                     pov):
+    """Every candidate of a bisection, scored from its scaled income
+    vectors, gets the report and fiscal results prepare_baseline gives on
+    that candidate built as a validated Population; factors clamped at
+    0.05 and 20 and households left at factor 1 among them."""
+    pop = random_income_population(random.Random(seed), 150)
+    candidates = []
+    rescaled = HouseholdBase.rescaled
+
+    def recording(self, incomes):
+        candidate = rescaled(self, incomes)
+        candidates.append((incomes, candidate))
+        return candidate
+
+    monkeypatch.setattr(HouseholdBase, "rescaled", recording)
+    _, base_result = prepare_baseline(pop, params, pov)
+    assert 0 in base_result.scores.keys
+    assert any(p.informal_wage_flag and any(p.wage) for p in pop.persons)
+    with pytest.raises(CalibrationError):
+        calibrate_to_baseline(pop, 0.5, params, pov, tolerance=1e-12,
+                              max_evaluations=6)
+    assert len(candidates) == 6
+
+    # each candidate's vectors, from the spread transform's definition
+    median = base_result.scores.median_equivalized()
+    ratios = [float(eq / median) for eq in base_result.scores.equivalized().values()]
+    lo, hi = 0.3, 3.0
+    factors = set()
+    for incomes, candidate in candidates:
+        gamma = 0.5 * (lo + hi)
+        factor = {hh.household_id: Fraction(1) if r <= 0 else Fraction(
+                      str(round(min(20.0, max(0.05, r ** (gamma - 1.0))), 9)))
+                  for hh, r in zip(pop.households, ratios)}
+        factors.update(factor.values())
+        for p, vectors in zip(pop.persons, incomes):
+            f = factor[p.household_id]
+            assert (vectors or p.incomes) == tuple(
+                tuple(dec_round_half_up(v * f) for v in vec) if any(vec) else vec
+                for vec in p.incomes)
+
+        built = Population(persons=pop._rescale_incomes(incomes).persons,
+                           households=pop.households)
+        _, result = prepare_baseline(built, params, pov)
+        report, fiscal, _ = candidate.baseline
+        rate = report.child_rate("relative")
+        assert rate == result.report.child_rate("relative")
+        assert report == result.report
+        assert fiscal == result.fiscal
+        if float(rate) < 0.5:
+            lo = gamma
+        else:
+            hi = gamma
+    assert {Fraction(1), Fraction(1, 20), Fraction(20)} <= factors
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shocked_ledgers_equal_full_rebuild(seed, params, pov):
+    """For every shock a study makes, each shocked ledger equals, field
+    by field, ledger_from_vectors over the shocked members with the
+    unshocked ledger as baseline."""
+    rng = random.Random(100 + seed)
+    pop = random_income_population(rng, 150)
+    table = CellChangeTable.from_factors(
+        {d: Fraction(rng.randint(30, 160), 100) for d in rng.sample(DIVISIONS, 50)},
+        {s: Fraction(rng.randint(30, 160), 100) for s in SECTIONS})
+    study = Study(pop, table, params, pov)
+    study.decompose(transfers_on_shocked=True)
+    study.uncertainty_band(scales=(Fraction(1, 2), 1, Fraction(7, 4)))
+    assert len(study._ledgers) == 5
+
+    def net(members):
+        return [person_net_market(m, params) for m in members]
+
+    rebuilt = 0
+    for key, ledgers in study._ledgers.items():
+        shocked = study._shocked[key]
+        for base, ledger in zip(study.base.ledgers, ledgers):
+            hh = base.household
+            members = shocked.members(hh.household_id)
+            baseline = ledger_from_vectors(hh, base.members, net(base.members),
+                                           params)
+            full = ledger_from_vectors(hh, members, net(members), params,
+                                       baseline=baseline)
+            for f in dataclasses.fields(HouseholdLedger):
+                assert getattr(ledger, f.name) == getattr(full, f.name), \
+                    (key, hh.household_id, f.name)
+            rebuilt += ledger is not base
+    assert rebuilt > 100
 
 
 # SHA-256 of every file (but manifest.json) the 300-household demo chain
