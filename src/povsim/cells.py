@@ -348,9 +348,17 @@ def load_cell_table(path: str) -> CellChangeTable:
             try:
                 cc = CellChange(factor, rec["provenance"])
                 if rec["cell_type"] == "wage":
-                    wage[WageCellKey(rec["nace"], rec["sex"], rec["age_band"])] = cc
+                    key = WageCellKey(rec["nace"], rec["sex"], rec["age_band"])
+                    if key in wage:
+                        raise DataError(f"duplicate wage cell {key}", file=path,
+                                        row=i, column="nace")
+                    wage[key] = cc
                 elif rec["cell_type"] == "selfemp":
-                    selfemp[SelfEmpCellKey(rec["nace"])] = cc
+                    skey = SelfEmpCellKey(rec["nace"])
+                    if skey in selfemp:
+                        raise DataError(f"duplicate self-employment cell {skey}",
+                                        file=path, row=i, column="nace")
+                    selfemp[skey] = cc
                 else:
                     raise DataError(f"unknown cell_type {rec['cell_type']!r}",
                                     file=path, row=i, column="cell_type")
@@ -385,8 +393,12 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
     if scale_f < 0:
         raise DataError("shock scale must be nonnegative")
 
-    wage_eff = {key: _effective(cc.factor, scale_f) for key, cc in table.wage.items()}
-    se_eff = {key: _effective(cc.factor, scale_f) for key, cc in table.selfemp.items()}
+    # keyed by plain tuples and strings: the table checked its keys, and
+    # Population validated every person's division
+    wage_eff = {(key.nace2, key.sex, key.age_band): _effective(cc.factor, scale_f)
+                for key, cc in table.wage.items()}
+    se_eff = {key.section: _effective(cc.factor, scale_f)
+              for key, cc in table.selfemp.items()}
     start = shock_start_month - 1  # zero-based index
 
     def shock_vector(vec: tuple[int, ...], num: int, den: int) -> tuple[int, ...]:
@@ -402,7 +414,7 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
             band = age_band_of(p.age)
             if band is None:
                 return None
-            num, den = wage_eff[WageCellKey(p.nace2, p.sex.value, band)]
+            num, den = wage_eff[p.nace2, p.sex.value, band]
             wage = shock_vector(p.wage, num, den)
             return None if wage is p.wage else (wage, *p.incomes[1:])
         if p.labor_status is LaborStatus.SELF_EMPLOYED:
@@ -413,7 +425,7 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
             section = section_of(p.nace2)
             if section is None:
                 return None
-            num, den = se_eff[SelfEmpCellKey(section)]
+            num, den = se_eff[section]
             se = shock_vector(p.self_employment, num, den)
             return None if se is p.self_employment else (p.wage, se, *p.incomes[2:])
         return None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Sequence
 
@@ -439,9 +440,20 @@ class HouseholdFiscalResult:
                                   self.allowances, self.oneoff_may, self.oneoff_dec,
                                   self.tbi)))
 
-    @property
+    @cached_property
     def annual_disposable(self) -> int:
-        return sum(self.monthly_disposable())
+        """Sum of every stream over the year; computed once (not a field,
+        so equality ignores it)."""
+        return sum(map(sum, (self.net_market, self.carried, self.gma, self.energy,
+                             self.allowances, self.oneoff_may, self.oneoff_dec,
+                             self.tbi)))
+
+
+def _in_month(amount: int, month: int) -> tuple[int, ...]:
+    """A stream paying amount in one month (zero-based), ZERO_YEAR for 0."""
+    if amount == 0:
+        return ZERO_YEAR
+    return (0,) * month + (amount,) + (0,) * (MONTHS - 1 - month)
 
 
 def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
@@ -454,42 +466,42 @@ def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
     switch those schemes on; tbi_ctx anchors the basic income. Order: GMA
     and its supplements, then one-offs (May depends on social assistance
     receipt), then the basic income against everything else.
+
+    With tbi off the result depends on ledger, params, relaxed and
+    one_offs alone, which HouseholdBase.evaluate relies on to reuse it.
+    A stream that is zero all year is money.ZERO_YEAR, shared: the GMA
+    and energy streams of a household with no eligible month, switched-off
+    one-offs and a zero basic income.
     """
     schedule = gma_schedule(ledger, relaxed)
-    gma = tuple(award for award, _ in schedule)
     eligible = tuple(reason == ELIGIBLE for _, reason in schedule)
-    energy_months = params.energy_months(relaxed)
-    energy = tuple(params.energy_supplement_amount
-                   if ok and m < energy_months else 0
-                   for m, ok in enumerate(eligible))
     child = params.child_allowance_amount * ledger.n_children
-    assisted = child + params.education_allowance_amount * ledger.n_enrolled_children
     unassisted = child if params.universal_child_allowance else 0
-    allowances = tuple(assisted if ok else unassisted for ok in eligible)
+    if any(eligible):
+        gma = tuple(award for award, _ in schedule)
+        energy_months = params.energy_months(relaxed)
+        energy = tuple(params.energy_supplement_amount
+                       if ok and m < energy_months else 0
+                       for m, ok in enumerate(eligible))
+        assisted = child + params.education_allowance_amount * ledger.n_enrolled_children
+        allowances = tuple(assisted if ok else unassisted for ok in eligible)
+    else:
+        gma = energy = ZERO_YEAR
+        allowances = (unassisted,) * MONTHS if unassisted else ZERO_YEAR
 
-    may = [0] * MONTHS
-    dec = [0] * MONTHS
+    may = dec = ZERO_YEAR
     if one_offs:
         on_sa = any(eligible[m] or allowances[m] > 0 for m in range(5))
-        may[4] = sum(oneoff_may2020(p, on_sa, params) for p in ledger.members)
-        dec[11] = sum(oneoff_dec2020(p, params) for p in ledger.members)
+        may = _in_month(sum(oneoff_may2020(p, on_sa, params) for p in ledger.members), 4)
+        dec = _in_month(sum(oneoff_dec2020(p, params) for p in ledger.members), 11)
 
-    tbi_monthly = 0
+    streams = (ledger.net_market, ledger.carried, gma, energy, allowances, may, dec)
+    tbi_stream = ZERO_YEAR
     if tbi:
         if tbi_ctx is None:
             raise DataError("TBI enabled without baseline statistics")
-        pre_tbi = sum(ledger.net_market) + sum(ledger.carried) + sum(gma) \
-            + sum(energy) + sum(allowances) + sum(may) + sum(dec)
-        tbi_monthly = tbi_award(pre_tbi, ledger.size, tbi_ctx, params)
+        tbi_monthly = tbi_award(sum(map(sum, streams)), ledger.size, tbi_ctx, params)
+        if tbi_monthly:
+            tbi_stream = (tbi_monthly,) * MONTHS
 
-    return HouseholdFiscalResult(
-        household_id=ledger.household.household_id,
-        net_market=ledger.net_market,
-        carried=ledger.carried,
-        gma=gma,
-        energy=energy,
-        allowances=allowances,
-        oneoff_may=tuple(may),
-        oneoff_dec=tuple(dec),
-        tbi=(tbi_monthly,) * MONTHS,
-    )
+    return HouseholdFiscalResult(ledger.household.household_id, *streams, tbi_stream)

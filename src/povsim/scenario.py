@@ -184,8 +184,10 @@ class HouseholdBase:
 
     Its demography and an income part: each member's net-market vector
     and each household's baseline ledger; once evaluated, the baseline
-    run. Shocks change only income vectors, so every scenario over the
-    population reuses it. Get one through household_base().
+    run and the cascade results evaluate() reuses. Shocks change only
+    income vectors, so every scenario over the population reuses it. Get
+    one through household_base(). cascade_runs and memo_hits count the
+    households evaluate() ran the cascade for and those it reused.
     """
 
     def __init__(self, pop: Population, params: PolicyParameters,
@@ -205,6 +207,15 @@ class HouseholdBase:
         # reference to the population, which holds this base
         self.baseline: tuple[PovertyReport, Mapping[int, HouseholdFiscalResult],
                              HouseholdScores] | None = None
+        self._start_memo()
+
+    def _start_memo(self) -> None:
+        # (relaxed, one_offs) -> per household, (ledger, result) of the
+        # cascade over this base's own ledger, or None
+        self._memo: dict[tuple[bool, bool],
+                         list[tuple[HouseholdLedger, HouseholdFiscalResult] | None]] = {}
+        self.cascade_runs = 0
+        self.memo_hits = 0
 
     def ledgers_for(self, shocked: Population) -> tuple[HouseholdLedger, ...]:
         """Ledgers of a population apply_shock derived from this one.
@@ -229,7 +240,8 @@ class HouseholdBase:
         for this base's pop, without building it: a household with new
         incomes gets new net vectors and a ledger with the demography's
         fields, listing this base's members (their incomes unread by the
-        baseline cascade) until materialize()."""
+        baseline cascade) until materialize(). It starts an empty memo and
+        zero counters."""
         net_vectors, ledgers, start = [], [], 0
         for ledger, vectors, fields in zip(self.ledgers, self.net_vectors,
                                            self.demography.fields):
@@ -246,13 +258,15 @@ class HouseholdBase:
             ledgers.append(ledger)
         derived = copy.copy(self)
         derived.net_vectors, derived.ledgers = tuple(net_vectors), tuple(ledgers)
+        derived._start_memo()
         derived.baseline = derived.evaluate(derived.ledgers, BASELINE_SPEC, None)
         return derived
 
     def materialize(self, source: Population,
                     incomes: Sequence[IncomeVectors | None]) -> Population:
         """source._rescale_incomes(incomes); this base, source's base
-        rescaled(incomes), gets its members and is kept with it."""
+        rescaled(incomes), gets its members and is kept with it. Its
+        ledgers are new objects, so no earlier memo entry matches them."""
         pop = source._rescale_incomes(incomes)
         self.ledgers = tuple(
             replace(ledger, members=pop.members(ledger.household.household_id))
@@ -263,16 +277,40 @@ class HouseholdBase:
     def evaluate(self, ledgers: Sequence[HouseholdLedger], spec: ScenarioSpec,
                  tbi_ctx: TbiContext | None) -> tuple:
         """(report, fiscal results, scores) of spec's cascade over ledgers
-        (this or a shocked population's)."""
+        (this or a shocked population's, in household order).
+
+        With spec.tbi off, a household's result depends only on its ledger
+        and the (relaxed, one_offs) switches, so the cascade runs once per
+        household and switch pair: a later pass whose ledger for that
+        household is this base's own ledger object (one no shock touched)
+        reuses the result. Each entry keeps the ledger it was computed on
+        and is served only to that very object. The basic income reads
+        population anchors, so spec.tbi passes always run the cascade.
+        """
+        relaxed, one_offs = spec.gma_relaxation, spec.one_offs
+        memo = (None if spec.tbi else
+                self._memo.setdefault((relaxed, one_offs), [None] * len(self.ledgers)))
+        fiscal = {}
+        hits = 0
         try:
-            fiscal = {ledger.household.household_id: disposable_income(
-                          ledger, self.params, relaxed=spec.gma_relaxation,
-                          one_offs=spec.one_offs, tbi=spec.tbi, tbi_ctx=tbi_ctx)
-                      for ledger in ledgers}
+            for i, (ledger, own) in enumerate(zip(ledgers, self.ledgers, strict=True)):
+                entry = None if memo is None else memo[i]
+                if entry and entry[0] is ledger:
+                    result = entry[1]
+                    hits += 1
+                else:
+                    result = disposable_income(ledger, self.params, relaxed=relaxed,
+                                               one_offs=one_offs, tbi=spec.tbi,
+                                               tbi_ctx=tbi_ctx)
+                    if memo is not None and ledger is own:
+                        memo[i] = (ledger, result)
+                fiscal[ledger.household.household_id] = result
         except (PipelineError, ConfigError):
             raise
         except Exception as exc:
             raise PipelineError("fiscal_rules", str(exc)) from exc
+        self.memo_hits += hits
+        self.cascade_runs += len(ledgers) - hits
         try:
             scores = self.frame.scores(
                 [res.annual_disposable for res in fiscal.values()])

@@ -382,3 +382,20 @@ class TestCsvRoundTrips:
             fh.write("\n".join(lines[:-1]) + "\n")  # drop one row
         with pytest.raises(DataError):
             load_cell_table(path)
+
+    @pytest.mark.parametrize("kind", ["wage", "selfemp"])
+    def test_load_rejects_repeated_cell(self, tmp_path, kind):
+        """A second row for a cell is an error naming file, row and column,
+        not a silent overwrite by the last row."""
+        path = str(tmp_path / "cells.csv")
+        save_cell_table(CellChangeTable.identity(), path)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        first = next(line for line in lines if line.startswith(kind + ","))
+        cells = first.split(",")
+        cells[4] = "1/2"  # same cell, another factor
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines + [",".join(cells)]) + "\n")
+        with pytest.raises(DataError, match="duplicate") as info:
+            load_cell_table(path)
+        assert (info.value.file, info.value.row, info.value.column) == (
+            path, len(lines) + 1, "nace")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from povsim.errors import ConfigError, DataError
-from povsim.money import round_half_away
+from povsim.money import ZERO_YEAR, round_half_away
 from povsim.population import Household, LaborStatus, Person, Sex
 from povsim.rules import (
     CAR_OWNED,
@@ -481,6 +481,52 @@ class TestDisposableCascade:
                  result.tbi)
         for i, month_total in enumerate(months):
             assert month_total == sum(vec[i] for vec in parts)
+
+
+def _cascade_household(case):
+    """An unemployed mother, a child and a low-pension grandmother, whose
+    GMA schedule is: no eligible month by the asset test, none by income,
+    or eligible from August on."""
+    transfers = {"asset_test_fails": flat(1000), "income_too_high": flat(60000),
+                 "some_months": (20000,) * 7 + (0,) * 5}[case]
+    members = [person(age=30, status=LaborStatus.UNEMPLOYED_ACTIVE,
+                      interhousehold_transfers=transfers),
+               person(pid=2, age=4, status=LaborStatus.CHILD),
+               person(pid=3, age=70, status=LaborStatus.PENSIONER,
+                      pension=flat(2000))]
+    return ledger_for(members, owns_other_real_estate=case == "asset_test_fails")
+
+
+@pytest.mark.parametrize("one_offs", [False, True])
+@pytest.mark.parametrize("relaxed", [False, True])
+@pytest.mark.parametrize("universal", [False, True])
+@pytest.mark.parametrize("case", ["asset_test_fails", "income_too_high",
+                                  "some_months"])
+def test_cascade_streams_add_up(case, universal, relaxed, one_offs):
+    """Disposable income is the sum of the eight streams in every month and
+    over the year, on the shortcut for households with no eligible month
+    as on the full path."""
+    params = replace(PARAMS, universal_child_allowance=universal)
+    ledger = _cascade_household(case)
+    reasons = {reason for _, reason in gma_schedule(ledger, relaxed)}
+    assert reasons == {"asset_test_fails": {OTHER_REAL_ESTATE},
+                       "income_too_high": {INCOME_TOO_HIGH},
+                       "some_months": {INCOME_TOO_HIGH, ELIGIBLE}}[case]
+    result = disposable_income(ledger, params, relaxed=relaxed, one_offs=one_offs)
+    streams = (result.net_market, result.carried, result.gma, result.energy,
+               result.allowances, result.oneoff_may, result.oneoff_dec, result.tbi)
+    assert all(len(s) == 12 for s in streams)
+    assert result.monthly_disposable() == tuple(
+        sum(s[m] for s in streams) for m in range(12))
+    assert result.annual_disposable == sum(result.monthly_disposable())
+    if ELIGIBLE not in reasons:
+        assert result.gma is result.energy is ZERO_YEAR
+        assert result.allowances == ((700,) * 12 if universal else ZERO_YEAR)
+    else:
+        assert any(result.gma) and any(result.energy)
+    assert (result.oneoff_may[4] > 0) == one_offs  # the jobseeker's award
+    assert (result.oneoff_dec[11] > 0) == one_offs  # the pensioner's award
+    assert result.tbi is ZERO_YEAR
 
 
 class TestPolicyParameters:

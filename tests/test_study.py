@@ -36,8 +36,8 @@ from povsim.nace import DIVISIONS, SECTIONS
 from povsim.rules import (HouseholdLedger, PolicyParameters, TbiContext,
                           build_ledger, disposable_income, ledger_from_vectors,
                           person_net_market)
-from povsim.scenario import (HouseholdBase, HouseholdDemography, PovertyConfig,
-                             ScenarioSpec, Study, household_base,
+from povsim.scenario import (BASELINE_SPEC, HouseholdBase, HouseholdDemography,
+                             PovertyConfig, ScenarioSpec, Study, household_base,
                              prepare_baseline, run_scenario)
 from povsim.synth import calibrate_to_baseline, generate_synthetic
 
@@ -509,6 +509,95 @@ def test_shocked_ledgers_equal_full_rebuild(seed, params, pov):
                     (key, hh.household_id, f.name)
             rebuilt += ledger is not base
     assert rebuilt > 100
+
+
+def _default_study(pop, table, params, pov, transfers_on_shocked=False):
+    """simulate's study at default settings: the study and every distinct
+    result it made."""
+    settings = ScenarioSettings(transfers_on_shocked=transfers_on_shocked)
+    study = Study(pop, table, params, pov)
+    deco = study.decompose(base_spec=settings.base_spec(), factors=settings.factors,
+                           transfers_on_shocked=settings.transfers_on_shocked)
+    band = study.uncertainty_band(scales=settings.band_scales,
+                                  base_spec=settings.base_spec())
+    dis = study.disaggregate(settings.scenario_spec(), dimensions=settings.dimensions)
+    results = ([r for _, r in deco.columns] + [p.result for p in band.points]
+               + [dis.scenario])
+    return study, list({r.spec: r for r in results}.values())
+
+
+def _assert_fresh_cascade(study, results, params):
+    """Each household's result of each pass equals disposable_income run
+    afresh on the ledger that pass evaluated."""
+    ctx = study.stats().tbi_context(params)
+    for result in results:
+        spec = result.spec
+        for ledger in study.base.ledgers_for(result.population):
+            assert result.fiscal[ledger.household.household_id] == disposable_income(
+                ledger, params, relaxed=spec.gma_relaxation, one_offs=spec.one_offs,
+                tbi=spec.tbi, tbi_ctx=ctx if spec.tbi else None), \
+                (spec, ledger.household.household_id)
+
+
+@pytest.mark.parametrize("transfers_on_shocked", [False, True])
+def test_memoized_cascade_equals_fresh_runs(transfers_on_shocked, params, pov):
+    """Every household's fiscal result in every pass of a study, the
+    basic-income pass included, equals a fresh cascade on its ledger,
+    though most untouched households reuse an earlier pass's result."""
+    pop, table = _synth800()
+    study, results = _default_study(pop, table, params, pov, transfers_on_shocked)
+    _assert_fresh_cascade(study, results + [study.result(ALL_ON_TBI)], params)
+    assert study.base.memo_hits > 0
+
+
+def test_cascade_counters_cover_every_pass(params, pov):
+    """A study's passes each run the cascade or reuse a result for every
+    household; untouched households hit the memo, a basic-income pass
+    never does."""
+    pop, table = _synth800()
+    study, _ = _default_study(pop, table, params, pov)
+    base, n = study.base, pop.n_households
+    assert study.runs == 8
+    assert base.cascade_runs + base.memo_hits == study.runs * n
+    assert base.memo_hits > 0
+    runs, hits = base.cascade_runs, base.memo_hits
+    study.result(ALL_ON_TBI)
+    study.result(dataclasses.replace(BASELINE_SPEC, tbi=True))
+    assert (base.cascade_runs, base.memo_hits) == (runs + 2 * n, hits)
+
+
+def test_calibrated_base_serves_no_source_memo(params, pov):
+    """A calibrated population's base, scored through rescaled() and
+    built by materialize(), never reuses a result of its source's memo,
+    although the households calibration left alone kept their ledgers;
+    its study still matches a fresh cascade everywhere."""
+    pop = random_income_population(random.Random(1), 300)
+    stats, _ = prepare_baseline(pop, params, pov)
+    calibrated = calibrate_to_baseline(pop, stats.child_rate - Fraction(1, 20),
+                                       params, pov, tolerance=0.01)
+    source = household_base(pop, params, pov)
+    base = household_base(calibrated, params, pov)
+    assert base is not source and source.memo_hits == 0
+    assert sum(all(a is b for a, b in zip(calibrated.members(hh.household_id),
+                                          pop.members(hh.household_id)))
+               for hh in pop.households) > 50
+    # one cascade per household: the accepted candidate's baseline run
+    assert (base.cascade_runs, base.memo_hits) == (pop.n_households, 0)
+
+    source_results = {id(entry[1]) for entries in source._memo.values()
+                      for entry in entries if entry}
+    assert len(source_results) == pop.n_households
+    study, results = _default_study(calibrated, CellChangeTable.from_factors(
+        WAGE_F, SE_F), params, pov)
+    results.append(study.result(ALL_ON_TBI))
+    assert base.memo_hits > 0
+    assert not source_results & {id(res) for r in results for res in r.fiscal.values()}
+    # materialize() gave the base new ledgers: the wage-only pass, with the
+    # baseline's switches, ran the cascade again for untouched households
+    wage_only = study.result(ScenarioSpec(wage_shock=True))
+    assert all(res is not study.result(BASELINE_SPEC).fiscal[hid]
+               for hid, res in wage_only.fiscal.items())
+    _assert_fresh_cascade(study, results, params)
 
 
 # SHA-256 of every file (but manifest.json) the 300-household demo chain
