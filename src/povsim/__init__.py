@@ -19,21 +19,17 @@ from .config import (CalibrationSettings, ObservedChange, ObservedChanges,
                      study_config_from_dict)
 from .errors import (CalibrationError, ConfigError, DataError, PipelineError,
                      PovsimError)
-from .metrics import (EquivalenceScale, PersonRow, PovertyLines, PovertyReport,
-                      RateResult, build_person_rows, compute_report,
-                      equivalized_income, headcount_from_pp, poverty_rate,
-                      relative_poverty_line, weighted_median)
+from .metrics import (EquivalenceScale, PovertyLines, PovertyReport, RateResult,
+                      headcount_from_pp, weighted_median)
 from .population import (Household, LaborStatus, Person, Population, Sex,
                          load_population, save_population)
 from .rules import (GmaScale, OneOffDec, OneOffMay, PolicyParameters,
-                    TbiContext, TbiParams, build_ledger, disposable_income,
-                    gma_schedule, gross_to_net, tbi_award)
+                    TbiContext, TbiParams, disposable_income, gma_schedule,
+                    gross_to_net, tbi_award)
 from .scenario import (BandResult, BaselineStats, DecompositionResult,
                        DisaggregationResult, PovertyConfig, ScenarioResult,
-                       ScenarioSpec, Study, ValidationResult, decompose,
-                       disaggregate, prepare_baseline, run_scenario,
-                       simulated_aggregate_changes, uncertainty_band,
-                       validate_against_observed)
+                       ScenarioSpec, Study, ValidationResult, prepare_baseline,
+                       simulated_aggregate_changes, validate_against_observed)
 from .synth import (IncomeDist, SynthConfig, calibrate_to_baseline,
                     generate_synthetic)
 
@@ -45,22 +41,17 @@ __all__ = [
     "DecompositionResult", "DisaggregationResult", "EquivalenceScale",
     "GmaScale", "Household", "IncomeDist", "LaborStatus", "LfsAggregate",
     "ObservedChange", "ObservedChanges", "OneOffDec", "OneOffMay", "Person",
-    "PersonRow", "PipelineError", "PolicyParameters", "Population",
-    "PovertyConfig", "PovertyLines", "PovertyReport", "PovsimError",
-    "RateResult", "ScenarioResult", "ScenarioSettings",
-    "ScenarioSpec", "SelfEmpCellKey", "Sex", "Study", "StudyConfig",
-    "SynthConfig",
-    "TbiContext", "TbiParams", "ValidationResult", "WageCellKey",
-    "aggregate_income_change", "all_selfemp_keys", "all_wage_keys",
-    "apply_shock", "build_ledger", "build_person_rows",
-    "calibrate_to_baseline", "compute_cell_changes", "compute_report",
-    "decompose", "disaggregate", "disposable_income", "equivalized_income",
-    "generate_synthetic", "gma_schedule", "gross_to_net",
-    "headcount_from_pp", "load_cell_table", "load_lfs_aggregate",
-    "load_population", "load_study_config", "poverty_rate",
-    "prepare_baseline",
-    "relative_poverty_line", "run_scenario", "save_cell_table",
+    "PipelineError", "PolicyParameters", "Population", "PovertyConfig",
+    "PovertyLines", "PovertyReport", "PovsimError", "RateResult",
+    "ScenarioResult", "ScenarioSettings", "ScenarioSpec", "SelfEmpCellKey",
+    "Sex", "Study", "StudyConfig", "SynthConfig", "TbiContext", "TbiParams",
+    "ValidationResult", "WageCellKey", "aggregate_income_change",
+    "all_selfemp_keys", "all_wage_keys", "apply_shock",
+    "calibrate_to_baseline", "compute_cell_changes", "disposable_income",
+    "generate_synthetic", "gma_schedule", "gross_to_net", "headcount_from_pp",
+    "load_cell_table", "load_lfs_aggregate", "load_population",
+    "load_study_config", "prepare_baseline", "save_cell_table",
     "save_lfs_aggregate", "save_population", "simulated_aggregate_changes",
-    "study_config_from_dict", "tbi_award",
-    "uncertainty_band", "validate_against_observed", "weighted_median",
+    "study_config_from_dict", "tbi_award", "validate_against_observed",
+    "weighted_median",
 ]

@@ -122,6 +122,19 @@ class LfsAggregate:
 _LFS_COLUMNS = ("cell_type", "nace", "sex", "age_band", "income", "count")
 
 
+def _records(reader: csv.DictReader, path: str) -> Iterable[tuple[int, dict]]:
+    """(line number, record) of each data row; a row with fewer or more
+    fields than the header is a DataError naming file and line."""
+    for rec in reader:
+        # DictReader fills missing fields with None and files extra ones
+        # under the key None
+        if None in rec or None in rec.values():
+            raise DataError(f"row has {'more' if None in rec else 'fewer'} "
+                            f"fields than the header's {len(reader.fieldnames)}",
+                            file=path, row=reader.line_num)
+        yield reader.line_num, rec
+
+
 def load_lfs_aggregate(path: str, *, period: str,
                        quarters_covered: Iterable[int]) -> LfsAggregate:
     """Read cell totals from CSV: one row per cell.
@@ -137,7 +150,7 @@ def load_lfs_aggregate(path: str, *, period: str,
         for col in _LFS_COLUMNS:
             if col not in header:
                 raise DataError(f"missing column {col!r}", file=path, row=1, column=col)
-        for i, rec in enumerate(reader, start=2):
+        for i, rec in _records(reader, path):
             try:
                 income = int(rec["income"])
                 count = int(rec["count"])
@@ -339,7 +352,7 @@ def load_cell_table(path: str) -> CellChangeTable:
         for col in _TABLE_COLUMNS:
             if col not in header:
                 raise DataError(f"missing column {col!r}", file=path, row=1, column=col)
-        for i, rec in enumerate(reader, start=2):
+        for i, rec in _records(reader, path):
             try:
                 factor = Fraction(rec["factor"])
             except (ValueError, ZeroDivisionError):

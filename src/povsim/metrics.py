@@ -1,9 +1,11 @@
 """Poverty measurement: equivalization, weighted medians, rates, headcounts.
 
-Everything here is exact. Equivalized incomes are Fractions, weighted
-reductions run on integer centiweights, and the lower weighted median is
-the smallest value whose cumulative weight reaches half the total. Rates
-are Fractions and only rendered to decimals at the reporting edge.
+Everything here is exact. Equivalized incomes are integer keys over one
+common denominator, weighted reductions run on integer centiweights, and
+the lower weighted median is the smallest value whose cumulative weight
+reaches half the total. Statistics are person-weighted but computed over
+households (HouseholdFrame, HouseholdScores). Rates are Fractions and
+only rendered to decimals at the reporting edge.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DataError
 from .money import as_fraction, fmt_fraction, round_half_away
-from .population import EducationLevel, Household, Person, Population
+from .population import EducationLevel, Person, Population
 
 #: Age below which a household member counts as a child on the modified
 #: OECD scale (the scale's cut, distinct from the under-18 poverty cut).
@@ -56,12 +58,6 @@ class EquivalenceScale:
                 + self.child_under_14 * children)
 
 
-def equivalized_income(annual_income: int, members: Sequence[Person],
-                       scale: EquivalenceScale) -> Fraction:
-    """Annual household income per equivalent adult (exact)."""
-    return Fraction(annual_income) / scale.divisor(members)
-
-
 def weighted_median(pairs: Iterable[tuple[Fraction | int, int]]) -> Fraction:
     """Lower weighted median of (value, weight) pairs with integer weights.
 
@@ -84,27 +80,6 @@ def weighted_median(pairs: Iterable[tuple[Fraction | int, int]]) -> Fraction:
     raise AssertionError("unreachable: cumulative weight never reached half total")
 
 
-@dataclass(frozen=True)
-class PersonRow:
-    """One person with the household context needed by filters and groups."""
-
-    person: Person
-    household: Household
-    equivalized: Fraction
-    weight_centi: int
-    per_capita_annual: Fraction
-    n_children: int          # household members under 18
-    adult_education: str | None  # bucketed mean education of adult members
-
-    @property
-    def age(self) -> int:
-        return self.person.age
-
-    @property
-    def is_child(self) -> bool:
-        return self.person.is_child
-
-
 _EDU_CODE = {
     EducationLevel.PRIMARY_OR_LESS: 0,
     EducationLevel.SECONDARY: 1,
@@ -123,32 +98,6 @@ def adult_education_group(members: Sequence[Person]) -> str | None:
         return None
     mean = Fraction(sum(codes), len(codes))
     return _EDU_FROM_CODE[min(2, round_half_away(mean))]
-
-
-def build_person_rows(pop: Population, annual_income: Mapping[int, int],
-                      scale: EquivalenceScale) -> list[PersonRow]:
-    """Expand household annual incomes into per-person analysis rows."""
-    rows: list[PersonRow] = []
-    for hh in pop.households:
-        members = pop.members(hh.household_id)
-        income = annual_income[hh.household_id]
-        eq = equivalized_income(income, members, scale)
-        pc = Fraction(income, len(members))
-        n_children = sum(1 for m in members if m.is_child)
-        edu = adult_education_group(members)
-        for person in members:
-            rows.append(PersonRow(
-                person=person, household=hh, equivalized=eq,
-                weight_centi=hh.weight_centi, per_capita_annual=pc,
-                n_children=n_children, adult_education=edu,
-            ))
-    return rows
-
-
-def relative_poverty_line(rows: Sequence[PersonRow]) -> Fraction:
-    """60 percent of the person-weighted median equivalized income."""
-    median = weighted_median((r.equivalized, r.weight_centi) for r in rows)
-    return RELATIVE_LINE_SHARE * median
 
 
 @dataclass(frozen=True)
@@ -198,29 +147,10 @@ class RateResult:
         return "" if self.rate is None else fmt_fraction(self.rate, places)
 
 
-def poverty_rate(rows: Iterable[PersonRow], line: Fraction,
-                 selector: Callable[[PersonRow], bool] | None = None) -> RateResult:
-    """Weighted share of selected persons strictly below the line."""
-    poor = 0
-    total = 0
-    for row in rows:
-        if selector is not None and not selector(row):
-            continue
-        total += row.weight_centi
-        if row.equivalized < line:
-            poor += row.weight_centi
-    rate = None if total == 0 else Fraction(poor, total)
-    return RateResult(rate=rate, poor_centi=poor, total_centi=total)
-
-
 def headcount_from_pp(delta_pp: float | Fraction, population: int) -> int:
     """Convert a percentage-point rate change into persons of a reference
     population, rounding half away from zero."""
     return round_half_away(as_fraction(delta_pp) * population / 100)
-
-
-def is_child_row(row: PersonRow) -> bool:
-    return row.is_child
 
 
 @dataclass(frozen=True)
@@ -265,26 +195,13 @@ class PovertyReport:
         }
 
 
-def compute_report(rows: Sequence[PersonRow], lines: PovertyLines,
-                   n_households: int) -> PovertyReport:
-    indicators = {}
-    for name in INDICATORS:
-        line = lines.line(name)
-        indicators[name] = IndicatorStats(
-            children=poverty_rate(rows, line, is_child_row),
-            all_persons=poverty_rate(rows, line),
-        )
-    return PovertyReport(lines=lines, indicators=indicators,
-                         n_persons=len(rows), n_households=n_households)
-
-
 # -- household-level scoring --------------------------------------------------
 #
 # Every member of a household shares its equivalized income, per-capita
-# income and survey weight, so each person-weighted statistic above equals
-# the same statistic over households, each weighted by its survey weight
-# times the number of members counted. The classes below compute them
-# that way, on exact integer keys: equivalized income is
+# income and survey weight, so each person-weighted statistic equals the
+# same statistic over households, each weighted by its survey weight times
+# the number of members counted. The classes below compute them that way,
+# on exact integer keys: equivalized income is
 # income * eq_factor / eq_denominator with integer factors and one common
 # denominator, so sorting and line comparisons never build a Fraction.
 
@@ -355,7 +272,9 @@ class HouseholdScores:
                 / (12 * common))
 
     def rate(self, line: Fraction, counts: Sequence[int]) -> RateResult:
-        """poverty_rate over the counts[i] selected members of household i."""
+        """Weighted share of selected persons strictly below the line; the
+        counts[i] selected members of household i each carry its weight.
+        The rate is None when nobody is selected."""
         num, den = line.numerator, line.denominator
         bound = num * self.frame.eq_denominator
         poor = total = 0
@@ -369,7 +288,8 @@ class HouseholdScores:
         return RateResult(rate=rate, poor_centi=poor, total_centi=total)
 
     def report(self, lines: PovertyLines) -> PovertyReport:
-        """compute_report over this scenario's persons."""
+        """Child and all-person rates of every indicator at lines: the
+        weighted share of selected persons strictly below each line."""
         indicators = {}
         for name in INDICATORS:
             line = lines.line(name)

@@ -278,22 +278,6 @@ def shocked_ledger(baseline: HouseholdLedger, members: Sequence[Person],
         baseline.n_children, baseline.n_enrolled_children)
 
 
-def build_ledger(household: Household, members: Sequence[Person],
-                 params: PolicyParameters,
-                 baseline_members: Sequence[Person] | None = None,
-                 ) -> HouseholdLedger:
-    """Assemble the income streams for one household.
-
-    baseline_members supplies the pre-shock profile; it defaults to the
-    current members (appropriate when no shock was applied).
-    """
-    baseline = (None if baseline_members is None
-                else build_ledger(household, baseline_members, params))
-    return ledger_from_vectors(
-        household, members, [person_net_market(m, params) for m in members],
-        params, baseline)
-
-
 def gma_schedule(ledger: HouseholdLedger, relaxed: bool,
                  ) -> tuple[tuple[int, str], ...]:
     """The GMA means test: (award, reason) for each month January..December.

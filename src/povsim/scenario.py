@@ -9,11 +9,12 @@ schemes, basic income, then poverty metrics. Baseline statistics (the
 pre-shock income profile and the medians the basic income anchors to) are
 always computed from the unshocked population.
 
-A Study evaluates every scenario a study asks for over one population:
-each distinct ScenarioSpec once, each distinct income shock once, and all
-of them on one HouseholdBase, the per-household data no scenario changes.
-decompose, uncertainty_band, disaggregate, run_scenario and
-prepare_baseline are one-study wrappers.
+A Study is the one way to evaluate scenarios: it runs every scenario a
+study asks for over one population (its decomposition, uncertainty band
+and group breakdown), each distinct ScenarioSpec once, each distinct
+income shock once, and all of them on one HouseholdBase, the
+per-household data no scenario changes. prepare_baseline is the study of
+the baseline run alone, for generate and calibration.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from . import cells as cells_mod
 from .errors import ConfigError, PipelineError
 from .cells import CellChangeTable, apply_shock
 from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
-                      HouseholdFrame, HouseholdScores, PersonRow,
-                      PovertyLines, PovertyReport, RateResult,
-                      adult_education_group, build_person_rows,
+                      HouseholdFrame, HouseholdScores, PovertyLines,
+                      PovertyReport, RateResult, adult_education_group,
                       headcount_from_pp)
 from .money import as_fraction
 from .population import IncomeVectors, Person, Population
@@ -120,15 +120,7 @@ class ScenarioResult:
     report: PovertyReport
     fiscal: Mapping[int, HouseholdFiscalResult]
     population: Population  # post-shock population the run was scored on
-    equivalence_scale: EquivalenceScale
     scores: HouseholdScores = field(repr=False, compare=False)
-
-    @cached_property
-    def rows(self) -> tuple[PersonRow, ...]:
-        """Per-person analysis rows, built on first access."""
-        annual = {hid: res.annual_disposable for hid, res in self.fiscal.items()}
-        return tuple(build_person_rows(self.population, annual,
-                                       self.equivalence_scale))
 
 
 def _age_band_group(age: int) -> str:
@@ -363,9 +355,7 @@ class Study:
         if spec == BASELINE_SPEC and self.base.baseline is not None:
             report, fiscal, scores = self.base.baseline
             found = ScenarioResult(spec=spec, report=report, fiscal=fiscal,
-                                   population=self.population,
-                                   equivalence_scale=self.pov.equivalence_scale,
-                                   scores=scores)
+                                   population=self.population, scores=scores)
         else:
             found = self._evaluate(spec, self.stats() if spec.tbi else None)
             if spec == BASELINE_SPEC:
@@ -423,14 +413,18 @@ class Study:
 
         self.runs += 1
         return ScenarioResult(spec=spec, report=report, fiscal=fiscal,
-                              population=shocked,
-                              equivalence_scale=self.pov.equivalence_scale,
-                              scores=scores)
+                              population=shocked, scores=scores)
 
     def decompose(self, base_spec: ScenarioSpec | None = None,
                   factors: Sequence[str] | None = None,
                   transfers_on_shocked: bool = False) -> "DecompositionResult":
-        """See decompose()."""
+        """Six-column decomposition: baseline, each factor alone, all together.
+
+        The transfer columns run on unshocked incomes by default; setting
+        transfers_on_shocked evaluates them on top of both income shocks
+        instead. A factor subset drops the unselected single-factor columns,
+        and the combined column is only produced when all factors are in.
+        """
         base_spec = base_spec or ScenarioSpec()
         selected = tuple(factors) if factors is not None else FACTOR_NAMES
         unknown = set(selected) - set(FACTOR_NAMES)
@@ -450,7 +444,7 @@ class Study:
 
     def uncertainty_band(self, scales: Sequence[float | Fraction] = (0.8, 1.0, 1.2),
                          base_spec: ScenarioSpec | None = None) -> "BandResult":
-        """See uncertainty_band()."""
+        """Combined scenario at several shock scales, sorted ascending."""
         base_spec = base_spec or ScenarioSpec()
         baseline = self.result(BASELINE_SPEC)
         base_rate = baseline.report.child_rate("relative")
@@ -475,7 +469,11 @@ class Study:
     def disaggregate(self, spec: ScenarioSpec,
                      dimensions: Sequence[str] = DIMENSIONS,
                      ) -> "DisaggregationResult":
-        """See disaggregate()."""
+        """Child poverty rates by group, baseline versus scenario.
+
+        Every dimension partitions the child population, so group headcounts
+        add up to the headline child headcount exactly.
+        """
         for dim in dimensions:
             if dim not in _GROUPERS:
                 raise ConfigError(f"unknown dimension {dim!r} "
@@ -506,20 +504,6 @@ def prepare_baseline(pop: Population, params: PolicyParameters,
     """Run the all-off scenario and extract the anchors other runs need."""
     study = Study(pop, None, params, pov)
     return study.stats(), study.result(BASELINE_SPEC)
-
-
-def run_scenario(pop: Population, table: CellChangeTable | None, spec: ScenarioSpec,
-                 params: PolicyParameters, pov: PovertyConfig,
-                 baseline: BaselineStats | None = None) -> ScenarioResult:
-    """Execute the fixed pipeline for one switch set.
-
-    baseline stats anchor the basic income; they are computed from pop
-    when not supplied.
-    """
-    study = Study(pop, table, params, pov)
-    if baseline is None or not spec.tbi:
-        return study.result(spec)
-    return study._evaluate(spec, baseline)
 
 
 def _column_spec(name: str, base: ScenarioSpec,
@@ -562,22 +546,6 @@ class DecompositionResult:
         return tuple(name for name, _ in self.columns)
 
 
-def decompose(pop: Population, table: CellChangeTable | None,
-              params: PolicyParameters, pov: PovertyConfig,
-              base_spec: ScenarioSpec | None = None,
-              factors: Sequence[str] | None = None,
-              transfers_on_shocked: bool = False) -> DecompositionResult:
-    """Six-column decomposition: baseline, each factor alone, all together.
-
-    The transfer columns run on unshocked incomes by default; setting
-    transfers_on_shocked evaluates them on top of both income shocks
-    instead. A factor subset drops the unselected single-factor columns,
-    and the combined column is only produced when all factors are in.
-    """
-    return Study(pop, table, params, pov).decompose(
-        base_spec, factors, transfers_on_shocked)
-
-
 @dataclass(frozen=True)
 class BandPoint:
     scale: Fraction
@@ -590,14 +558,6 @@ class BandPoint:
 class BandResult:
     baseline: ScenarioResult
     points: tuple[BandPoint, ...]
-
-
-def uncertainty_band(pop: Population, table: CellChangeTable,
-                     params: PolicyParameters, pov: PovertyConfig,
-                     scales: Sequence[float | Fraction] = (0.8, 1.0, 1.2),
-                     base_spec: ScenarioSpec | None = None) -> BandResult:
-    """Combined scenario at several shock scales, sorted ascending."""
-    return Study(pop, table, params, pov).uncertainty_band(scales, base_spec)
 
 
 @dataclass(frozen=True)
@@ -666,17 +626,6 @@ class DisaggregationResult:
     baseline: ScenarioResult
     scenario: ScenarioResult
     breakdowns: tuple[GroupBreakdown, ...]
-
-
-def disaggregate(pop: Population, table: CellChangeTable | None,
-                 spec: ScenarioSpec, params: PolicyParameters, pov: PovertyConfig,
-                 dimensions: Sequence[str] = DIMENSIONS) -> DisaggregationResult:
-    """Child poverty rates by group, baseline versus scenario.
-
-    Every dimension partitions the child population, so group headcounts
-    add up to the headline child headcount exactly.
-    """
-    return Study(pop, table, params, pov).disaggregate(spec, dimensions)
 
 
 def simulated_aggregate_changes(pop: Population, table: CellChangeTable,

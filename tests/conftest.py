@@ -21,7 +21,7 @@ from povsim.population import (
     Sex,
 )
 from povsim.rules import PolicyParameters
-from povsim.scenario import PovertyConfig, prepare_baseline
+from povsim.scenario import PovertyConfig
 from povsim.synth import IncomeDist, SynthConfig, calibrate_to_baseline, generate_synthetic
 
 # --------------------------------------------------------------------------
@@ -138,11 +138,6 @@ def accept_pop(params, pov) -> Population:
 @pytest.fixture(scope="session")
 def accept_table() -> CellChangeTable:
     return CellChangeTable.from_factors(WAGE_F, SE_F)
-
-
-@pytest.fixture(scope="session")
-def accept_baseline(accept_pop, params, pov):
-    return prepare_baseline(accept_pop, params, pov)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ one of the two, never acceptable drift.
 
 from __future__ import annotations
 
+import math
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,26 +30,32 @@ def weighted_median_by_scan(pairs: Iterable[tuple[Fraction, int]]) -> Fraction:
     items = [(Fraction(v), int(w)) for v, w in pairs]
     if not items or any(w <= 0 for _, w in items):
         raise ValueError("need nonempty positive-weight items")
+    # every value as an integer over one common denominator: comparisons
+    # stay exact and run on ints
+    den = math.lcm(*(v.denominator for v, _ in items))
+    items = [(v.numerator * (den // v.denominator), w) for v, w in items]
     total = sum(w for _, w in items)
     for value, _ in sorted(items):
         at_or_below = sum(w for v, w in items if v <= value)
         if 2 * at_or_below >= total:
-            return value
+            return Fraction(value, den)
     raise AssertionError("unreachable")
 
 
-def equivalence_divisor(ages: Sequence[int]) -> Fraction:
-    """Modified OECD divisor from member ages (14+ counts as adult)."""
+def equivalence_divisor(ages: Sequence[int], adult: Fraction = Fraction(1, 2),
+                        child: Fraction = Fraction(3, 10)) -> Fraction:
+    """Modified OECD divisor from member ages (14+ counts as adult); adult
+    and child are the coefficients of each further adult and of a child."""
     adults = sum(1 for a in ages if a >= 14)
     children = len(ages) - adults
     if adults == 0:
-        return Fraction(1) + Fraction(3, 10) * (children - 1)
-    return (Fraction(1) + Fraction(1, 2) * (adults - 1)
-            + Fraction(3, 10) * children)
+        return Fraction(1) + child * (children - 1)
+    return Fraction(1) + adult * (adults - 1) + child * children
 
 
-def equivalized(annual: int, ages: Sequence[int]) -> Fraction:
-    return Fraction(annual) / equivalence_divisor(ages)
+def equivalized(annual: int, ages: Sequence[int], adult: Fraction = Fraction(1, 2),
+                child: Fraction = Fraction(3, 10)) -> Fraction:
+    return Fraction(annual) / equivalence_divisor(ages, adult, child)
 
 
 def poverty_rate_by_scan(rows: Iterable[tuple[Fraction, int, bool]],
@@ -114,13 +121,12 @@ def aggregate_change_by_scan(before, after, source: str) -> Fraction:
     return Fraction(total_after - total_before, total_before)
 
 
-def gma_monthly_by_definition(monthly_countable: Sequence[int],
-                              baseline_countable: Sequence[int],
-                              monthly_rent: Sequence[int],
-                              baseline_rent: Sequence[int],
-                              threshold: Fraction,
-                              relaxed: bool) -> list[int]:
-    """Twelve monthly GMA awards from the definition of each means test.
+def gma_countable_by_definition(monthly_countable: Sequence[int],
+                                baseline_countable: Sequence[int],
+                                monthly_rent: Sequence[int],
+                                baseline_rent: Sequence[int],
+                                relaxed: bool) -> list[Fraction]:
+    """Countable income of each award month January..December.
 
     Pre-crisis: mean of the three months before the award month, rent
     included; relaxed: the single month before, rent excluded. Months
@@ -132,21 +138,33 @@ def gma_monthly_by_definition(monthly_countable: Sequence[int],
             return series[month - 1]
         return base[month + 11]
 
-    awards = []
+    countable = []
     for m in range(1, 13):
         if relaxed:
-            countable = Fraction(at(monthly_countable, baseline_countable, m - 1))
+            countable.append(Fraction(at(monthly_countable, baseline_countable,
+                                         m - 1)))
         else:
             window = []
             for k in (m - 3, m - 2, m - 1):
                 window.append(at(monthly_countable, baseline_countable, k)
                               + at(monthly_rent, baseline_rent, k))
-            countable = Fraction(sum(window), 3)
-        if countable < threshold:
-            awards.append(dec_round_half_up(threshold - countable))
-        else:
-            awards.append(0)
-    return awards
+            countable.append(Fraction(sum(window), 3))
+    return countable
+
+
+def gma_monthly_by_definition(monthly_countable: Sequence[int],
+                              baseline_countable: Sequence[int],
+                              monthly_rent: Sequence[int],
+                              baseline_rent: Sequence[int],
+                              threshold: Fraction,
+                              relaxed: bool) -> list[int]:
+    """Twelve monthly GMA awards from the definition of each means test:
+    the gap from countable income up to the threshold, when positive."""
+    return [dec_round_half_up(threshold - countable) if countable < threshold
+            else 0
+            for countable in gma_countable_by_definition(
+                monthly_countable, baseline_countable, monthly_rent,
+                baseline_rent, relaxed)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from conftest import flat
-from oracles import (equivalence_divisor, equivalized, headcount_by_decimal,
-                     poverty_rate_by_scan, relative_line_by_scan,
-                     weighted_median_by_scan)
+from oracles import (equivalized, headcount_by_decimal, poverty_rate_by_scan,
+                     relative_line_by_scan, weighted_median_by_scan)
 
 from povsim.cells import (CellStat, LfsAggregate, all_selfemp_keys,
                           all_wage_keys, compute_cell_changes, save_cell_table)
@@ -26,11 +27,9 @@ from povsim.nace import DIVISIONS
 from povsim.population import Household, LaborStatus, Person, Sex
 from povsim.rules import (CAR_OWNED, CAR_TOO_NEW, ELIGIBLE, INCOME_TOO_HIGH,
                           LAND_OWNED, LAND_TOO_LARGE, OTHER_REAL_ESTATE,
-                          TbiContext, build_ledger, disposable_income,
-                          gma_schedule)
-from povsim.scenario import (ScenarioSpec, decompose, disaggregate,
-                             prepare_baseline, run_scenario, uncertainty_band,
-                             validate_against_observed)
+                          TbiContext, disposable_income, gma_schedule,
+                          ledger_from_vectors, person_net_market)
+from povsim.scenario import ScenarioSpec, Study, validate_against_observed
 from povsim.synth import SynthConfig, generate_synthetic
 
 INDICATORS = ("relative", "absolute_extreme", "absolute_upper")
@@ -40,27 +39,34 @@ def pct(x: Fraction | None) -> str:
     return "n/a" if x is None else fmt_fraction(x * 100, 2)
 
 
+@pytest.fixture(scope="module")
+def accept_study(accept_pop, accept_table, params, pov):
+    """One study over the calibrated population, as simulate runs it."""
+    return Study(accept_pop, accept_table, params, pov)
+
+
 def test_01_metrics_match_brute_force_oracles(params, pov):
-    """Rates, medians, lines and equivalized incomes on 20 small random
-    populations equal an independent O(n^2) scan implementation exactly."""
+    """Rates, medians, lines and equivalized incomes of the baseline run on
+    20 small random populations equal an independent O(n^2) scan
+    implementation exactly."""
     started = time.perf_counter()
     populations = 0
     comparisons = 0
     for i in range(20):
         pop = generate_synthetic(SynthConfig(n_households=40 + 3 * i),
                                  seed=9000 + i)
-        result = run_scenario(pop, None, ScenarioSpec(), params, pov)
+        result = Study(pop, None, params, pov).result(ScenarioSpec())
 
         ages = {hh.household_id: [p.age for p in pop.members(hh.household_id)]
                 for hh in pop.households}
-        annual = {hid: fr.annual_disposable
-                  for hid, fr in result.fiscal.items()}
-        for row in result.rows:
-            hid = row.household.household_id
-            assert row.equivalized == equivalized(annual[hid], ages[hid])
-            comparisons += 1
+        weight = {hh.household_id: hh.weight_centi for hh in pop.households}
+        eq = {hid: equivalized(fr.annual_disposable, ages[hid])
+              for hid, fr in result.fiscal.items()}
+        assert result.scores.equivalized() == eq
+        comparisons += len(eq)
 
-        pairs = [(row.equivalized, row.weight_centi) for row in result.rows]
+        # one pair per household, weighted by its persons: the scan is O(n^2)
+        pairs = [(eq[hid], weight[hid] * len(ages[hid])) for hid in eq]
         assert result.report.lines.relative == relative_line_by_scan(pairs)
         median = weighted_median_by_scan(pairs)
         assert result.report.lines.relative == Fraction(3, 5) * median
@@ -70,10 +76,10 @@ def test_01_metrics_match_brute_force_oracles(params, pov):
                  "absolute_upper": Fraction(pov.absolute_upper)}
         for indicator in INDICATORS:
             stats = result.report.indicators[indicator]
-            triples_all = [(row.equivalized, row.weight_centi, True)
-                           for row in result.rows]
-            triples_child = [(row.equivalized, row.weight_centi, row.is_child)
-                             for row in result.rows]
+            triples_all = [(eq[hid], weight[hid], True)
+                           for hid in eq for _ in ages[hid]]
+            triples_child = [(eq[hid], weight[hid], age < 18)
+                             for hid in eq for age in ages[hid]]
             line = lines[indicator]
             assert stats.all_persons.rate == poverty_rate_by_scan(
                 triples_all, line)
@@ -118,7 +124,9 @@ def test_02_gma_eligibility_truth_table(params):
                             interhousehold_transfers=flat(income))
             household = Household(household_id=1, member_ids=(1,),
                                   weight_centi=100, **assets)
-            ledger = build_ledger(household, [person], params)
+            ledger = ledger_from_vectors(household, [person],
+                                         [person_net_market(person, params)],
+                                         params)
             for relaxed, asset_reason in ((False, pre_asset),
                                           (True, relaxed_asset)):
                 if asset_reason is not ELIGIBLE:
@@ -177,13 +185,12 @@ def test_04_headcount_conversion_exact():
     print("headcount conversion: 4.6pp of 407,865 -> 18,762 (exact)")
 
 
-def test_05_scenario_sign_pattern_on_calibrated_population(
-        accept_pop, accept_table, params, pov):
+def test_05_scenario_sign_pattern_on_calibrated_population(accept_study):
     """On the calibrated 10,000-household population the combined scenario
     raises relative child poverty by 3-6pp, each income shock raises it,
     and each transfer factor lowers the extreme absolute rate."""
     started = time.perf_counter()
-    deco = decompose(accept_pop, accept_table, params, pov)
+    deco = accept_study.decompose()
     elapsed = time.perf_counter() - started
     rel = {name: deco.report(name).child_rate("relative")
            for name in deco.column_names()}
@@ -207,11 +214,10 @@ def test_05_scenario_sign_pattern_on_calibrated_population(
           f"{elapsed:.1f}s")
 
 
-def test_06_uncertainty_band_strictly_ordered(accept_pop, accept_table,
-                                              params, pov):
+def test_06_uncertainty_band_strictly_ordered(accept_study):
     """Scaling the shock by 0.8/1.0/1.2 orders the relative child rate
     strictly, with both gaps wider than 0.1pp."""
-    band = uncertainty_band(accept_pop, accept_table, params, pov)
+    band = accept_study.uncertainty_band()
     scales = tuple(p.scale for p in band.points)
     assert scales == (Fraction(4, 5), Fraction(1), Fraction(6, 5))
     rates = [p.result.report.child_rate("relative") for p in band.points]
@@ -309,8 +315,12 @@ def _random_crisis_household(rng: random.Random, idx: int, params):
         car_age_years=rng.randint(0, 12) if rng.random() < 0.4 else None,
         land_parcel_m2=rng.randint(50, 1200) if rng.random() < 0.3 else None,
     )
-    return build_ledger(household, members, params,
-                        baseline_members=baseline)
+
+    def ledger(persons, pre_shock=None):
+        return ledger_from_vectors(
+            household, persons, [person_net_market(p, params) for p in persons],
+            params, pre_shock)
+    return ledger(members, ledger(baseline))
 
 
 def test_08_transfer_monotonicity_property(params):
@@ -375,16 +385,14 @@ def test_09_simulate_byte_identical_across_runs(tmp_path, accept_table):
     print(f"determinism: {len(names)} files byte-identical across two runs")
 
 
-def test_10_tbi_targeting_properties(accept_pop, accept_table, params, pov):
+def test_10_tbi_targeting_properties(accept_study, accept_pop, params):
     """Basic-income awards go only below the vulnerability line, the total
     cost is the exact weighted sum of awards, and households with children
     draw a larger share of it than their population share."""
-    stats, _ = prepare_baseline(accept_pop, params, pov)
     spec = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                         gma_relaxation=True, one_offs=True, tbi=True)
-    result = run_scenario(accept_pop, accept_table, spec, params, pov,
-                          baseline=stats)
-    ctx = stats.tbi_context(params)
+    result = accept_study.result(spec)
+    ctx = accept_study.stats().tbi_context(params)
     award = round_half_away(params.tbi.transfer_rule * ctx.median_pc_monthly)
 
     total_cost = 0
@@ -420,13 +428,12 @@ def test_10_tbi_targeting_properties(accept_pop, accept_table, params, pov):
           f"{pct(child_share_pop)}% of population")
 
 
-def test_11_group_headcounts_reaggregate_exactly(accept_pop, accept_table,
-                                                 params, pov):
+def test_11_group_headcounts_reaggregate_exactly(accept_study):
     """For every disaggregation dimension, indicator and period, group
     headcounts sum exactly to the headline child headcount."""
     spec = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                         gma_relaxation=True, one_offs=True)
-    dis = disaggregate(accept_pop, accept_table, spec, params, pov)
+    dis = accept_study.disaggregate(spec)
     checks = 0
     for breakdown in dis.breakdowns:
         for indicator in INDICATORS:

@@ -399,3 +399,32 @@ class TestCsvRoundTrips:
             load_cell_table(path)
         assert (info.value.file, info.value.row, info.value.column) == (
             path, len(lines) + 1, "nace")
+
+    @pytest.mark.parametrize("case", ["truncated", "over_long"])
+    @pytest.mark.parametrize("which", ["cells", "lfs"])
+    def test_load_rejects_wrong_field_count(self, tmp_path, which, case):
+        """A row with fewer or more fields than the header is a DataError
+        naming file and row, the row counted as its line in the file,
+        blank lines included."""
+        path = str(tmp_path / f"{which}.csv")
+        if which == "cells":
+            save_cell_table(CellChangeTable.identity(), path)
+            load = load_cell_table
+        else:
+            save_lfs_aggregate(aggregate_with(
+                {TestComputeCellChanges.KEY: CellStat(400000, 5000)}, {}), path)
+
+            def load(p):
+                return load_lfs_aggregate(p, period="2019",
+                                          quarters_covered=(1, 2, 3, 4))
+        header, first, *rest = open(path, encoding="utf-8").read().splitlines()
+        fields = first.split(",")
+        bad = fields[:2] if case == "truncated" else fields + ["9"]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header, "", "", ",".join(bad), *rest]) + "\n")
+        word = "fewer" if case == "truncated" else "more"
+        with pytest.raises(DataError, match=f"{word} fields than the header's 6") \
+                as info:
+            load(path)
+        assert (info.value.file, info.value.row) == (path, 4)
+        assert f"file={path}, row=4" in str(info.value)

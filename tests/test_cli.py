@@ -161,6 +161,18 @@ class TestCalibrate:
                      "--out", str(ws.root / "x4")]) == 1
         assert "comma-separated integers" in capsys.readouterr().err
 
+    def test_truncated_aggregate_row(self, ws, capsys):
+        """A truncated survey-aggregate row is a data error naming file and
+        row, not a traceback."""
+        base = ws.root / "base_truncated.csv"
+        lines = ws.base.read_text(encoding="utf-8").splitlines()
+        base.write_text("\n".join(lines[:2] + ["wage,55"] + lines[2:]) + "\n",
+                        encoding="utf-8")
+        assert main(["calibrate", "--base", str(base), "--shocked", str(ws.shocked),
+                     "--out", str(ws.root / "x6")]) == 1
+        assert (f"row has fewer fields than the header's 6 (file={base}, row=3)"
+                in capsys.readouterr().err)
+
 
 class TestShocks:
     def test_shocked_population_differs(self, ws):
@@ -187,6 +199,19 @@ class TestShocks:
                      "--cells", str(ws.cal / "cells.csv"), "--scale", scale,
                      "--out", str(ws.root / "x5")]) == 1
         assert "scale must be a number" in capsys.readouterr().err
+
+    def test_truncated_cell_row(self, ws, capsys):
+        """A truncated factor-table row is a data error naming file and row,
+        not a traceback."""
+        cells = ws.root / "cells_truncated.csv"
+        lines = (ws.cal / "cells.csv").read_text(encoding="utf-8").splitlines()
+        cells.write_text("\n".join(lines[:2] + ["wage,55"] + lines[2:]) + "\n",
+                         encoding="utf-8")
+        assert main(["shocks", "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(cells), "--out", str(ws.root / "x7")]) == 1
+        assert (f"row has fewer fields than the header's 6 (file={cells}, row=3)"
+                in capsys.readouterr().err)
 
 
 class TestSimulate:

@@ -9,19 +9,16 @@ import pytest
 
 from povsim.errors import ConfigError, DataError
 from povsim.metrics import (
+    RELATIVE_LINE_SHARE,
     EquivalenceScale,
+    HouseholdFrame,
     PovertyLines,
     adult_education_group,
-    build_person_rows,
-    compute_report,
-    equivalized_income,
     headcount_from_pp,
-    is_child_row,
-    poverty_rate,
-    relative_poverty_line,
     weighted_median,
 )
-from povsim.population import EducationLevel, LaborStatus, Person, Sex
+from povsim.population import (EducationLevel, Household, LaborStatus, Person,
+                               Population, Sex)
 
 from conftest import build_micro_population
 from oracles import (
@@ -75,9 +72,12 @@ class TestEquivalenceScale:
             EquivalenceScale(first_adult=Fraction(2))
 
     def test_equivalized_income_exact(self):
-        members = [person_aged(40), person_aged(10, 2)]
-        got = equivalized_income(100000, members, EquivalenceScale())
-        assert got == equivalized(100000, [40, 10]) == Fraction(1000000, 13)
+        members = (person_aged(40), person_aged(10, 2))
+        pop = Population(persons=members, households=(
+            Household(household_id=1, member_ids=(1, 2), weight_centi=100),))
+        scores = HouseholdFrame.of(pop, EquivalenceScale()).scores([100000])
+        assert scores.equivalized() == {1: equivalized(100000, [40, 10])}
+        assert scores.equivalized()[1] == Fraction(1000000, 13)
 
 
 class TestWeightedMedian:
@@ -126,50 +126,63 @@ class TestAdultEducation:
         assert adult_education_group([kid, ter]) == "tertiary_plus"
 
 
+MICRO_ANNUAL = {1: 233280, 2: 93312, 3: 312000, 4: 374400, 5: 76800}
+
+
 class TestRatesAndLines:
-    def micro_rows(self):
+    """HouseholdScores on the five-household panel's baseline incomes
+    against the oracles over (equivalized income, weight, selected)
+    triples, one per person."""
+
+    def micro(self):
         pop = build_micro_population()
-        annual = {1: 233280, 2: 93312, 3: 312000, 4: 374400, 5: 76800}
-        return build_person_rows(pop, annual, EquivalenceScale())
+        frame = HouseholdFrame.of(pop, EquivalenceScale())
+        scores = frame.scores([MICRO_ANNUAL[hid] for hid in frame.household_ids])
+        return pop, frame, scores
+
+    @staticmethod
+    def triples(pop, selected=lambda age: True):
+        out = []
+        for hh in pop.households:
+            ages = [m.age for m in pop.members(hh.household_id)]
+            eq = equivalized(MICRO_ANNUAL[hh.household_id], ages)
+            out += [(eq, hh.weight_centi, selected(age)) for age in ages]
+        return out
 
     def test_relative_line_is_sixty_percent_of_median(self):
-        rows = self.micro_rows()
-        pairs = [(r.equivalized, r.weight_centi) for r in rows]
-        assert relative_poverty_line(rows) == \
-            Fraction(3, 5) * weighted_median_by_scan(pairs)
-        assert relative_poverty_line(rows) == relative_line_by_scan(pairs)
+        pop, _, scores = self.micro()
+        pairs = [(eq, w) for eq, w, _ in self.triples(pop)]
+        line = RELATIVE_LINE_SHARE * scores.median_equivalized()
+        assert line == Fraction(3, 5) * weighted_median_by_scan(pairs)
+        assert line == relative_line_by_scan(pairs)
 
     def test_strictly_below_the_line_counts_as_poor(self):
-        rows = self.micro_rows()
+        pop, frame, scores = self.micro()
+        triples = self.triples(pop)
         # Put the line exactly on an occupied income value: those persons
         # must not count as poor until the line moves above them.
         line = Fraction(187200)
-        at_line = [r for r in rows if r.equivalized == line]
+        at_line = [t for t in triples if t[0] == line]
         assert at_line, "fixture should have people sitting on this line"
-        result = poverty_rate(rows, line)
-        scan = poverty_rate_by_scan(
-            ((r.equivalized, r.weight_centi, True) for r in rows), line)
-        assert result.rate == scan
+        result = scores.rate(line, frame.sizes)
+        assert result.rate == poverty_rate_by_scan(triples, line)
         eps = Fraction(1, 10**9)
-        bumped = poverty_rate(rows, line + eps)
-        expected_extra = sum(r.weight_centi for r in at_line)
+        bumped = scores.rate(line + eps, frame.sizes)
+        expected_extra = sum(w for _, w, _ in at_line)
         assert bumped.poor_centi == result.poor_centi + expected_extra
 
-    def test_poverty_rate_matches_scan_on_random_rows(self):
+    def test_poverty_rate_matches_scan_on_random_lines(self):
         rng = random.Random(31)
-        pop = build_micro_population()
-        annual = {1: 233280, 2: 93312, 3: 312000, 4: 374400, 5: 76800}
-        rows = build_person_rows(pop, annual, EquivalenceScale())
+        pop, frame, scores = self.micro()
+        triples = self.triples(pop, lambda age: age < 18)
         for _ in range(100):
             line = Fraction(rng.randint(1, 300000))
-            got = poverty_rate(rows, line, is_child_row)
-            scan = poverty_rate_by_scan(
-                ((r.equivalized, r.weight_centi, r.is_child) for r in rows), line)
-            assert got.rate == scan
+            got = scores.rate(line, frame.children)
+            assert got.rate == poverty_rate_by_scan(triples, line)
 
     def test_rate_is_none_for_empty_selection(self):
-        rows = self.micro_rows()
-        result = poverty_rate(rows, Fraction(1), lambda r: False)
+        _, frame, scores = self.micro()
+        result = scores.rate(Fraction(1), [0] * len(frame.sizes))
         assert result.rate is None
         assert result.poor_centi == 0 and result.total_centi == 0
 
@@ -185,14 +198,15 @@ class TestRatesAndLines:
             PovertyLines(relative=Fraction(1), absolute_extreme=99,
                          absolute_upper=42)
 
-    def test_compute_report_shares_rows(self):
-        rows = self.micro_rows()
-        lines = PovertyLines(relative=relative_poverty_line(rows),
-                             absolute_extreme=42000, absolute_upper=150000)
-        report = compute_report(rows, lines, 5)
+    def test_report_covers_every_indicator(self):
+        pop, _, scores = self.micro()
+        lines = PovertyLines(
+            relative=RELATIVE_LINE_SHARE * scores.median_equivalized(),
+            absolute_extreme=42000, absolute_upper=150000)
+        report = scores.report(lines)
         assert set(report.indicators) == {"relative", "absolute_extreme",
                                           "absolute_upper"}
-        assert report.n_persons == len(rows)
+        assert report.n_persons == pop.n_persons == 12
         assert report.n_households == 5
         rel = report.indicators["relative"]
         assert rel.children.rate == Fraction(3, 4)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from povsim.scenario import ScenarioSpec, prepare_baseline, run_scenario
+from povsim.scenario import ScenarioSpec, Study, prepare_baseline
 
 from oracles import MICRO_EXPECTED as E
 
@@ -24,10 +24,8 @@ def baseline(micro_pop, params, pov):
 
 
 @pytest.fixture()
-def combined(micro_pop, micro_table, params, pov, baseline):
-    stats, _ = baseline
-    return run_scenario(micro_pop, micro_table, COMBINED, params, pov,
-                        baseline=stats)
+def combined(micro_pop, micro_table, params, pov):
+    return Study(micro_pop, micro_table, params, pov).result(COMBINED)
 
 
 class TestBaseline:
@@ -98,13 +96,10 @@ class TestCombinedScenario:
 
 
 class TestTbiScenario:
-    def test_awards_and_qualification(self, micro_pop, micro_table, params, pov,
-                                      baseline):
-        stats, _ = baseline
+    def test_awards_and_qualification(self, micro_pop, micro_table, params, pov):
         spec = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                             gma_relaxation=True, one_offs=True, tbi=True)
-        result = run_scenario(micro_pop, micro_table, spec, params, pov,
-                              baseline=stats)
+        result = Study(micro_pop, micro_table, params, pov).result(spec)
         for hid, qualifies in E["tbi_qualifies"].items():
             award = result.fiscal[hid].tbi
             if qualifies:

@@ -25,13 +25,7 @@ from povsim.reporting import (
     table2_csv,
     table2_json_obj,
 )
-from povsim.scenario import (
-    ScenarioSpec,
-    decompose,
-    disaggregate,
-    uncertainty_band,
-    validate_against_observed,
-)
+from povsim.scenario import ScenarioSpec, Study, validate_against_observed
 
 ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                       gma_relaxation=True, one_offs=True)
@@ -39,10 +33,11 @@ ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
 
 @pytest.fixture()
 def results(micro_pop, micro_table, params, pov):
+    study = Study(micro_pop, micro_table, params, pov)
     return {
-        "deco": decompose(micro_pop, micro_table, params, pov),
-        "band": uncertainty_band(micro_pop, micro_table, params, pov),
-        "dis": disaggregate(micro_pop, micro_table, ALL_ON, params, pov),
+        "deco": study.decompose(),
+        "band": study.uncertainty_band(),
+        "dis": study.disaggregate(ALL_ON),
         "val": validate_against_observed(
             {"wage": 5.0, "self_employment": -11.6},
             {"wage": 9.8, "self_employment": -10.7},
@@ -81,8 +76,8 @@ class TestTable2:
 
     def test_missing_columns_render_empty(self, micro_pop, micro_table, params,
                                           pov):
-        deco = decompose(micro_pop, micro_table, params, pov,
-                         factors=["wage_shock"])
+        deco = Study(micro_pop, micro_table, params, pov).decompose(
+            factors=["wage_shock"])
         rows = parse_csv(table2_csv(deco))
         assert rows[0]["combined"] == ""
         assert rows[0]["one_offs"] == ""

@@ -22,10 +22,10 @@ from povsim.rules import (
     GmaScale,
     PolicyParameters,
     TbiContext,
-    build_ledger,
     disposable_income,
     gma_schedule,
     gross_to_net,
+    ledger_from_vectors,
     oneoff_dec2020,
     oneoff_may2020,
     person_net_market,
@@ -50,9 +50,11 @@ def household(members, weight=100, **kw) -> Household:
                      weight_centi=weight, **kw)
 
 
-def ledger_for(members, params=PARAMS, baseline_members=None, **hh_kw):
-    hh = household(members, **hh_kw)
-    return build_ledger(hh, members, params, baseline_members=baseline_members)
+def ledger_for(members, params=PARAMS, baseline=None, **hh_kw):
+    """Ledger of a hand-built household; baseline is its pre-shock ledger."""
+    return ledger_from_vectors(household(members, **hh_kw), members,
+                               [person_net_market(m, params) for m in members],
+                               params, baseline)
 
 
 def verdict(ledger, relaxed, month=6):
@@ -147,8 +149,8 @@ class TestGmaCountable:
         rent = tuple(10 * (m + 1) for m in range(12))
         p = person(pension=core, capital_rent=rent)
         base_p = replace(p, pension=tuple(v + 7 for v in core))
-        return ledger_for([p], replace(PARAMS, gma_base_amount=self.THRESHOLD),
-                          baseline_members=[base_p])
+        params = replace(PARAMS, gma_base_amount=self.THRESHOLD)
+        return ledger_for([p], params, baseline=ledger_for([base_p], params))
 
     def gap(self, countable):
         return round_half_away(self.THRESHOLD - countable)
@@ -302,7 +304,7 @@ class TestGmaAward:
             base = [replace(members[0],
                             pension=tuple(rng.randint(0, 4000) for _ in range(12)))
                     ] + members[1:]
-            ledger = ledger_for(members, baseline_members=base)
+            ledger = ledger_for(members, baseline=ledger_for(base))
             for relaxed in (False, True):
                 got = [a for a, _ in gma_schedule(ledger, relaxed)]
                 want = gma_monthly_by_definition(

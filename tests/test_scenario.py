@@ -8,18 +8,15 @@ import pytest
 
 from povsim.errors import ConfigError
 from povsim.metrics import headcount_from_pp
-from povsim.rules import build_ledger, disposable_income
+from povsim.rules import disposable_income
 from povsim.scenario import (
     COLUMN_ORDER,
     DIMENSIONS,
-    PovertyConfig,
     ScenarioSpec,
-    decompose,
-    disaggregate,
+    Study,
+    household_base,
     prepare_baseline,
-    run_scenario,
     simulated_aggregate_changes,
-    uncertainty_band,
     validate_against_observed,
 )
 from povsim.cells import aggregate_income_change, apply_shock
@@ -32,12 +29,11 @@ class TestScenarioSpec:
     def test_flags_mapping(self, micro_pop, params, pov):
         """A spec's gma_relaxation, one_offs and tbi switches are the
         cascade's relaxed, one_offs and tbi switches."""
+        ledgers = household_base(micro_pop, params, pov).ledgers
         for spec in (ScenarioSpec(), ScenarioSpec(gma_relaxation=True),
                      ScenarioSpec(gma_relaxation=True, one_offs=True)):
-            result = run_scenario(micro_pop, None, spec, params, pov)
-            for hh in micro_pop.households:
-                ledger = build_ledger(hh, micro_pop.members(hh.household_id),
-                                      params)
+            result = Study(micro_pop, None, params, pov).result(spec)
+            for hh, ledger in zip(micro_pop.households, ledgers, strict=True):
                 assert result.fiscal[hh.household_id] == disposable_income(
                     ledger, params, relaxed=spec.gma_relaxation,
                     one_offs=spec.one_offs, tbi=False), (spec, hh.household_id)
@@ -57,43 +53,31 @@ class TestScenarioSpec:
         assert ScenarioSpec(shock_scale=0.8).shock_scale == Fraction(4, 5)
 
 
-class TestRunScenario:
+class TestStudyResult:
     def test_shock_requires_table(self, micro_pop, params, pov):
         with pytest.raises(ConfigError, match="no cell table"):
-            run_scenario(micro_pop, None, ScenarioSpec(wage_shock=True),
-                         params, pov)
+            Study(micro_pop, None, params, pov).result(ScenarioSpec(wage_shock=True))
 
     def test_transfer_only_scenarios_need_no_table(self, micro_pop, params, pov):
-        result = run_scenario(micro_pop, None,
-                              ScenarioSpec(gma_relaxation=True, one_offs=True),
-                              params, pov)
+        result = Study(micro_pop, None, params, pov).result(
+            ScenarioSpec(gma_relaxation=True, one_offs=True))
         assert result.population is micro_pop
 
     def test_wage_only_spec_neutralizes_selfemp(self, micro_pop, micro_table,
                                                 params, pov):
-        result = run_scenario(micro_pop, micro_table,
-                              ScenarioSpec(wage_shock=True), params, pov)
+        result = Study(micro_pop, micro_table, params, pov).result(
+            ScenarioSpec(wage_shock=True))
         by_id = {p.person_id: p for p in result.population.persons}
         assert by_id[1].wage[11] == 15000          # hotel wage shocked
         assert by_id[8].self_employment[11] == 25000  # self-emp untouched
 
     def test_selfemp_only_spec_neutralizes_wage(self, micro_pop, micro_table,
                                                 params, pov):
-        result = run_scenario(micro_pop, micro_table,
-                              ScenarioSpec(selfemp_shock=True), params, pov)
+        result = Study(micro_pop, micro_table, params, pov).result(
+            ScenarioSpec(selfemp_shock=True))
         by_id = {p.person_id: p for p in result.population.persons}
         assert by_id[1].wage[11] == 30000
         assert by_id[8].self_employment[11] == 15000
-
-    def test_tbi_computes_baseline_when_missing(self, micro_pop, micro_table,
-                                                params, pov):
-        spec = ScenarioSpec(wage_shock=True, selfemp_shock=True,
-                            gma_relaxation=True, one_offs=True, tbi=True)
-        stats, _ = prepare_baseline(micro_pop, params, pov)
-        explicit = run_scenario(micro_pop, micro_table, spec, params, pov,
-                                baseline=stats)
-        implicit = run_scenario(micro_pop, micro_table, spec, params, pov)
-        assert explicit.fiscal == implicit.fiscal
 
     def test_baseline_stats_anchors(self, micro_pop, params, pov):
         stats, result = prepare_baseline(micro_pop, params, pov)
@@ -104,7 +88,7 @@ class TestRunScenario:
 
 class TestDecompose:
     def test_column_order_and_names(self, micro_pop, micro_table, params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov)
+        deco = Study(micro_pop, micro_table, params, pov).decompose()
         assert deco.column_names() == COLUMN_ORDER
         assert deco.column_names() == (
             "baseline", "wage_shock", "selfemp_shock", "gma_relaxation",
@@ -112,48 +96,46 @@ class TestDecompose:
 
     def test_unknown_factor_rejected(self, micro_pop, micro_table, params, pov):
         with pytest.raises(ConfigError, match="unknown factor"):
-            decompose(micro_pop, micro_table, params, pov,
-                      factors=["wage_shock", "gravity"])
+            Study(micro_pop, micro_table, params, pov).decompose(
+                factors=["wage_shock", "gravity"])
 
     def test_subset_drops_combined(self, micro_pop, micro_table, params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov,
-                         factors=["wage_shock"])
+        deco = Study(micro_pop, micro_table, params, pov).decompose(
+            factors=["wage_shock"])
         assert deco.column_names() == ("baseline", "wage_shock")
 
     def test_transfer_columns_run_on_unshocked_incomes(self, micro_pop,
                                                        micro_table, params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov)
+        deco = Study(micro_pop, micro_table, params, pov).decompose()
         gma_col = dict(deco.columns)["gma_relaxation"]
         assert gma_col.population is micro_pop  # incomes untouched
         combined = dict(deco.columns)["combined"]
         assert combined.population is not micro_pop
 
     def test_transfers_on_shocked_flag(self, micro_pop, micro_table, params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov,
-                         transfers_on_shocked=True)
+        deco = Study(micro_pop, micro_table, params, pov).decompose(
+            transfers_on_shocked=True)
         gma_col = dict(deco.columns)["gma_relaxation"]
         by_id = {p.person_id: p for p in gma_col.population.persons}
         assert by_id[1].wage[11] == 15000
 
     def test_combined_column_matches_direct_run(self, micro_pop, micro_table,
                                                 params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov)
-        stats, _ = prepare_baseline(micro_pop, params, pov)
-        direct = run_scenario(micro_pop, micro_table, ALL_ON, params, pov,
-                              baseline=stats)
+        deco = Study(micro_pop, micro_table, params, pov).decompose()
+        direct = Study(micro_pop, micro_table, params, pov).result(ALL_ON)
         combined = dict(deco.columns)["combined"]
         assert combined.fiscal == direct.fiscal
         assert combined.report == direct.report
 
     def test_combined_column_excludes_tbi(self, micro_pop, micro_table,
                                           params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov)
+        deco = Study(micro_pop, micro_table, params, pov).decompose()
         combined = dict(deco.columns)["combined"]
         assert not combined.spec.tbi
         assert all(res.tbi == (0,) * 12 for res in combined.fiscal.values())
 
     def test_report_lookup(self, micro_pop, micro_table, params, pov):
-        deco = decompose(micro_pop, micro_table, params, pov)
+        deco = Study(micro_pop, micro_table, params, pov).decompose()
         assert deco.report("baseline").child_rate("relative") == Fraction(3, 4)
         with pytest.raises(KeyError):
             deco.report("imaginary")
@@ -162,8 +144,8 @@ class TestDecompose:
 class TestUncertaintyBand:
     def test_points_are_sorted_and_anchored(self, micro_pop, micro_table,
                                             params, pov):
-        band = uncertainty_band(micro_pop, micro_table, params, pov,
-                                scales=(1.2, 0.8, 1.0))
+        band = Study(micro_pop, micro_table, params, pov).uncertainty_band(
+            scales=(1.2, 0.8, 1.0))
         assert [pt.scale for pt in band.points] == \
             [Fraction(4, 5), Fraction(1), Fraction(6, 5)]
         base_rate = band.baseline.report.child_rate("relative")
@@ -175,11 +157,9 @@ class TestUncertaintyBand:
 
     def test_scale_one_matches_combined_run(self, micro_pop, micro_table,
                                             params, pov):
-        band = uncertainty_band(micro_pop, micro_table, params, pov,
-                                scales=(1.0,))
-        stats, _ = prepare_baseline(micro_pop, params, pov)
-        direct = run_scenario(micro_pop, micro_table, ALL_ON, params, pov,
-                              baseline=stats)
+        band = Study(micro_pop, micro_table, params, pov).uncertainty_band(
+            scales=(1.0,))
+        direct = Study(micro_pop, micro_table, params, pov).result(ALL_ON)
         assert band.points[0].result.report == direct.report
 
 
@@ -226,12 +206,12 @@ class TestDisaggregate:
     def test_unknown_dimension_rejected(self, micro_pop, micro_table, params,
                                         pov):
         with pytest.raises(ConfigError, match="unknown dimension"):
-            disaggregate(micro_pop, micro_table, ALL_ON, params, pov,
-                         dimensions=["zodiac"])
+            Study(micro_pop, micro_table, params, pov).disaggregate(
+                ALL_ON, dimensions=["zodiac"])
 
     def test_groups_partition_children(self, micro_pop, micro_table, params,
                                         pov):
-        dis = disaggregate(micro_pop, micro_table, ALL_ON, params, pov)
+        dis = Study(micro_pop, micro_table, params, pov).disaggregate(ALL_ON)
         assert {b.dimension for b in dis.breakdowns} == set(DIMENSIONS)
         for breakdown in dis.breakdowns:
             for indicator in ("relative", "absolute_extreme", "absolute_upper"):
@@ -245,7 +225,7 @@ class TestDisaggregate:
                     assert sum(r.total_centi for r in rates) == target.total_centi
 
     def test_cell_lookup(self, micro_pop, micro_table, params, pov):
-        dis = disaggregate(micro_pop, micro_table, ALL_ON, params, pov,
-                           dimensions=["sex"])
+        dis = Study(micro_pop, micro_table, params, pov).disaggregate(
+            ALL_ON, dimensions=["sex"])
         cell = dis.breakdowns[0].cell("female", "relative")
         assert cell.pre.total_centi > 0

@@ -1,8 +1,9 @@
-"""The study evaluation against the per-person pipeline it replaces.
+"""The study evaluation against a reference pipeline and the oracles.
 
 Scoring on households, the household base, shared shocks and the
 per-spec memo must all reproduce, exactly, what one scenario at a time
-over person rows gives.
+gives with every ledger rebuilt by ledger_from_vectors and every score
+taken from the definitions in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import pytest
 
 from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
                       build_micro_population, build_micro_table)
-from oracles import dec_round_half_up
+from oracles import (dec_round_half_up, equivalized, gma_countable_by_definition,
+                     poverty_rate_by_scan, relative_line_by_scan,
+                     weighted_median_by_scan)
 
 import povsim.cli as cli_mod
 import povsim.scenario as scenario_mod
@@ -27,18 +30,18 @@ from povsim.cells import CellChangeTable, apply_shock, save_cell_table
 from povsim.cli import main
 from povsim.config import ScenarioSettings
 from povsim.errors import CalibrationError, ConfigError
-from povsim.metrics import (EquivalenceScale, PovertyLines, build_person_rows,
-                            compute_report, is_child_row, poverty_rate,
-                            relative_poverty_line, weighted_median)
+from povsim.metrics import (INDICATORS, EquivalenceScale, IndicatorStats,
+                            PovertyLines, PovertyReport, RateResult,
+                            adult_education_group)
 from povsim.population import (EducationLevel, Household, LaborStatus, Person,
                                Population, Sex)
 from povsim.nace import DIVISIONS, SECTIONS
 from povsim.rules import (HouseholdLedger, PolicyParameters, TbiContext,
-                          build_ledger, disposable_income, ledger_from_vectors,
+                          disposable_income, ledger_from_vectors,
                           person_net_market)
 from povsim.scenario import (BASELINE_SPEC, HouseholdBase, HouseholdDemography,
                              PovertyConfig, ScenarioSpec, Study, household_base,
-                             prepare_baseline, run_scenario)
+                             prepare_baseline)
 from povsim.synth import calibrate_to_baseline, generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,15 +51,76 @@ ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
 ALL_ON_TBI = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                           gma_relaxation=True, one_offs=True, tbi=True)
 
-# Child groups as the per-person pipeline selected them.
-ROW_GROUPS = {
-    "sex": lambda r: r.person.sex.value,
-    "child_age_band": lambda r: ("age_0_5" if r.age <= 5 else
-                                 "age_6_14" if r.age <= 14 else "age_15_17"),
-    "three_plus_children": lambda r: ("three_plus" if r.n_children >= 3
-                                      else "fewer_than_three"),
-    "adult_education": lambda r: r.adult_education or "undefined",
+# The group of a child by each dimension's definition, given the child,
+# its household's number of children and adult education group.
+CHILD_GROUPS = {
+    "sex": lambda child, n, edu: child.sex.value,
+    "child_age_band": lambda child, n, edu: (
+        "age_0_5" if child.age <= 5 else
+        "age_6_14" if child.age <= 14 else "age_15_17"),
+    "three_plus_children": lambda child, n, edu: (
+        "three_plus" if n >= 3 else "fewer_than_three"),
+    "adult_education": lambda child, n, edu: edu or "undefined",
 }
+
+
+def equivalized_by_household(pop: Population, annual, pov: PovertyConfig):
+    """household id -> oracles.equivalized of its annual income under the
+    study's equivalence scale."""
+    scale = pov.equivalence_scale
+    return {hh.household_id: equivalized(
+                annual[hh.household_id],
+                [m.age for m in pop.members(hh.household_id)],
+                scale.additional_adult_14plus, scale.child_under_14)
+            for hh in pop.households}
+
+
+def per_capita_monthly(pop: Population, annual):
+    """household id -> its annual income per member and month."""
+    return {hh.household_id: Fraction(annual[hh.household_id], 12 * len(hh.member_ids))
+            for hh in pop.households}
+
+
+def person_triples(pop: Population, eq, selected=lambda person: True):
+    """(equivalized income, weight, selected) of every person."""
+    return [(eq[hh.household_id], hh.weight_centi, selected(person))
+            for hh in pop.households for person in pop.members(hh.household_id)]
+
+
+def household_pairs(pop: Population, value):
+    """(value of the household, weight x members) of every household: what
+    the quadratic median scan reads, one pair per household."""
+    return [(value[hh.household_id], hh.weight_centi * len(hh.member_ids))
+            for hh in pop.households]
+
+
+def rate_by_scan(triples, line: Fraction) -> RateResult:
+    """poverty_rate_by_scan with the selected and poor weights it implies."""
+    rate = poverty_rate_by_scan(triples, line)
+    total = sum(w for _, w, selected in triples if selected)
+    return RateResult(rate=rate, poor_centi=int((rate or 0) * total),
+                      total_centi=total)
+
+
+def oracle_report(pop: Population, annual, pov: PovertyConfig,
+                  lines: PovertyLines | None = None) -> PovertyReport:
+    """The report of one annual income per household by the definitions:
+    the relative line (unless lines are given) from the median scan, each
+    rate from a scan over person triples."""
+    eq = equivalized_by_household(pop, annual, pov)
+    if lines is None:
+        lines = PovertyLines(relative=relative_line_by_scan(household_pairs(pop, eq)),
+                             absolute_extreme=Fraction(pov.absolute_extreme),
+                             absolute_upper=Fraction(pov.absolute_upper))
+    everyone = person_triples(pop, eq)
+    children = person_triples(pop, eq, lambda person: person.age < 18)
+    return PovertyReport(
+        lines=lines,
+        indicators={name: IndicatorStats(
+                        children=rate_by_scan(children, lines.line(name)),
+                        all_persons=rate_by_scan(everyone, lines.line(name)))
+                    for name in INDICATORS},
+        n_persons=len(everyone), n_households=pop.n_households)
 
 
 def random_population(rng: random.Random, n_households: int) -> Population:
@@ -80,12 +144,11 @@ def random_population(rng: random.Random, n_households: int) -> Population:
     return Population(persons=tuple(persons), households=tuple(households))
 
 
-def test_household_scoring_equals_person_rows():
+def test_household_scoring_equals_oracles(params):
     """Median, per-capita median, rates, reports and group cells on
-    households equal weighted_median/poverty_rate over person rows, with
-    zero incomes, tied incomes and incomes exactly on a line."""
+    households equal the oracles' scans, with zero incomes, tied incomes
+    and incomes exactly on a line, under two equivalence scales."""
     rng = random.Random(20200401)
-    params = PolicyParameters()
     scales = (EquivalenceScale(),
               EquivalenceScale(additional_adult_14plus=Fraction(7, 10),
                                child_under_14=Fraction(1, 2)))
@@ -99,64 +162,77 @@ def test_household_scoring_equals_person_rows():
                    for _ in pop.households]
         scores = base.frame.scores(incomes)
         annual = {hh.household_id: y for hh, y in zip(pop.households, incomes)}
-        rows = build_person_rows(pop, annual, pov.equivalence_scale)
+        eq = equivalized_by_household(pop, annual, pov)
 
-        assert scores.median_equivalized() == weighted_median(
-            (r.equivalized, r.weight_centi) for r in rows)
-        assert scores.median_per_capita_monthly() == weighted_median(
-            (r.per_capita_annual / 12, r.weight_centi) for r in rows)
-        assert scores.equivalized() == {r.household.household_id: r.equivalized
-                                        for r in rows}
+        assert scores.median_equivalized() == weighted_median_by_scan(
+            household_pairs(pop, eq))
+        assert scores.median_per_capita_monthly() == weighted_median_by_scan(
+            household_pairs(pop, per_capita_monthly(pop, annual)))
+        assert scores.equivalized() == eq
 
-        pivot = rng.choice(rows).equivalized  # some household sits on it
-        lines = PovertyLines(relative=relative_poverty_line(rows),
+        pivot = rng.choice(list(eq.values()))  # some household sits on it
+        lines = PovertyLines(relative=relative_line_by_scan(household_pairs(pop, eq)),
                              absolute_extreme=min(pivot, Fraction(42000)),
                              absolute_upper=max(pivot, Fraction(42000)) + 1)
-        assert scores.report(lines) == compute_report(rows, lines,
-                                                      pop.n_households)
+        assert scores.report(lines) == oracle_report(pop, annual, pov, lines)
+        groups = {}
+        for hh in pop.households:
+            members = pop.members(hh.household_id)
+            n = sum(1 for m in members if m.age < 18)
+            edu = adult_education_group(members)
+            for m in members:
+                groups[m.person_id] = {dim: grouper(m, n, edu)
+                                       for dim, grouper in CHILD_GROUPS.items()}
         for line in (lines.relative, pivot, Fraction(0), pivot + Fraction(1, 7)):
-            on_line += any(r.equivalized == line for r in rows)
-            assert scores.rate(line, base.frame.sizes) == poverty_rate(rows, line)
-            assert scores.rate(line, base.frame.children) == poverty_rate(
-                rows, line, is_child_row)
+            on_line += line in eq.values()
+            assert scores.rate(line, base.frame.sizes) == rate_by_scan(
+                person_triples(pop, eq), line)
+            assert scores.rate(line, base.frame.children) == rate_by_scan(
+                person_triples(pop, eq, lambda p: p.age < 18), line)
             for (dim, group), counts in base.demography.group_counts.items():
-                grouper = ROW_GROUPS[dim]
-                assert scores.rate(line, counts) == poverty_rate(
-                    rows, line, lambda r: r.is_child and grouper(r) == group), \
-                    (i, dim, group)
+                assert scores.rate(line, counts) == rate_by_scan(
+                    person_triples(pop, eq, lambda p: p.age < 18
+                                   and groups[p.person_id][dim] == group),
+                    line), (i, dim, group)
     assert on_line >= 60
 
 
 def reference_run(pop: Population, table: CellChangeTable | None,
                   spec: ScenarioSpec, params: PolicyParameters,
                   pov: PovertyConfig):
-    """One scenario with full ledgers from build_ledger, scored over person
-    rows: the pipeline before the household base."""
+    """One scenario with every ledger rebuilt by ledger_from_vectors (the
+    unshocked one as baseline) and scored by the oracles: the pipeline
+    without the household base, the shared shocks or household scoring."""
+
+    def net(members):
+        return [person_net_market(m, params) for m in members]
 
     def fiscal_of(current: Population, switches: ScenarioSpec, ctx):
-        return {hh.household_id: disposable_income(
-            build_ledger(hh, current.members(hh.household_id), params,
-                         baseline_members=(None if current is pop
-                                           else pop.members(hh.household_id))),
-            params, relaxed=switches.gma_relaxation, one_offs=switches.one_offs,
-            tbi=switches.tbi, tbi_ctx=ctx) for hh in current.households}
+        fiscal = {}
+        for hh in current.households:
+            before = pop.members(hh.household_id)
+            ledger = ledger_from_vectors(hh, before, net(before), params)
+            if current is not pop:
+                after = current.members(hh.household_id)
+                ledger = ledger_from_vectors(hh, after, net(after), params,
+                                             baseline=ledger)
+            fiscal[hh.household_id] = disposable_income(
+                ledger, params, relaxed=switches.gma_relaxation,
+                one_offs=switches.one_offs, tbi=switches.tbi, tbi_ctx=ctx)
+        return fiscal
 
-    def score(current: Population, fiscal):
-        annual = {hid: res.annual_disposable for hid, res in fiscal.items()}
-        rows = build_person_rows(current, annual, pov.equivalence_scale)
-        lines = PovertyLines(relative=relative_poverty_line(rows),
-                             absolute_extreme=Fraction(pov.absolute_extreme),
-                             absolute_upper=Fraction(pov.absolute_upper))
-        return rows, compute_report(rows, lines, current.n_households)
+    def annual(fiscal):
+        return {hid: res.annual_disposable for hid, res in fiscal.items()}
 
     ctx = None
     if spec.tbi:
-        rows, report = score(pop, fiscal_of(pop, ScenarioSpec(), None))
+        base_annual = annual(fiscal_of(pop, ScenarioSpec(), None))
         ctx = TbiContext(
-            median_pc_monthly=weighted_median(
-                (r.per_capita_annual / 12, r.weight_centi) for r in rows),
+            median_pc_monthly=weighted_median_by_scan(household_pairs(
+                pop, per_capita_monthly(pop, base_annual))),
             vulnerability_line_annual=(params.tbi.vulnerability_multiplier
-                                       * report.lines.relative))
+                                       * oracle_report(pop, base_annual,
+                                                       pov).lines.relative))
     shocked = pop
     if spec.any_shock:
         shocked = apply_shock(
@@ -164,7 +240,7 @@ def reference_run(pop: Population, table: CellChangeTable | None,
                                   selfemp=not spec.selfemp_shock),
             shock_start_month=spec.shock_start_month, scale=spec.shock_scale)
     fiscal = fiscal_of(shocked, spec, ctx)
-    return shocked, fiscal, score(shocked, fiscal)[1]
+    return shocked, fiscal, oracle_report(shocked, annual(fiscal), pov)
 
 
 def _micro():
@@ -180,8 +256,9 @@ def _synth800():
 @pytest.mark.parametrize("make", [_micro, _synth800], ids=["micro", "synth800"])
 def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov):
     """Every decomposition column, band point, disaggregation scenario and
-    a basic-income run of one study equal a fresh run_scenario and the
-    per-person reference on an identical, separately built population."""
+    a basic-income run of one study equal a fresh study's run of that spec
+    alone and the reference pipeline, on an identical, separately built
+    population."""
     pop, table = make()
     study = Study(pop, table, params, pov)
     deco = study.decompose(transfers_on_shocked=transfers_on_shocked)
@@ -195,7 +272,7 @@ def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov)
 
     fresh_pop, _ = make()
     for result in {r.spec: r for r in results}.values():
-        fresh = run_scenario(fresh_pop, table, result.spec, params, pov)
+        fresh = Study(fresh_pop, table, params, pov).result(result.spec)
         assert result.report == fresh.report, result.spec
         assert result.fiscal == fresh.fiscal, result.spec
         assert result.population.persons == fresh.population.persons
@@ -600,6 +677,70 @@ def test_calibrated_base_serves_no_source_memo(params, pov):
     _assert_fresh_cascade(study, results, params)
 
 
+def _asset_test_fails(hh: Household, relaxed: bool) -> bool:
+    """The GMA asset test by its definition: other real estate always
+    fails; pre-crisis any car or land fails, relaxed a car under five years
+    or land of 500 m2 or more."""
+    car, land = hh.car_age_years, hh.land_parcel_m2
+    if relaxed:
+        return (hh.owns_other_real_estate or (car is not None and car < 5)
+                or (land is not None and land >= 500))
+    return hh.owns_other_real_estate or car is not None or land is not None
+
+
+@pytest.mark.parametrize("transfers_on_shocked", [False, True])
+@pytest.mark.parametrize("seed", range(2))
+def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, pov):
+    """In every pass of a study over a random population, the basic-income
+    pass included, each household's disposable income in each month is its
+    members' net market income plus their carried income (pensions,
+    transfers, rent) plus each award; no GMA award exceeds the gap from
+    the means test's countable income up to ledger.threshold, rounded to
+    whole MKD; and a household failing the asset test gets no GMA, no
+    energy supplement and no assisted allowance in any month."""
+    rng = random.Random(300 + seed)
+    pop = random_income_population(rng, 150)
+    table = CellChangeTable.from_factors(
+        {d: Fraction(rng.randint(30, 160), 100) for d in rng.sample(DIVISIONS, 50)},
+        {s: Fraction(rng.randint(30, 160), 100) for s in SECTIONS})
+    study, results = _default_study(pop, table, params, pov, transfers_on_shocked)
+    results.append(study.result(ALL_ON_TBI))
+    seen = Counter()
+    for result in results:
+        relaxed = result.spec.gma_relaxation
+        for ledger in study.base.ledgers_for(result.population):
+            hh = ledger.household
+            members = result.population.members(hh.household_id)
+            fiscal = result.fiscal[hh.household_id]
+            nets = [person_net_market(m, params) for m in members]
+            awards = (fiscal.gma, fiscal.energy, fiscal.allowances,
+                      fiscal.oneoff_may, fiscal.oneoff_dec, fiscal.tbi)
+            assert fiscal.monthly_disposable() == tuple(
+                sum(net[m] for net in nets)
+                + sum(p.pension[m] + p.interhousehold_transfers[m]
+                      + p.capital_rent[m] for p in members)
+                + sum(award[m] for award in awards)
+                for m in range(12)), (result.spec, hh.household_id)
+
+            countable = gma_countable_by_definition(
+                ledger.core_countable, ledger.base_core_countable,
+                ledger.rent, ledger.base_rent, relaxed)
+            for gma, income in zip(fiscal.gma, countable):
+                gap = ledger.threshold - income
+                assert gma <= (dec_round_half_up(gap) if gap > 0 else 0), \
+                    (result.spec, hh.household_id)
+                seen["gma_months"] += gma > 0
+
+            if _asset_test_fails(hh, relaxed):
+                unassisted = (params.child_allowance_amount * ledger.n_children
+                              if params.universal_child_allowance else 0)
+                assert not any(fiscal.gma) and not any(fiscal.energy)
+                assert fiscal.allowances == (unassisted,) * 12
+                seen["asset_failures"] += 1
+            seen["tbi"] += any(fiscal.tbi)
+    assert min(seen.values()) > 20, seen
+
+
 # SHA-256 of every file (but manifest.json) the 300-household demo chain
 # wrote before scenarios shared a household base and were scored on
 # households (the shocked copies: before the one-pass CSV codec); seed
@@ -630,14 +771,20 @@ GOLDEN_300 = {
 }
 
 
-def test_demo_chain_matches_golden_digests(tmp_path, capsys):
-    """generate (calibrated) -> calibrate -> simulate -> validate, and
-    shocks at two scales and start months, on the demo recipe at 300
-    households write the golden bytes."""
+def _demo300_config(tmp_path: Path) -> Path:
+    """The demo recipe at 300 households."""
     demo = json.loads((ROOT / "configs" / "demo.json").read_text(encoding="utf-8"))
     demo["synth"]["n_households"] = 300
     cfg = tmp_path / "demo300.json"
     cfg.write_text(json.dumps(demo), encoding="utf-8")
+    return cfg
+
+
+def test_demo_chain_matches_golden_digests(tmp_path, capsys):
+    """generate (calibrated) -> calibrate -> simulate -> validate, and
+    shocks at two scales and start months, on the demo recipe at 300
+    households write the golden bytes."""
+    cfg = _demo300_config(tmp_path)
     lfs = ROOT / "configs"
     pop = ["--persons", str(tmp_path / "pop" / "persons.csv"),
            "--households", str(tmp_path / "pop" / "households.csv")]
@@ -664,3 +811,56 @@ def test_demo_chain_matches_golden_digests(tmp_path, capsys):
                for f in sorted((tmp_path / d).iterdir())
                if f.name != "manifest.json"}
     assert digests == GOLDEN_300
+
+
+def test_outputs_do_not_depend_on_row_order(tmp_path):
+    """simulate, shocks and validate write the same bytes for a
+    300-household population whose persons.csv and households.csv data
+    rows were shuffled; only the manifests' input paths and hashes differ."""
+    cfg = _demo300_config(tmp_path)
+    lfs = ROOT / "configs"
+    assert main(["generate", "--config", str(cfg),
+                 "--out", str(tmp_path / "pop")]) == 0
+    assert main(["calibrate", "--base", str(lfs / "lfs_2019.csv"),
+                 "--shocked", str(lfs / "lfs_2020q23.csv"),
+                 "--base-period", "2019", "--shocked-period", "2020q23",
+                 "--out", str(tmp_path / "cells")]) == 0
+    rng = random.Random(20200401)
+    (tmp_path / "shuffled").mkdir()
+    for name in ("persons.csv", "households.csv"):
+        header, *rows = (tmp_path / "pop" / name).read_text(
+            encoding="utf-8").splitlines()
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert shuffled != rows
+        (tmp_path / "shuffled" / name).write_text(
+            "\n".join([header] + shuffled) + "\n", encoding="utf-8")
+
+    cells = ["--cells", str(tmp_path / "cells" / "cells.csv")]
+    for source in ("pop", "shuffled"):
+        pop = ["--persons", str(tmp_path / source / "persons.csv"),
+               "--households", str(tmp_path / source / "households.csv")]
+        assert main(["simulate", "--config", str(cfg), *pop, *cells,
+                     "--out", str(tmp_path / source / "sim")]) == 0
+        # one source misses its tolerance at this size: a result, exit 1
+        assert main(["validate", "--config", str(cfg), *pop, *cells,
+                     "--out", str(tmp_path / source / "val")]) == 1
+        assert main(["shocks", *pop, *cells,
+                     "--out", str(tmp_path / source / "shk")]) == 0
+
+    for command in ("sim", "val", "shk"):
+        ordered, shuffled = (tmp_path / source / command
+                             for source in ("pop", "shuffled"))
+        names = sorted(f.name for f in ordered.iterdir())
+        assert names == sorted(f.name for f in shuffled.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (ordered / name).read_bytes() == (shuffled / name).read_bytes(), \
+                    (command, name)
+        manifests = [json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+                     for d in (ordered, shuffled)]
+        inputs = [m.pop("inputs") for m in manifests]
+        assert manifests[0] == manifests[1], command
+        for label in ("persons", "households"):
+            assert inputs[0][label] != inputs[1][label], (command, label)
+        assert inputs[0]["cells"] == inputs[1]["cells"], command
