@@ -19,10 +19,11 @@ from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Mapping
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .money import as_fraction, round_mul_div
 from .nace import DIVISIONS, SECTIONS, is_division, section_of
-from .population import IncomeVectors, LaborStatus, Person, Population, Sex
+from .population import (IncomeVectors, LaborStatus, Person, Population, Sex,
+                         _check_distinct, _parse_int)
 
 AGE_BANDS: tuple[str, ...] = ("youth_15_24", "adult_25_49", "elderly_50_64")
 
@@ -122,9 +123,19 @@ class LfsAggregate:
 _LFS_COLUMNS = ("cell_type", "nace", "sex", "age_band", "income", "count")
 
 
-def _records(reader: csv.DictReader, path: str) -> Iterable[tuple[int, dict]]:
-    """(line number, record) of each data row; a row with fewer or more
-    fields than the header is a DataError naming file and line."""
+def _records(fh, path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, dict]]:
+    """(line number, record) of each data row of a cell-table CSV.
+
+    The header must name each of columns, and no column twice; it may add
+    other columns. A row with fewer or more fields than the header is a
+    DataError naming file and line.
+    """
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames or []
+    for col in columns:
+        if col not in header:
+            raise DataError(f"missing column {col!r}", file=path, row=1, column=col)
+    _check_distinct(header, path)
     for rec in reader:
         # DictReader fills missing fields with None and files extra ones
         # under the key None
@@ -140,25 +151,15 @@ def load_lfs_aggregate(path: str, *, period: str,
     """Read cell totals from CSV: one row per cell.
 
     Wage rows carry nace (two-digit), sex and age_band; self-employment
-    rows carry the one-digit section with sex/age_band empty.
+    rows carry the one-digit section with sex/age_band empty. income and
+    count are nonnegative integers written as ASCII digits.
     """
     wage: dict[WageCellKey, CellStat] = {}
     selfemp: dict[SelfEmpCellKey, CellStat] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in _LFS_COLUMNS:
-            if col not in header:
-                raise DataError(f"missing column {col!r}", file=path, row=1, column=col)
-        for i, rec in _records(reader, path):
-            try:
-                income = int(rec["income"])
-                count = int(rec["count"])
-            except ValueError:
-                raise DataError("income and count must be integers", file=path,
-                                row=i) from None
-            if income < 0 or count < 0:
-                raise DataError("negative income or count", file=path, row=i)
+        for i, rec in _records(fh, path, _LFS_COLUMNS):
+            income = _parse_int(rec["income"], path, i, "income", minimum=0)
+            count = _parse_int(rec["count"], path, i, "count", minimum=0)
             kind = rec["cell_type"]
             try:
                 if kind == "wage":
@@ -344,18 +345,18 @@ def save_cell_table(table: CellChangeTable, path: str) -> None:
 
 
 def load_cell_table(path: str) -> CellChangeTable:
+    """Read a factor table save_cell_table wrote. A factor is an exact
+    number as the config spells one: an integer, a decimal or n/d."""
+    # config imports this module (through scenario), so it is imported here
+    from .config import decode
+
     wage: dict[WageCellKey, CellChange] = {}
     selfemp: dict[SelfEmpCellKey, CellChange] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in _TABLE_COLUMNS:
-            if col not in header:
-                raise DataError(f"missing column {col!r}", file=path, row=1, column=col)
-        for i, rec in _records(reader, path):
+        for i, rec in _records(fh, path, _TABLE_COLUMNS):
             try:
-                factor = Fraction(rec["factor"])
-            except (ValueError, ZeroDivisionError):
+                factor = decode(Fraction, rec["factor"], "factor")
+            except ConfigError:
                 raise DataError(f"bad factor {rec['factor']!r}", file=path, row=i,
                                 column="factor") from None
             try:

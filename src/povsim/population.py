@@ -2,9 +2,12 @@
 
 Persons carry twelve-month income vectors per source (integer MKD),
 households carry survey weights as two-decimal fixed-point numbers stored
-in centiweight units. A Population validates the joint invariants on
-construction and iterates deterministically (household id, then person id),
-which is what makes every downstream reduction order-independent.
+in centiweight units. Both records are immutable named tuples: a field
+cannot be assigned, a changed copy comes from ``_replace``, and the hot
+paths (the CSV codec, shocks, the synthetic generator) build and read them
+by position. A Population validates the joint invariants on construction
+and iterates deterministically (household id, then person id), which is
+what makes every downstream reduction order-independent.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import copy
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from itertools import islice
+from operator import itemgetter, le
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+                    TypeVar)
 
 from .errors import DataError
 from .money import MONTHS, ZERO_YEAR, parse_weight, weight_to_str
@@ -65,8 +70,7 @@ class EducationLevel(str, Enum):
     TERTIARY_PLUS = "tertiary_plus"
 
 
-@dataclass(frozen=True, slots=True)
-class Person:
+class Person(NamedTuple):
     person_id: int
     household_id: int
     age: int
@@ -85,8 +89,8 @@ class Person:
 
     @property
     def incomes(self) -> IncomeVectors:
-        return (self.wage, self.self_employment, self.pension, self.capital_rent,
-                self.interhousehold_transfers)
+        """The five income vectors, in INCOME_SOURCES order."""
+        return self[10:]
 
     def total_income(self, month: int) -> int:
         """Sum over all recorded sources for a calendar month (1..12)."""
@@ -101,20 +105,22 @@ class Person:
     def problems(self) -> list[str]:
         """Invariant violations for this person, empty when valid."""
         out: list[str] = []
-        if not 0 <= self.age <= 110:
-            out.append(f"age {self.age} outside 0..110")
-        worker = self.labor_status in (LaborStatus.EMPLOYEE, LaborStatus.SELF_EMPLOYED)
-        if worker and self.nace2 is None:
-            out.append(f"{self.labor_status.value} without industry code")
-        if not worker and self.nace2 is not None:
-            out.append(f"industry code on non-worker status {self.labor_status.value}")
-        if self.nace2 is not None and not is_division(self.nace2):
-            out.append(f"unknown industry code {self.nace2!r}")
-        if self.informal_wage_flag and self.labor_status is not LaborStatus.EMPLOYEE:
+        # read once by position: this runs for every person on every load
+        _, _, age, _, status, _, nace2, informal, _, _, wage, selfemp = self[:12]
+        if not 0 <= age <= 110:
+            out.append(f"age {age} outside 0..110")
+        worker = status in (LaborStatus.EMPLOYEE, LaborStatus.SELF_EMPLOYED)
+        if worker and nace2 is None:
+            out.append(f"{status.value} without industry code")
+        if not worker and nace2 is not None:
+            out.append(f"industry code on non-worker status {status.value}")
+        if nace2 is not None and not is_division(nace2):
+            out.append(f"unknown industry code {nace2!r}")
+        if informal and status is not LaborStatus.EMPLOYEE:
             out.append("informal_wage_flag on non-employee")
-        if self.age < 18 and self.labor_status not in (LaborStatus.CHILD, LaborStatus.STUDENT):
-            out.append(f"minor with labor status {self.labor_status.value}")
-        for source, vec in zip(INCOME_SOURCES, self.incomes):
+        if age < 18 and status not in (LaborStatus.CHILD, LaborStatus.STUDENT):
+            out.append(f"minor with labor status {status.value}")
+        for source, vec in zip(INCOME_SOURCES, self[10:]):
             if vec is ZERO_YEAR:
                 continue
             if len(vec) != MONTHS:
@@ -122,15 +128,15 @@ class Person:
                 continue
             if min(vec) < 0:
                 out.append(f"negative {source} income")
-        if any(self.wage) and self.labor_status is not LaborStatus.EMPLOYEE:
+        if wage is not ZERO_YEAR and any(wage) and status is not LaborStatus.EMPLOYEE:
             out.append("wage income on non-employee")
-        if any(self.self_employment) and self.labor_status is not LaborStatus.SELF_EMPLOYED:
+        if (selfemp is not ZERO_YEAR and any(selfemp)
+                and status is not LaborStatus.SELF_EMPLOYED):
             out.append("self-employment income on non-self-employed")
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Household:
+class Household(NamedTuple):
     household_id: int
     member_ids: tuple[int, ...]
     weight_centi: int  # survey weight * 100
@@ -205,8 +211,8 @@ class Population:
     def _index(self, *, check_persons: bool) -> None:
         """Sort, validate and index persons and households; check_persons
         adds the per-person checks (problems() and distinct ids)."""
-        persons = tuple(sorted(self.persons, key=_PERSON_ORDER))
-        households = tuple(sorted(self.households, key=_HOUSEHOLD_ORDER))
+        persons = _sorted(self.persons, _PERSON_ORDER)
+        households = _sorted(self.households, _HOUSEHOLD_ORDER)
         object.__setattr__(self, "persons", persons)
         object.__setattr__(self, "households", households)
         members: dict[int, list[Person]] = {}
@@ -280,11 +286,9 @@ class Population:
         shares this population's household index and skips validation,
         sound as each new vector rescales the old one. Returns self when
         nothing changed."""
+        make = Person._make
         new_persons = tuple(
-            p if vectors is None else Person(
-                p.person_id, p.household_id, p.age, p.sex, p.labor_status,
-                p.education_level, p.nace2, p.informal_wage_flag,
-                p.in_public_education, p.special_category_flag, *vectors)
+            p if vectors is None else make(p[:10] + vectors)
             for p, vectors in zip(self.persons, incomes, strict=True))
         if all(a is b for a, b in zip(new_persons, self.persons)):
             return self
@@ -313,8 +317,20 @@ class Population:
         return self._derived[1]
 
 
-_PERSON_ORDER = attrgetter("household_id", "person_id")
-_HOUSEHOLD_ORDER = attrgetter("household_id")
+_PERSON_ORDER = itemgetter(1, 0)  # (household_id, person_id)
+_HOUSEHOLD_ORDER = itemgetter(0)  # household_id
+
+
+def _sorted(records: Iterable[_T], key: Callable[[_T], object]) -> tuple[_T, ...]:
+    """records as a tuple in key order. Records already in order, as every
+    canonical file and every population the engine builds are, come back
+    as they are: a linear check replaces the sort and the key it would
+    hold for every record at once."""
+    records = tuple(records)
+    if all(map(le, map(key, records), map(key, islice(records, 1, None)))):
+        return records
+    return tuple(sorted(records, key=key))
+
 
 PERSON_COLUMNS: tuple[str, ...] = (
     "person_id", "household_id", "age", "sex", "labor_status", "education_level",
@@ -333,6 +349,9 @@ HOUSEHOLD_COLUMNS: tuple[str, ...] = (
 # them in INCOME_SOURCES order.
 _INCOME_COLUMNS = PERSON_COLUMNS[10:]
 _VECTORS = tuple(slice(MONTHS * i, MONTHS * (i + 1)) for i in range(len(INCOME_SOURCES)))
+_ZERO_VECTORS = (ZERO_YEAR,) * len(INCOME_SOURCES)
+# The spellings _parse_bool accepts, for a lookup before the call.
+_FLAGS = {"0": False, "1": True, "": False}
 _SEXES = {e.value: e for e in Sex}
 _LABOR_STATUSES = {e.value: e for e in LaborStatus}
 _EDUCATION_LEVELS = {e.value: e for e in EducationLevel}
@@ -372,14 +391,18 @@ def _parse_enum(enum_cls, text: str, file: str, row: int, column: str):
                         row=row, column=column) from None
 
 
-def _income_vectors(texts: Sequence[str], file: str, row: int) -> list[MonthVector]:
+def _income_vectors(texts: Sequence[str], file: str,
+                    row: int) -> Sequence[MonthVector]:
     """A persons row's income months as vectors in INCOME_SOURCES order.
 
-    Every text must be a nonnegative integer. The common row, all ASCII
-    digits, converts in bulk; any other is walked field by field, which
-    reports the first fault with its column. A vector of zeros is
-    ZERO_YEAR, shared by every person.
+    Every text must be a nonnegative integer. A row of "0" texts only is
+    the shared _ZERO_VECTORS; any other row of ASCII digits converts in
+    bulk; any other is walked field by field, which reports the first
+    fault with its column. A vector of zeros is ZERO_YEAR, shared by every
+    person.
     """
+    if texts.count("0") == len(_INCOME_COLUMNS):
+        return _ZERO_VECTORS
     joined = "".join(texts)
     try:
         if joined.isascii() and joined.isdigit():
@@ -398,6 +421,16 @@ def _income_vectors(texts: Sequence[str], file: str, row: int) -> list[MonthVect
             for vec in map(tuple(values).__getitem__, _VECTORS)]
 
 
+def _check_distinct(header: Sequence[str], file: str) -> None:
+    """Reject a header that names a column twice, at its second mention."""
+    seen: set[str] = set()
+    for column in header:
+        if column in seen:
+            raise DataError(f"duplicate column {column!r}", file=file, row=1,
+                            column=column)
+        seen.add(column)
+
+
 def _check_header(header: list[str], expected: tuple[str, ...], file: str) -> None:
     missing = [c for c in expected if c not in header]
     if missing:
@@ -407,9 +440,7 @@ def _check_header(header: list[str], expected: tuple[str, ...], file: str) -> No
     if extra:
         raise DataError(f"unknown column {extra[0]!r}", file=file, row=1,
                         column=extra[0])
-    if len(header) != len(expected):
-        twice = next(c for i, c in enumerate(header) if c in header[:i])
-        raise DataError(f"duplicate column {twice!r}", file=file, row=1, column=twice)
+    _check_distinct(header, file)
 
 
 def _records(fh, file: str, *groups: tuple[str, ...]) -> Iterator[tuple]:
@@ -480,34 +511,39 @@ def load_population(persons_path: str, households_path: str, *,
         for i, head, incomes in _records(fh, persons_path, PERSON_COLUMNS[:10],
                                          _INCOME_COLUMNS):
             pid, hid, age, sex, labor, education, nace2, informal, public, special = head
-            pid = _parse_int(pid, persons_path, i, "person_id")
+            # Ids and ages of up to 18 ASCII digits convert inline; any
+            # other text goes through _parse_int and its messages.
+            pid = (int(pid) if len(pid) < 19 and pid.isascii() and pid.isdigit()
+                   else _parse_int(pid, persons_path, i, "person_id"))
             if pid in seen:
                 raise DataError(f"duplicate person id {pid}", file=persons_path, row=i,
                                 column="person_id")
             seen.add(pid)
-            hid = _parse_int(hid, persons_path, i, "household_id")
+            hid = (int(hid) if len(hid) < 19 and hid.isascii() and hid.isdigit()
+                   else _parse_int(hid, persons_path, i, "household_id"))
             if hid not in members:
                 raise DataError(f"person {pid} references unknown household {hid}",
                                 file=persons_path, row=i, column="household_id")
-            wage, selfemp, pension, rent, transfers = _income_vectors(
-                incomes, persons_path, i)
+            # The incomes are parsed before the fields after them in the
+            # row, so a row with several faults reports the same one first.
+            vectors = _income_vectors(incomes, persons_path, i)
             person = Person(
-                person_id=pid, household_id=hid,
-                age=_parse_int(age, persons_path, i, "age"),
-                sex=_SEXES.get(sex) or _parse_enum(Sex, sex, persons_path, i, "sex"),
-                labor_status=_LABOR_STATUSES.get(labor) or _parse_enum(
+                pid, hid,
+                (int(age) if len(age) < 19 and age.isascii() and age.isdigit()
+                 else _parse_int(age, persons_path, i, "age")),
+                _SEXES.get(sex) or _parse_enum(Sex, sex, persons_path, i, "sex"),
+                _LABOR_STATUSES.get(labor) or _parse_enum(
                     LaborStatus, labor, persons_path, i, "labor_status"),
-                education_level=_EDUCATION_LEVELS.get(education) or _parse_enum(
+                _EDUCATION_LEVELS.get(education) or _parse_enum(
                     EducationLevel, education, persons_path, i, "education_level"),
-                nace2=nace2 or None,
-                informal_wage_flag=_parse_bool(informal, persons_path, i,
-                                               "informal_wage_flag"),
-                in_public_education=_parse_bool(public, persons_path, i,
-                                                "in_public_education"),
-                special_category_flag=_parse_bool(special, persons_path, i,
-                                                  "special_category_flag"),
-                wage=wage, self_employment=selfemp, pension=pension,
-                capital_rent=rent, interhousehold_transfers=transfers)
+                nace2 or None,
+                _FLAGS[informal] if informal in _FLAGS else _parse_bool(
+                    informal, persons_path, i, "informal_wage_flag"),
+                _FLAGS[public] if public in _FLAGS else _parse_bool(
+                    public, persons_path, i, "in_public_education"),
+                _FLAGS[special] if special in _FLAGS else _parse_bool(
+                    special, persons_path, i, "special_category_flag"),
+                *vectors)
             probs = person.problems()
             if probs:
                 raise DataError(f"person {pid}: {probs[0]}", file=persons_path, row=i)
@@ -522,39 +558,38 @@ def load_population(persons_path: str, households_path: str, *,
         base_year=base_year, provenance="loaded")
 
 
-_ZERO_TEXTS = ("0",) * MONTHS
+# A month vector of zeros as written: csv.writer's rendering of twelve "0"s.
+_ZERO_LINE = ",".join(("0",) * MONTHS)
 
 
-def _person_row(p: Person) -> list[str]:
-    row = [
-        str(p.person_id), str(p.household_id), str(p.age), p.sex.value,
-        p.labor_status.value, p.education_level.value, p.nace2 or "",
-        "1" if p.informal_wage_flag else "0",
-        "1" if p.in_public_education else "0",
-        "1" if p.special_category_flag else "0",
-    ]
-    for vec in p.incomes:
-        row.extend(_ZERO_TEXTS if vec == ZERO_YEAR else map(str, vec))
-    return row
+def _person_line(p: Person) -> str:
+    """p's persons.csv line. No field needs quoting: the fields are
+    integers, enum values, 0/1 and validated NACE division codes, so the
+    line is the one csv.writer writes."""
+    pid, hid, age, sex, labor, education, nace2, informal, public, special = p[:10]
+    return ",".join((
+        str(pid), str(hid), str(age), sex.value, labor.value, education.value,
+        nace2 or "", "1" if informal else "0", "1" if public else "0",
+        "1" if special else "0",
+        *[_ZERO_LINE if vec == ZERO_YEAR else ",".join(map(str, vec))
+          for vec in p[10:]])) + "\n"
 
 
-def _household_row(h: Household) -> list[str]:
-    return [
-        str(h.household_id), weight_to_str(h.weight_centi),
-        "1" if h.owns_residence else "0",
-        "1" if h.owns_other_real_estate else "0",
-        "" if h.car_age_years is None else str(h.car_age_years),
-        "" if h.land_parcel_m2 is None else str(h.land_parcel_m2),
-    ]
+def _household_line(h: Household) -> str:
+    """h's households.csv line, as csv.writer writes it (nothing to quote)."""
+    hid, _, weight_centi, residence, other, car, land = h
+    return ",".join((
+        str(hid), weight_to_str(weight_centi),
+        "1" if residence else "0", "1" if other else "0",
+        "" if car is None else str(car), "" if land is None else str(land),
+    )) + "\n"
 
 
 def save_population(pop: Population, persons_path: str, households_path: str) -> None:
     """Write the canonical CSV pair: fixed header order, sorted rows, 0/1 booleans."""
     with open(persons_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PERSON_COLUMNS)
-        writer.writerows(map(_person_row, pop.persons))
+        fh.write(",".join(PERSON_COLUMNS) + "\n")
+        fh.writelines(map(_person_line, pop.persons))
     with open(households_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HOUSEHOLD_COLUMNS)
-        writer.writerows(map(_household_row, pop.households))
+        fh.write(",".join(HOUSEHOLD_COLUMNS) + "\n")
+        fh.writelines(map(_household_line, pop.households))

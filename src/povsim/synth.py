@@ -14,7 +14,7 @@ rate lands on a target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -286,13 +286,11 @@ class _Maker:
                 age = rng.randint(0, 17)
                 enrolled = age >= 6 and rng.random() < cfg.enrollment_rate
                 persons.append(Person(
-                    person_id=pid, household_id=hid, age=age, sex=self.sex(),
-                    labor_status=(LaborStatus.STUDENT if enrolled
-                                  else LaborStatus.CHILD),
-                    education_level=(EducationLevel.PRIMARY_OR_LESS if age < 15
-                                     else EducationLevel.SECONDARY),
-                    in_public_education=enrolled,
-                ))
+                    pid, hid, age, self.sex(),
+                    LaborStatus.STUDENT if enrolled else LaborStatus.CHILD,
+                    (EducationLevel.PRIMARY_OR_LESS if age < 15
+                     else EducationLevel.SECONDARY),
+                    None, False, enrolled))
                 pid += 1
                 continue
             st = status if status is not None else self.adult_status()
@@ -300,17 +298,15 @@ class _Maker:
             earn = self.earnings(st, anchor=None if role == "head" else anchor_div)
             if role == "head" and st is LaborStatus.EMPLOYEE:
                 anchor_div = earn["nace2"]
+            # positional, in field order; the draws run left to right
             persons.append(Person(
-                person_id=pid, household_id=hid, age=age, sex=self.sex(),
-                labor_status=st, education_level=self.education(),
-                nace2=earn["nace2"],
-                informal_wage_flag=earn["informal"],
-                in_public_education=st is LaborStatus.STUDENT,
-                special_category_flag=rng.random() < cfg.special_category_share,
-                wage=earn["wage"] or (0,) * 12,
-                self_employment=earn["selfemp"] or (0,) * 12,
-                pension=(_flat(cfg.pension.draw(rng))
-                         if st is LaborStatus.PENSIONER else (0,) * 12),
+                pid, hid, age, self.sex(), st, self.education(), earn["nace2"],
+                earn["informal"], st is LaborStatus.STUDENT,
+                rng.random() < cfg.special_category_share,
+                earn["wage"] or (0,) * 12,
+                earn["selfemp"] or (0,) * 12,
+                (_flat(cfg.pension.draw(rng))
+                 if st is LaborStatus.PENSIONER else (0,) * 12),
             ))
             pid += 1
 
@@ -328,8 +324,8 @@ class _Maker:
         if rng.random() < tr_share:
             transfer_vec = _flat(cfg.transfer_income.draw(rng))
         if any(rent_vec) or any(transfer_vec):
-            persons[0] = replace(head, capital_rent=rent_vec,
-                                 interhousehold_transfers=transfer_vec)
+            persons[0] = head._replace(capital_rent=rent_vec,
+                                       interhousehold_transfers=transfer_vec)
 
         lo, hi = cfg.weight_range
         weight_centi = rng.randint(int(round(lo * 100)), int(round(hi * 100)))

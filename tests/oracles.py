@@ -8,6 +8,8 @@ one of the two, never acceptable drift.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -119,6 +121,50 @@ def aggregate_change_by_scan(before, after, source: str) -> Fraction:
         total_before += w * sum(getattr(person, source))
         total_after += w * sum(getattr(after_by_id[person.person_id], source))
     return Fraction(total_after - total_before, total_before)
+
+
+# Income sources in persons.csv column order, with each one's column prefix.
+_CSV_SOURCES = (("wage", "wage"), ("self_employment", "selfemp"),
+                ("pension", "pension"), ("capital_rent", "rent"),
+                ("interhousehold_transfers", "transfers"))
+
+
+def _two_decimals(centi: int) -> str:
+    """A positive count of hundredths with a point before its last two digits."""
+    digits = str(centi).rjust(3, "0")
+    return f"{digits[:-2]}.{digits[-2:]}"
+
+
+def population_csv_by_writer(pop) -> tuple[str, str]:
+    """The canonical (persons.csv, households.csv) texts of a population,
+    rendered by csv.writer from each record's named fields: persons by
+    (household id, person id), households by id, booleans as 0/1, no
+    industry code or asset as an empty field, weights with two decimals."""
+    persons, households = io.StringIO(), io.StringIO()
+    writer = csv.writer(persons, lineterminator="\n")
+    writer.writerow(
+        ["person_id", "household_id", "age", "sex", "labor_status",
+         "education_level", "nace2", "informal_wage_flag", "in_public_education",
+         "special_category_flag"]
+        + [f"{prefix}_m{month:02d}" for _, prefix in _CSV_SOURCES
+           for month in range(1, 13)])
+    for p in sorted(pop.persons, key=lambda p: (p.household_id, p.person_id)):
+        writer.writerow(
+            [p.person_id, p.household_id, p.age, p.sex.value, p.labor_status.value,
+             p.education_level.value, "" if p.nace2 is None else p.nace2,
+             int(p.informal_wage_flag), int(p.in_public_education),
+             int(p.special_category_flag)]
+            + [value for source, _ in _CSV_SOURCES for value in getattr(p, source)])
+    writer = csv.writer(households, lineterminator="\n")
+    writer.writerow(["household_id", "survey_weight", "owns_residence",
+                     "owns_other_real_estate", "car_age_years", "land_parcel_m2"])
+    for hh in sorted(pop.households, key=lambda hh: hh.household_id):
+        writer.writerow(
+            [hh.household_id, _two_decimals(hh.weight_centi),
+             int(hh.owns_residence), int(hh.owns_other_real_estate),
+             "" if hh.car_age_years is None else hh.car_age_years,
+             "" if hh.land_parcel_m2 is None else hh.land_parcel_m2])
+    return persons.getvalue(), households.getvalue()
 
 
 def gma_countable_by_definition(monthly_countable: Sequence[int],

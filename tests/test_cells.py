@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +31,7 @@ from povsim.cells import (
     save_cell_table,
     save_lfs_aggregate,
 )
+from povsim.cli import main
 from povsim.errors import DataError
 from povsim.population import Population
 from povsim.synth import generate_synthetic
@@ -235,21 +236,19 @@ class TestApplyShock:
         assert by_id[1].wage == (15000,) * 12
 
     def test_workers_outside_cell_universe_are_unchanged(self):
-        from dataclasses import replace
         pop = build_micro_population()
         # Age the hotel worker to 70: no survey age band, so no shock.
         aged = pop.map_persons(
-            lambda p: replace(p, age=70) if p.person_id == 1 else p)
+            lambda p: p._replace(age=70) if p.person_id == 1 else p)
         table = build_micro_table()
         shocked = apply_shock(aged, table)
         by_id = {p.person_id: p for p in shocked.persons}
         assert by_id[1].wage == (30000,) * 12
 
     def test_rounding_is_half_away_per_month(self):
-        from dataclasses import replace
         pop = build_micro_population()
         odd = pop.map_persons(
-            lambda p: replace(p, wage=(12001,) * 12) if p.person_id == 2 else p)
+            lambda p: p._replace(wage=(12001,) * 12) if p.person_id == 2 else p)
         table = CellChangeTable.from_factors({"47": 0.5}, None)
         shocked = apply_shock(odd, table, shock_start_month=1)
         by_id = {p.person_id: p for p in shocked.persons}
@@ -294,9 +293,9 @@ class TestAggregateIncomeChange:
         pop = generate_synthetic(acceptance_config(200), ACCEPT_SEED)
         rng = random.Random(7)
         other = Population(
-            persons=tuple(replace(p, wage=tuple(v + rng.randint(0, 900)
+            persons=tuple(p._replace(wage=tuple(v + rng.randint(0, 900)
                                                 for v in p.wage))
-                          if any(p.wage) and rng.random() < 0.5 else replace(p)
+                          if any(p.wage) and rng.random() < 0.5 else p._replace()
                           for p in pop.persons),
             households=pop.households)
         assert not any(a is b for a, b in zip(pop.persons, other.persons))
@@ -309,14 +308,14 @@ class TestAggregateIncomeChange:
     def test_different_persons(self):
         pop = build_micro_population()
         renumbered = Population(
-            persons=tuple(replace(p, person_id=p.person_id + 100)
+            persons=tuple(p._replace(person_id=p.person_id + 100)
                           if p.person_id == 12 else p for p in pop.persons),
-            households=tuple(replace(hh, member_ids=tuple(
+            households=tuple(hh._replace(member_ids=tuple(
                 i + 100 if i == 12 else i for i in hh.member_ids))
                 for hh in pop.households))
         fewer = Population(
             persons=tuple(p for p in pop.persons if p.person_id != 12),
-            households=tuple(replace(hh, member_ids=tuple(
+            households=tuple(hh._replace(member_ids=tuple(
                 i for i in hh.member_ids if i != 12)) for hh in pop.households))
         for other in (renumbered, fewer):
             with pytest.raises(DataError, match="different persons"):
@@ -331,7 +330,7 @@ class TestAggregateIncomeChange:
         pop = build_micro_population()
         stripped = pop.map_persons(
             lambda p: p if not any(p.self_employment) else
-            __import__("dataclasses").replace(p, self_employment=(0,) * 12))
+            p._replace(self_employment=(0,) * 12))
         with pytest.raises(DataError):
             aggregate_income_change(stripped, stripped, "self_employment")
 
@@ -428,3 +427,124 @@ class TestCsvRoundTrips:
             load(path)
         assert (info.value.file, info.value.row) == (path, 4)
         assert f"file={path}, row=4" in str(info.value)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def load_lfs(path: str):
+    return load_lfs_aggregate(path, period="2019", quarters_covered=(1, 2, 3, 4))
+
+
+def saved_lfs(tmp_path) -> str:
+    path = str(tmp_path / "lfs.csv")
+    save_lfs_aggregate(aggregate_with(
+        {TestComputeCellChanges.KEY: CellStat(400000, 5000)},
+        {TestComputeCellChanges.SKEY: CellStat(90000, 2000)}), path)
+    return path
+
+
+def saved_table(tmp_path) -> str:
+    path = str(tmp_path / "cells.csv")
+    save_cell_table(CellChangeTable.identity(), path)
+    return path
+
+
+def set_field(path: str, line: int, column: str, text: str) -> None:
+    """Set one field of a cell-table CSV; line 1 is the header."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    fields = lines[line - 1].split(",")
+    fields[lines[0].split(",").index(column)] = text
+    lines[line - 1] = ",".join(fields)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestStrictCellTables:
+    """Both cell-table CSVs: a repeated column is rejected, and numbers
+    take only their exact spellings, each fault named by file, row and
+    column."""
+
+    @pytest.mark.parametrize("which", ["lfs", "cells"])
+    def test_repeated_column_is_rejected(self, tmp_path, which):
+        path, load, column = ((saved_lfs(tmp_path), load_lfs, "income")
+                              if which == "lfs"
+                              else (saved_table(tmp_path), load_cell_table, "factor"))
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # the repeat comes last, so a reader keeping one of the two would
+        # read the row's 7, not its own value
+        lines = [lines[0] + f",{column}"] + [line + ",7" for line in lines[1:]]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load(path)
+        assert str(info.value) == (f"duplicate column {column!r} "
+                                   f"(file={path}, row=1, column={column})")
+
+    @pytest.mark.parametrize("which", ["lfs", "cells"])
+    def test_extra_columns_are_still_accepted(self, tmp_path, which):
+        path, load = ((saved_lfs(tmp_path), load_lfs) if which == "lfs"
+                      else (saved_table(tmp_path), load_cell_table))
+        before = load(path)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",note"] + [line + ",x" for line in lines[1:]]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load(path) == before
+
+    @pytest.mark.parametrize("column", ["income", "count"])
+    @pytest.mark.parametrize("text,message", [
+        (" 7", "expected integer, got ' 7'"),
+        ("7 ", "expected integer, got '7 '"),
+        ("1_0", "expected integer, got '1_0'"),
+        ("+7", "expected integer, got '+7'"),
+        ("٣", "expected integer, got '٣'"),
+        ("1e3", "expected integer, got '1e3'"),
+        ("7.0", "expected integer, got '7.0'"),
+        ("0x1", "expected integer, got '0x1'"),
+        ("", "expected integer, got ''"),
+        ("-1", "value -1 below minimum 0"),
+    ])
+    def test_lfs_numbers_are_ascii_integers(self, tmp_path, column, text, message):
+        path = saved_lfs(tmp_path)
+        set_field(path, 3, column, text)
+        with pytest.raises(DataError) as info:
+            load_lfs(path)
+        assert str(info.value) == f"{message} (file={path}, row=3, column={column})"
+
+    @pytest.mark.parametrize("text", [" 19/20 ", "19/20 ", "19 /20", "1_0", "9e-1",
+                                      "+1", "1/0", "0x1", ".5", "1.", "", "x",
+                                      "١"])
+    def test_factors_are_exact_numbers(self, tmp_path, text):
+        path = saved_table(tmp_path)
+        set_field(path, 4, "factor", text)
+        with pytest.raises(DataError) as info:
+            load_cell_table(path)
+        assert str(info.value) == (f"bad factor {text!r} "
+                                   f"(file={path}, row=4, column=factor)")
+
+    def test_exact_spellings_load(self, tmp_path):
+        """Leading zeros in counts, and a factor as an integer, a decimal
+        or n/d, as the config writes exact numbers."""
+        path = saved_lfs(tmp_path)
+        set_field(path, 2, "income", "000")
+        set_field(path, 2, "count", "0300")
+        assert load_lfs(path).wage_cells[WageCellKey("00", "female", "adult_25_49")] \
+            == CellStat(0, 300)
+        path = saved_table(tmp_path)
+        for line, text in ((2, "0.90"), (3, "19/20"), (4, "2")):
+            set_field(path, line, "factor", text)
+        factors = [change.factor for _, change in sorted(load_cell_table(path).wage.items())]
+        assert factors[:3] == [Fraction(9, 10), Fraction(19, 20), Fraction(2)]
+
+    def test_shipped_and_calibrated_files_resave_byte_identically(self, tmp_path):
+        for name in ("lfs_2019.csv", "lfs_2020q23.csv"):
+            again = str(tmp_path / name)
+            save_lfs_aggregate(load_lfs(str(CONFIGS / name)), again)
+            assert Path(again).read_bytes() == (CONFIGS / name).read_bytes()
+        assert main(["calibrate", "--base", str(CONFIGS / "lfs_2019.csv"),
+                     "--shocked", str(CONFIGS / "lfs_2020q23.csv"),
+                     "--base-period", "2019", "--shocked-period", "2020q23",
+                     "--out", str(tmp_path / "cal")]) == 0
+        written = tmp_path / "cal" / "cells.csv"
+        table = load_cell_table(str(written))
+        assert any(change.factor != 1 for change in table.wage.values())
+        save_cell_table(table, str(tmp_path / "again.csv"))
+        assert (tmp_path / "again.csv").read_bytes() == written.read_bytes()

@@ -93,7 +93,7 @@ class TestGrossToNet:
 
     def test_person_net_market_formal_and_informal(self):
         formal = person(status=LaborStatus.EMPLOYEE, nace2="47", wage=flat(15000))
-        informal = replace(formal, informal_wage_flag=True)
+        informal = formal._replace(informal_wage_flag=True)
         assert person_net_market(formal, PARAMS) == flat(9720)
         assert person_net_market(informal, PARAMS) == flat(15000)
 
@@ -148,7 +148,7 @@ class TestGmaCountable:
         core = tuple(1000 + 100 * m for m in range(12))
         rent = tuple(10 * (m + 1) for m in range(12))
         p = person(pension=core, capital_rent=rent)
-        base_p = replace(p, pension=tuple(v + 7 for v in core))
+        base_p = p._replace(pension=tuple(v + 7 for v in core))
         params = replace(PARAMS, gma_base_amount=self.THRESHOLD)
         return ledger_for([p], params, baseline=ledger_for([base_p], params))
 
@@ -301,8 +301,8 @@ class TestGmaAward:
                                                  for _ in range(12)))]
             members += [person(pid=2 + i, age=5, status=LaborStatus.CHILD)
                         for i in range(n_kids)]
-            base = [replace(members[0],
-                            pension=tuple(rng.randint(0, 4000) for _ in range(12)))
+            base = [members[0]._replace(
+                        pension=tuple(rng.randint(0, 4000) for _ in range(12)))
                     ] + members[1:]
             ledger = ledger_for(members, baseline=ledger_for(base))
             for relaxed in (False, True):
@@ -339,7 +339,7 @@ class TestOneOffMay:
     def test_informal_wage_compares_gross(self):
         informal = person(status=LaborStatus.EMPLOYEE, nace2="47",
                           informal_wage_flag=True, wage=flat(15000))
-        over = replace(informal, wage=flat(15001))
+        over = informal._replace(wage=flat(15001))
         assert oneoff_may2020(informal, False, PARAMS) == 3000
         assert oneoff_may2020(over, False, PARAMS) == 0
 

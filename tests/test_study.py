@@ -30,9 +30,9 @@ from povsim.cells import CellChangeTable, apply_shock, save_cell_table
 from povsim.cli import main
 from povsim.config import ScenarioSettings
 from povsim.errors import CalibrationError, ConfigError
-from povsim.metrics import (INDICATORS, EquivalenceScale, IndicatorStats,
-                            PovertyLines, PovertyReport, RateResult,
-                            adult_education_group)
+from povsim.metrics import (INDICATORS, EquivalenceScale, HouseholdFrame,
+                            IndicatorStats, PovertyLines, PovertyReport,
+                            RateResult, adult_education_group)
 from povsim.population import (EducationLevel, Household, LaborStatus, Person,
                                Population, Sex)
 from povsim.nace import DIVISIONS, SECTIONS
@@ -586,6 +586,47 @@ def test_shocked_ledgers_equal_full_rebuild(seed, params, pov):
                     (key, hh.household_id, f.name)
             rebuilt += ledger is not base
     assert rebuilt > 100
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shocks_that_only_cut_raise_no_income(seed, params, pov):
+    """With every cell factor at most 1, a shock at any scale and start
+    month raises no person's income in any month, and the absolute-line
+    child poverty rates before transfers (household net market plus
+    carried income) do not fall. The benefit cascade is not monotone, so
+    nothing is claimed after transfers."""
+    rng = random.Random(400 + seed)
+    pop = random_income_population(rng, 150)
+    table = CellChangeTable.from_factors(
+        {d: Fraction(rng.randint(1, 100), 100) for d in rng.sample(DIVISIONS, 60)},
+        {s: Fraction(rng.randint(1, 100), 100) for s in rng.sample(SECTIONS, 15)})
+    study = Study(pop, table, params, pov)
+    frame = HouseholdFrame.of(pop, pov.equivalence_scale)
+    lines = (Fraction(pov.absolute_extreme), Fraction(pov.absolute_upper))
+
+    def pre_transfer_child_rates(ledgers):
+        scores = frame.scores([sum(ledger.net_market) + sum(ledger.carried)
+                               for ledger in ledgers])
+        return [scores.rate(line, frame.children).rate for line in lines]
+
+    before = pre_transfer_child_rates(study.base.ledgers)
+    cut = rose = 0
+    # 1/1000: cuts under half an MKD, where only the rounding acts
+    for scale in (Fraction(1, 1000), Fraction(1, 4), 1, Fraction(3, 2), 4):
+        for wage, selfemp in ((True, False), (False, True), (True, True)):
+            spec = ScenarioSpec(wage_shock=wage, selfemp_shock=selfemp,
+                                shock_scale=scale,
+                                shock_start_month=rng.randint(1, 12))
+            shocked = study.result(spec).population
+            for p, q in zip(pop.persons, shocked.persons, strict=True):
+                assert p.person_id == q.person_id
+                for old, new in zip(p.incomes, q.incomes):
+                    assert all(n <= o for o, n in zip(old, new)), (spec, p.person_id)
+                cut += q.incomes != p.incomes
+            after = pre_transfer_child_rates(study.base.ledgers_for(shocked))
+            assert all(a >= b for a, b in zip(after, before)), spec
+            rose += after != before
+    assert cut > 100 and rose > 0
 
 
 def _default_study(pop, table, params, pov, transfers_on_shocked=False):
