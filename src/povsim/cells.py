@@ -17,13 +17,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import ConfigError, DataError
 from .money import as_fraction, round_mul_div
 from .nace import DIVISIONS, SECTIONS, is_division, section_of
 from .population import (IncomeVectors, LaborStatus, Person, Population, Sex,
-                         _check_distinct, _parse_int)
+                         _parse_int, _records)
 
 AGE_BANDS: tuple[str, ...] = ("youth_15_24", "adult_25_49", "elderly_50_64")
 
@@ -31,6 +31,8 @@ SEXES: tuple[str, ...] = (Sex.MALE.value, Sex.FEMALE.value)
 
 #: Default minimum base-year employment for a cell estimate to be used.
 SMALL_CELL_THRESHOLD = 1000
+
+_V = TypeVar("_V")
 
 # Factor provenance values.
 ESTIMATED = "estimated"
@@ -57,11 +59,12 @@ class WageCellKey:
 
     def __post_init__(self) -> None:
         if not is_division(self.nace2):
-            raise DataError(f"unknown activity division {self.nace2!r}")
+            raise DataError(f"unknown activity division {self.nace2!r}",
+                            column="nace2")
         if self.sex not in SEXES:
-            raise DataError(f"unknown sex {self.sex!r}")
+            raise DataError(f"unknown sex {self.sex!r}", column="sex")
         if self.age_band not in AGE_BANDS:
-            raise DataError(f"unknown age band {self.age_band!r}")
+            raise DataError(f"unknown age band {self.age_band!r}", column="age_band")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -70,7 +73,8 @@ class SelfEmpCellKey:
 
     def __post_init__(self) -> None:
         if self.section not in SECTIONS:
-            raise DataError(f"unknown activity section {self.section!r}")
+            raise DataError(f"unknown activity section {self.section!r}",
+                            column="section")
 
 
 def all_wage_keys() -> tuple[WageCellKey, ...]:
@@ -91,9 +95,9 @@ class CellStat:
 
     def __post_init__(self) -> None:
         if self.income < 0:
-            raise DataError(f"negative cell income {self.income}")
+            raise DataError(f"negative cell income {self.income}", column="income")
         if self.count < 0:
-            raise DataError(f"negative cell count {self.count}")
+            raise DataError(f"negative cell count {self.count}", column="count")
 
 
 @dataclass(frozen=True)
@@ -120,30 +124,68 @@ class LfsAggregate:
         return Fraction(4, len(self.quarters_covered))
 
 
-_LFS_COLUMNS = ("cell_type", "nace", "sex", "age_band", "income", "count")
+# The columns of both cell tables that say which cell a row is for, the
+# column each key field is read from, and each table's value columns,
+# named as the fields of its records.
+_KEY_COLUMNS = ("cell_type", "nace", "sex", "age_band")
+_KEY_FIELD_COLUMN = {"nace2": "nace", "section": "nace"}
+_LFS_VALUES = ("income", "count")
+_TABLE_VALUES = ("factor", "provenance")
 
 
-def _records(fh, path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, dict]]:
-    """(line number, record) of each data row of a cell-table CSV.
+def _load_cells(path: str, value_columns: tuple[str, str],
+                parse: Callable[..., _V]) -> tuple[dict[WageCellKey, _V],
+                                                   dict[SelfEmpCellKey, _V]]:
+    """The wage and the self-employment cells of a cell-table CSV, each
+    mapped to parse(line number, *its value_columns' fields).
 
-    The header must name each of columns, and no column twice; it may add
-    other columns. A row with fewer or more fields than the header is a
-    DataError naming file and line.
+    A wage row names division, sex and age band; a self-employment row
+    its section, with sex and age_band empty. A cell may appear once.
+    The header may add columns, which are not read. A fault found past
+    the reader is a DataError naming file, row and column: the cell keys
+    and records name the field that failed as the error's column.
     """
-    reader = csv.DictReader(fh)
-    header = reader.fieldnames or []
-    for col in columns:
-        if col not in header:
-            raise DataError(f"missing column {col!r}", file=path, row=1, column=col)
-    _check_distinct(header, path)
-    for rec in reader:
-        # DictReader fills missing fields with None and files extra ones
-        # under the key None
-        if None in rec or None in rec.values():
-            raise DataError(f"row has {'more' if None in rec else 'fewer'} "
-                            f"fields than the header's {len(reader.fieldnames)}",
-                            file=path, row=reader.line_num)
-        yield reader.line_num, rec
+    wage: dict[WageCellKey, _V] = {}
+    selfemp: dict[SelfEmpCellKey, _V] = {}
+    for i, (kind, nace, sex, band), values in _records(
+            path, _KEY_COLUMNS, value_columns, extra_columns=True):
+        try:
+            value = parse(i, *values)
+            if kind == "wage":
+                cells, key = wage, WageCellKey(nace, sex, band)
+            elif kind == "selfemp":
+                for column, text in (("sex", sex), ("age_band", band)):
+                    if text:
+                        raise DataError(f"self-employment cells have no {column}, "
+                                        f"got {text!r}", column=column)
+                cells, key = selfemp, SelfEmpCellKey(nace)
+            else:
+                raise DataError(f"unknown cell_type {kind!r}", column="cell_type")
+            if key in cells:
+                raise DataError(f"duplicate cell {key}", column="nace")
+            cells[key] = value
+        except DataError as exc:
+            if exc.file is not None:
+                raise
+            column = _KEY_FIELD_COLUMN.get(exc.column, exc.column)
+            raise DataError(exc.message, file=path, row=i, column=column) from None
+    return wage, selfemp
+
+
+def _save_cells(path: str, value_columns: tuple[str, str],
+                wage: Mapping[WageCellKey, object],
+                selfemp: Mapping[SelfEmpCellKey, object]) -> None:
+    """Write a cell table as _load_cells reads it: wage cells, then
+    self-employment cells, each in key order, with the value_columns
+    fields of their records (csv.writer spells a Fraction n/d)."""
+    values = attrgetter(*value_columns)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_KEY_COLUMNS + value_columns)
+        writer.writerows(("wage", key.nace2, key.sex, key.age_band, *values(wage[key]))
+                         for key in sorted(wage))
+        writer.writerows(("selfemp", key.section, "", "", *values(selfemp[key]))
+                         for key in sorted(selfemp))
 
 
 def load_lfs_aggregate(path: str, *, period: str,
@@ -154,47 +196,17 @@ def load_lfs_aggregate(path: str, *, period: str,
     rows carry the one-digit section with sex/age_band empty. income and
     count are nonnegative integers written as ASCII digits.
     """
-    wage: dict[WageCellKey, CellStat] = {}
-    selfemp: dict[SelfEmpCellKey, CellStat] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for i, rec in _records(fh, path, _LFS_COLUMNS):
-            income = _parse_int(rec["income"], path, i, "income", minimum=0)
-            count = _parse_int(rec["count"], path, i, "count", minimum=0)
-            kind = rec["cell_type"]
-            try:
-                if kind == "wage":
-                    key = WageCellKey(rec["nace"], rec["sex"], rec["age_band"])
-                    if key in wage:
-                        raise DataError(f"duplicate wage cell {key}", file=path, row=i)
-                    wage[key] = CellStat(income, count)
-                elif kind == "selfemp":
-                    skey = SelfEmpCellKey(rec["nace"])
-                    if skey in selfemp:
-                        raise DataError(f"duplicate self-employment cell {skey}",
-                                        file=path, row=i)
-                    selfemp[skey] = CellStat(income, count)
-                else:
-                    raise DataError(f"unknown cell_type {kind!r}", file=path, row=i,
-                                    column="cell_type")
-            except DataError as exc:
-                if exc.file is None:
-                    raise DataError(str(exc), file=path, row=i) from None
-                raise
+    def stat(i: int, income: str, count: str) -> CellStat:
+        return CellStat(_parse_int(income, path, i, "income", minimum=0),
+                        _parse_int(count, path, i, "count", minimum=0))
+
+    wage, selfemp = _load_cells(path, _LFS_VALUES, stat)
     return LfsAggregate(period=period, quarters_covered=tuple(quarters_covered),
                         wage_cells=wage, selfemp_cells=selfemp)
 
 
 def save_lfs_aggregate(agg: LfsAggregate, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_LFS_COLUMNS)
-        for key in sorted(agg.wage_cells):
-            stat = agg.wage_cells[key]
-            writer.writerow(["wage", key.nace2, key.sex, key.age_band,
-                             stat.income, stat.count])
-        for skey in sorted(agg.selfemp_cells):
-            stat = agg.selfemp_cells[skey]
-            writer.writerow(["selfemp", skey.section, "", "", stat.income, stat.count])
+    _save_cells(path, _LFS_VALUES, agg.wage_cells, agg.selfemp_cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,11 +216,13 @@ class CellChange:
 
     def __post_init__(self) -> None:
         if self.factor <= 0:
-            raise DataError(f"cell factor must be positive, got {self.factor}")
+            raise DataError(f"cell factor must be positive, got {self.factor}",
+                            column="factor")
         if self.provenance not in (ESTIMATED, SUPPRESSED_SMALL_CELL, MISSING_DEFAULT):
-            raise DataError(f"unknown provenance {self.provenance!r}")
+            raise DataError(f"unknown provenance {self.provenance!r}",
+                            column="provenance")
         if self.provenance == SUPPRESSED_SMALL_CELL and self.factor != 1:
-            raise DataError("suppressed cells must carry factor 1.0")
+            raise DataError("suppressed cells must carry factor 1.0", column="factor")
 
 
 _NO_CHANGE_SUPPRESSED = CellChange(Fraction(1), SUPPRESSED_SMALL_CELL)
@@ -277,12 +291,6 @@ class CellChangeTable:
                   else self.selfemp)
         return replace(self, wage=new_wage, selfemp=new_se)
 
-    def wage_factor(self, key: WageCellKey) -> Fraction:
-        return self.wage[key].factor
-
-    def selfemp_factor(self, key: SelfEmpCellKey) -> Fraction:
-        return self.selfemp[key].factor
-
 
 def compute_cell_changes(base: LfsAggregate, shocked: LfsAggregate, *,
                          small_cell_threshold: int = SMALL_CELL_THRESHOLD,
@@ -322,26 +330,13 @@ def compute_cell_changes(base: LfsAggregate, shocked: LfsAggregate, *,
                            small_cell_threshold=small_cell_threshold)
 
 
-_TABLE_COLUMNS = ("cell_type", "nace", "sex", "age_band", "factor", "provenance")
-
-
 def save_cell_table(table: CellChangeTable, path: str) -> None:
     """Write the factor table as CSV for inspection and reuse.
 
     Factors are written as exact fractions so a reloaded table reproduces
     the in-memory one bit for bit.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TABLE_COLUMNS)
-        for key in sorted(table.wage):
-            cc = table.wage[key]
-            writer.writerow(["wage", key.nace2, key.sex, key.age_band,
-                             str(cc.factor), cc.provenance])
-        for skey in sorted(table.selfemp):
-            cc = table.selfemp[skey]
-            writer.writerow(["selfemp", skey.section, "", "",
-                             str(cc.factor), cc.provenance])
+    _save_cells(path, _TABLE_VALUES, table.wage, table.selfemp)
 
 
 def load_cell_table(path: str) -> CellChangeTable:
@@ -350,36 +345,14 @@ def load_cell_table(path: str) -> CellChangeTable:
     # config imports this module (through scenario), so it is imported here
     from .config import decode
 
-    wage: dict[WageCellKey, CellChange] = {}
-    selfemp: dict[SelfEmpCellKey, CellChange] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for i, rec in _records(fh, path, _TABLE_COLUMNS):
-            try:
-                factor = decode(Fraction, rec["factor"], "factor")
-            except ConfigError:
-                raise DataError(f"bad factor {rec['factor']!r}", file=path, row=i,
-                                column="factor") from None
-            try:
-                cc = CellChange(factor, rec["provenance"])
-                if rec["cell_type"] == "wage":
-                    key = WageCellKey(rec["nace"], rec["sex"], rec["age_band"])
-                    if key in wage:
-                        raise DataError(f"duplicate wage cell {key}", file=path,
-                                        row=i, column="nace")
-                    wage[key] = cc
-                elif rec["cell_type"] == "selfemp":
-                    skey = SelfEmpCellKey(rec["nace"])
-                    if skey in selfemp:
-                        raise DataError(f"duplicate self-employment cell {skey}",
-                                        file=path, row=i, column="nace")
-                    selfemp[skey] = cc
-                else:
-                    raise DataError(f"unknown cell_type {rec['cell_type']!r}",
-                                    file=path, row=i, column="cell_type")
-            except DataError as exc:
-                if exc.file is None:
-                    raise DataError(str(exc), file=path, row=i) from None
-                raise
+    def change(i: int, factor: str, provenance: str) -> CellChange:
+        try:
+            return CellChange(decode(Fraction, factor, "factor"), provenance)
+        except ConfigError:
+            raise DataError(f"bad factor {factor!r}", file=path, row=i,
+                            column="factor") from None
+
+    wage, selfemp = _load_cells(path, _TABLE_VALUES, change)
     return CellChangeTable(wage=wage, selfemp=selfemp)
 
 

@@ -16,6 +16,7 @@ class DataError(PovsimError):
 
     def __init__(self, message: str, *, file: str | None = None,
                  row: int | None = None, column: str | None = None) -> None:
+        self.message = message
         self.file = file
         self.row = row
         self.column = column

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DataError
-from .money import as_fraction, fmt_fraction, round_half_away
+from .money import as_fraction, round_half_away
 from .population import EducationLevel, Person, Population
 
 #: Age below which a household member counts as a child on the modified
@@ -139,13 +139,6 @@ class RateResult:
     def headcount(self) -> Fraction:
         return Fraction(self.poor_centi, 100)
 
-    @property
-    def population(self) -> Fraction:
-        return Fraction(self.total_centi, 100)
-
-    def rate_str(self, places: int = 6) -> str:
-        return "" if self.rate is None else fmt_fraction(self.rate, places)
-
 
 def headcount_from_pp(delta_pp: float | Fraction, population: int) -> int:
     """Convert a percentage-point rate change into persons of a reference
@@ -173,26 +166,6 @@ class PovertyReport:
 
     def child_headcount(self, indicator: str = "relative") -> Fraction:
         return self.indicators[indicator].children.headcount
-
-    def to_dict(self) -> dict:
-        return {
-            "lines": {
-                "relative": fmt_fraction(self.lines.relative, 2),
-                "absolute_extreme": fmt_fraction(self.lines.absolute_extreme, 2),
-                "absolute_upper": fmt_fraction(self.lines.absolute_upper, 2),
-            },
-            "indicators": {
-                name: {
-                    "child_rate": stats.children.rate_str(),
-                    "all_rate": stats.all_persons.rate_str(),
-                    "child_headcount": fmt_fraction(stats.children.headcount, 2),
-                    "child_population": fmt_fraction(stats.children.population, 2),
-                }
-                for name, stats in self.indicators.items()
-            },
-            "n_persons": self.n_persons,
-            "n_households": self.n_households,
-        }
 
 
 # -- household-level scoring --------------------------------------------------

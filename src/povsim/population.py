@@ -146,10 +146,6 @@ class Household(NamedTuple):
     land_parcel_m2: int | None = None
 
     @property
-    def survey_weight(self) -> float:
-        return self.weight_centi / 100.0
-
-    @property
     def size(self) -> int:
         return len(self.member_ids)
 
@@ -262,22 +258,6 @@ class Population:
     @property
     def n_households(self) -> int:
         return len(self.households)
-
-    def replace_persons(self, new_persons: Iterable[Person],
-                        provenance: str | None = None) -> "Population":
-        return Population(
-            persons=tuple(new_persons),
-            households=self.households,
-            base_year=self.base_year,
-            provenance=provenance if provenance is not None else self.provenance,
-        )
-
-    def map_persons(self, fn: Callable[[Person], Person]) -> "Population":
-        """Apply fn to every person; returns self when nothing changed."""
-        new_persons = tuple(fn(p) for p in self.persons)
-        if all(a is b for a, b in zip(new_persons, self.persons)):
-            return self
-        return self.replace_persons(new_persons)
 
     def _rescale_incomes(self, incomes: Iterable[IncomeVectors | None]) -> "Population":
         """The population with, person by person, new Person.incomes or
@@ -421,53 +401,52 @@ def _income_vectors(texts: Sequence[str], file: str,
             for vec in map(tuple(values).__getitem__, _VECTORS)]
 
 
-def _check_distinct(header: Sequence[str], file: str) -> None:
-    """Reject a header that names a column twice, at its second mention."""
-    seen: set[str] = set()
-    for column in header:
-        if column in seen:
-            raise DataError(f"duplicate column {column!r}", file=file, row=1,
-                            column=column)
-        seen.add(column)
-
-
-def _check_header(header: list[str], expected: tuple[str, ...], file: str) -> None:
+def _check_header(header: list[str], expected: tuple[str, ...], file: str,
+                  extra_columns: bool) -> None:
     missing = [c for c in expected if c not in header]
     if missing:
         raise DataError(f"missing column {missing[0]!r}", file=file, row=1,
                         column=missing[0])
     extra = [c for c in header if c not in expected]
-    if extra:
+    if extra and not extra_columns:
         raise DataError(f"unknown column {extra[0]!r}", file=file, row=1,
                         column=extra[0])
-    _check_distinct(header, file)
+    for i, column in enumerate(header):
+        if column in header[:i]:
+            raise DataError(f"duplicate column {column!r}", file=file, row=1,
+                            column=column)
 
 
-def _records(fh, file: str, *groups: tuple[str, ...]) -> Iterator[tuple]:
-    """(line number, fields of each group of columns) for each non-blank row.
+def _records(path: str, *groups: tuple[str, ...],
+             extra_columns: bool = False) -> Iterator[tuple]:
+    """(line number, fields of each group of columns) for each non-blank row
+    of the CSV file at path: the reader of every CSV input.
 
     The groups together are the file's columns; the header may list them
-    in any order, and each group's fields come in that group's order. A
-    row with a field too many or too few is rejected, and so is a file
+    in any order, and each group's fields come in that group's order. It
+    may name no column twice, and, unless extra_columns, no other column.
+    A row with a field too many or too few is rejected, and so is a file
     that is not UTF-8 or that the csv module cannot split into fields.
     """
-    reader = csv.reader(fh)
-    try:
-        header = next(reader, [])
-        _check_header(header, sum(groups, ()), file)
-        getters = [itemgetter(*map(header.index, group)) for group in groups]
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise DataError(f"expected {width} fields, got {len(row)}", file=file,
-                                row=reader.line_num)
-            yield reader.line_num, *[fields(row) for fields in getters]
-    except csv.Error as exc:
-        raise DataError(f"malformed CSV: {exc}", file=file, row=reader.line_num) from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"not UTF-8 text: {exc}", file=file) from None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            _check_header(header, sum(groups, ()), path, extra_columns)
+            getters = [itemgetter(*map(header.index, group)) for group in groups]
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise DataError(f"expected {width} fields, got {len(row)}",
+                                    file=path, row=reader.line_num)
+                yield reader.line_num, *[fields(row) for fields in getters]
+        except csv.Error as exc:
+            raise DataError(f"malformed CSV: {exc}", file=path,
+                            row=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 text: {exc}", file=path) from None
 
 
 def load_population(persons_path: str, households_path: str, *,
@@ -482,73 +461,71 @@ def load_population(persons_path: str, households_path: str, *,
     """
     households: list[tuple] = []
     members: dict[int, list[int]] = {}
-    with open(households_path, newline="", encoding="utf-8") as fh:
-        for i, (hid_text, weight_text, residence, other, car, land) in _records(
-                fh, households_path, HOUSEHOLD_COLUMNS):
-            hid = _parse_int(hid_text, households_path, i, "household_id")
-            if hid in members:
-                raise DataError(f"duplicate household id {hid}", file=households_path,
-                                row=i, column="household_id")
-            try:
-                weight = parse_weight(weight_text)
-            except ValueError as exc:
-                raise DataError(str(exc), file=households_path, row=i,
-                                column="survey_weight") from None
-            households.append((
-                hid, weight,
-                _parse_bool(residence, households_path, i, "owns_residence"),
-                _parse_bool(other, households_path, i, "owns_other_real_estate"),
-                None if car == "" else _parse_int(
-                    car, households_path, i, "car_age_years", minimum=0),
-                None if land == "" else _parse_int(
-                    land, households_path, i, "land_parcel_m2", minimum=0),
-            ))
-            members[hid] = []
+    for i, (hid_text, weight_text, residence, other, car, land) in _records(
+            households_path, HOUSEHOLD_COLUMNS):
+        hid = _parse_int(hid_text, households_path, i, "household_id")
+        if hid in members:
+            raise DataError(f"duplicate household id {hid}", file=households_path,
+                            row=i, column="household_id")
+        try:
+            weight = parse_weight(weight_text)
+        except ValueError as exc:
+            raise DataError(str(exc), file=households_path, row=i,
+                            column="survey_weight") from None
+        households.append((
+            hid, weight,
+            _parse_bool(residence, households_path, i, "owns_residence"),
+            _parse_bool(other, households_path, i, "owns_other_real_estate"),
+            None if car == "" else _parse_int(
+                car, households_path, i, "car_age_years", minimum=0),
+            None if land == "" else _parse_int(
+                land, households_path, i, "land_parcel_m2", minimum=0),
+        ))
+        members[hid] = []
 
     persons: list[Person] = []
     seen: set[int] = set()
-    with open(persons_path, newline="", encoding="utf-8") as fh:
-        for i, head, incomes in _records(fh, persons_path, PERSON_COLUMNS[:10],
-                                         _INCOME_COLUMNS):
-            pid, hid, age, sex, labor, education, nace2, informal, public, special = head
-            # Ids and ages of up to 18 ASCII digits convert inline; any
-            # other text goes through _parse_int and its messages.
-            pid = (int(pid) if len(pid) < 19 and pid.isascii() and pid.isdigit()
-                   else _parse_int(pid, persons_path, i, "person_id"))
-            if pid in seen:
-                raise DataError(f"duplicate person id {pid}", file=persons_path, row=i,
-                                column="person_id")
-            seen.add(pid)
-            hid = (int(hid) if len(hid) < 19 and hid.isascii() and hid.isdigit()
-                   else _parse_int(hid, persons_path, i, "household_id"))
-            if hid not in members:
-                raise DataError(f"person {pid} references unknown household {hid}",
-                                file=persons_path, row=i, column="household_id")
-            # The incomes are parsed before the fields after them in the
-            # row, so a row with several faults reports the same one first.
-            vectors = _income_vectors(incomes, persons_path, i)
-            person = Person(
-                pid, hid,
-                (int(age) if len(age) < 19 and age.isascii() and age.isdigit()
-                 else _parse_int(age, persons_path, i, "age")),
-                _SEXES.get(sex) or _parse_enum(Sex, sex, persons_path, i, "sex"),
-                _LABOR_STATUSES.get(labor) or _parse_enum(
-                    LaborStatus, labor, persons_path, i, "labor_status"),
-                _EDUCATION_LEVELS.get(education) or _parse_enum(
-                    EducationLevel, education, persons_path, i, "education_level"),
-                nace2 or None,
-                _FLAGS[informal] if informal in _FLAGS else _parse_bool(
-                    informal, persons_path, i, "informal_wage_flag"),
-                _FLAGS[public] if public in _FLAGS else _parse_bool(
-                    public, persons_path, i, "in_public_education"),
-                _FLAGS[special] if special in _FLAGS else _parse_bool(
-                    special, persons_path, i, "special_category_flag"),
-                *vectors)
-            probs = person.problems()
-            if probs:
-                raise DataError(f"person {pid}: {probs[0]}", file=persons_path, row=i)
-            persons.append(person)
-            members[hid].append(pid)
+    for i, head, incomes in _records(persons_path, PERSON_COLUMNS[:10],
+                                     _INCOME_COLUMNS):
+        pid, hid, age, sex, labor, education, nace2, informal, public, special = head
+        # Ids and ages of up to 18 ASCII digits convert inline; any
+        # other text goes through _parse_int and its messages.
+        pid = (int(pid) if len(pid) < 19 and pid.isascii() and pid.isdigit()
+               else _parse_int(pid, persons_path, i, "person_id"))
+        if pid in seen:
+            raise DataError(f"duplicate person id {pid}", file=persons_path, row=i,
+                            column="person_id")
+        seen.add(pid)
+        hid = (int(hid) if len(hid) < 19 and hid.isascii() and hid.isdigit()
+               else _parse_int(hid, persons_path, i, "household_id"))
+        if hid not in members:
+            raise DataError(f"person {pid} references unknown household {hid}",
+                            file=persons_path, row=i, column="household_id")
+        # The incomes are parsed before the fields after them in the
+        # row, so a row with several faults reports the same one first.
+        vectors = _income_vectors(incomes, persons_path, i)
+        person = Person(
+            pid, hid,
+            (int(age) if len(age) < 19 and age.isascii() and age.isdigit()
+             else _parse_int(age, persons_path, i, "age")),
+            _SEXES.get(sex) or _parse_enum(Sex, sex, persons_path, i, "sex"),
+            _LABOR_STATUSES.get(labor) or _parse_enum(
+                LaborStatus, labor, persons_path, i, "labor_status"),
+            _EDUCATION_LEVELS.get(education) or _parse_enum(
+                EducationLevel, education, persons_path, i, "education_level"),
+            nace2 or None,
+            _FLAGS[informal] if informal in _FLAGS else _parse_bool(
+                informal, persons_path, i, "informal_wage_flag"),
+            _FLAGS[public] if public in _FLAGS else _parse_bool(
+                public, persons_path, i, "in_public_education"),
+            _FLAGS[special] if special in _FLAGS else _parse_bool(
+                special, persons_path, i, "special_category_flag"),
+            *vectors)
+        probs = person.problems()
+        if probs:
+            raise DataError(f"person {pid}: {probs[0]}", file=persons_path, row=i)
+        persons.append(person)
+        members[hid].append(pid)
 
     del seen  # freed before the cross-table checks, where memory peaks
     return Population._of_valid_persons(

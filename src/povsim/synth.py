@@ -21,7 +21,7 @@ from typing import Mapping
 import random
 
 from .errors import CalibrationError, ConfigError
-from .money import as_fraction, round_mul_div
+from .money import MONTHS, ZERO_YEAR, as_fraction, round_mul_div
 from .nace import DIVISIONS
 from .population import (EducationLevel, Household, IncomeVectors, LaborStatus,
                          Person, Population, Sex)
@@ -166,7 +166,7 @@ class SynthConfig:
 
 
 def _flat(value: int) -> tuple[int, ...]:
-    return (value,) * 12
+    return (value,) * MONTHS if value else ZERO_YEAR
 
 
 # Pay-tier cutoffs used when matching second earners to the head's sector.
@@ -303,10 +303,10 @@ class _Maker:
                 pid, hid, age, self.sex(), st, self.education(), earn["nace2"],
                 earn["informal"], st is LaborStatus.STUDENT,
                 rng.random() < cfg.special_category_share,
-                earn["wage"] or (0,) * 12,
-                earn["selfemp"] or (0,) * 12,
+                earn["wage"] or ZERO_YEAR,
+                earn["selfemp"] or ZERO_YEAR,
                 (_flat(cfg.pension.draw(rng))
-                 if st is LaborStatus.PENSIONER else (0,) * 12),
+                 if st is LaborStatus.PENSIONER else ZERO_YEAR),
             ))
             pid += 1
 
@@ -315,12 +315,12 @@ class _Maker:
         has_earner = any(
             p.labor_status in (LaborStatus.EMPLOYEE, LaborStatus.SELF_EMPLOYED,
                                LaborStatus.PENSIONER) for p in persons)
-        rent_vec = (0,) * 12
+        rent_vec = ZERO_YEAR
         if rng.random() < cfg.rent_share:
             rent_vec = _flat(cfg.rent_income.draw(rng))
         tr_share = (cfg.transfer_share if has_earner
                     else cfg.transfer_share_no_earner)
-        transfer_vec = (0,) * 12
+        transfer_vec = ZERO_YEAR
         if rng.random() < tr_share:
             transfer_vec = _flat(cfg.transfer_income.draw(rng))
         if any(rent_vec) or any(transfer_vec):

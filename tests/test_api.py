@@ -4,6 +4,7 @@ points stay retired, so scores have one way in (Study)."""
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +35,12 @@ def test_retired_names_are_not_importable(module):
     mod = importlib.import_module(module)
     assert [name for name in RETIRED if hasattr(mod, name)] == []
     assert not set(RETIRED) & set(getattr(mod, "__all__", ()))
+
+
+def test_one_csv_reader():
+    """Every CSV input goes through population._records: the source holds
+    one csv.reader call and no csv.DictReader."""
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in Path(povsim.__file__).parent.glob("*.py"))
+    assert source.count("csv.DictReader") == 0
+    assert source.count("csv.reader(") == 1

@@ -86,10 +86,10 @@ class TestTableConstruction:
         table = CellChangeTable.from_factors({"47": 0.8}, {"S": 0.6})
         for sex in ("male", "female"):
             for band in AGE_BANDS:
-                assert table.wage_factor(WageCellKey("47", sex, band)) == Fraction(4, 5)
-        assert table.wage_factor(WageCellKey("10", "male", AGE_BANDS[0])) == 1
-        assert table.selfemp_factor(SelfEmpCellKey("S")) == Fraction(3, 5)
-        assert table.selfemp_factor(SelfEmpCellKey("A")) == 1
+                assert table.wage[WageCellKey("47", sex, band)].factor == Fraction(4, 5)
+        assert table.wage[WageCellKey("10", "male", AGE_BANDS[0])].factor == 1
+        assert table.selfemp[SelfEmpCellKey("S")].factor == Fraction(3, 5)
+        assert table.selfemp[SelfEmpCellKey("A")].factor == 1
 
     def test_incomplete_table_rejected(self):
         wage = {k: CellChange(Fraction(1), MISSING_DEFAULT) for k in all_wage_keys()}
@@ -102,12 +102,12 @@ class TestTableConstruction:
     def test_neutralize(self):
         table = build_micro_table()
         wage_only = table.neutralize(selfemp=True)
-        assert wage_only.selfemp_factor(SelfEmpCellKey("S")) == 1
-        assert wage_only.wage_factor(
-            WageCellKey("55", "male", "adult_25_49")) == Fraction(1, 2)
+        assert wage_only.selfemp[SelfEmpCellKey("S")].factor == 1
+        key = WageCellKey("55", "male", "adult_25_49")
+        assert wage_only.wage[key].factor == Fraction(1, 2)
         se_only = table.neutralize(wage=True)
-        assert se_only.wage_factor(WageCellKey("55", "male", "adult_25_49")) == 1
-        assert se_only.selfemp_factor(SelfEmpCellKey("S")) == Fraction(3, 5)
+        assert se_only.wage[key].factor == 1
+        assert se_only.selfemp[SelfEmpCellKey("S")].factor == Fraction(3, 5)
 
 
 def aggregate_with(wage_stats, selfemp_stats, period="2019", quarters=(1, 2, 3, 4)):
@@ -238,8 +238,10 @@ class TestApplyShock:
     def test_workers_outside_cell_universe_are_unchanged(self):
         pop = build_micro_population()
         # Age the hotel worker to 70: no survey age band, so no shock.
-        aged = pop.map_persons(
-            lambda p: p._replace(age=70) if p.person_id == 1 else p)
+        aged = Population(
+            persons=tuple(p._replace(age=70) if p.person_id == 1 else p
+                          for p in pop.persons),
+            households=pop.households)
         table = build_micro_table()
         shocked = apply_shock(aged, table)
         by_id = {p.person_id: p for p in shocked.persons}
@@ -247,8 +249,10 @@ class TestApplyShock:
 
     def test_rounding_is_half_away_per_month(self):
         pop = build_micro_population()
-        odd = pop.map_persons(
-            lambda p: p._replace(wage=(12001,) * 12) if p.person_id == 2 else p)
+        odd = Population(
+            persons=tuple(p._replace(wage=(12001,) * 12) if p.person_id == 2 else p
+                          for p in pop.persons),
+            households=pop.households)
         table = CellChangeTable.from_factors({"47": 0.5}, None)
         shocked = apply_shock(odd, table, shock_start_month=1)
         by_id = {p.person_id: p for p in shocked.persons}
@@ -328,9 +332,11 @@ class TestAggregateIncomeChange:
 
     def test_zero_base_total(self):
         pop = build_micro_population()
-        stripped = pop.map_persons(
-            lambda p: p if not any(p.self_employment) else
-            p._replace(self_employment=(0,) * 12))
+        stripped = Population(
+            persons=tuple(p if not any(p.self_employment) else
+                          p._replace(self_employment=(0,) * 12)
+                          for p in pop.persons),
+            households=pop.households)
         with pytest.raises(DataError):
             aggregate_income_change(stripped, stripped, "self_employment")
 
@@ -383,19 +389,20 @@ class TestCsvRoundTrips:
             load_cell_table(path)
 
     @pytest.mark.parametrize("kind", ["wage", "selfemp"])
-    def test_load_rejects_repeated_cell(self, tmp_path, kind):
+    @pytest.mark.parametrize("which", ["lfs", "cells"])
+    def test_load_rejects_repeated_cell(self, tmp_path, which, kind):
         """A second row for a cell is an error naming file, row and column,
         not a silent overwrite by the last row."""
-        path = str(tmp_path / "cells.csv")
-        save_cell_table(CellChangeTable.identity(), path)
+        path, load = ((saved_lfs(tmp_path), load_lfs) if which == "lfs"
+                      else (saved_table(tmp_path), load_cell_table))
         lines = open(path, encoding="utf-8").read().splitlines()
         first = next(line for line in lines if line.startswith(kind + ","))
         cells = first.split(",")
-        cells[4] = "1/2"  # same cell, another factor
+        cells[4] = "7"  # same cell, another value
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines + [",".join(cells)]) + "\n")
         with pytest.raises(DataError, match="duplicate") as info:
-            load_cell_table(path)
+            load(path)
         assert (info.value.file, info.value.row, info.value.column) == (
             path, len(lines) + 1, "nace")
 
@@ -421,8 +428,7 @@ class TestCsvRoundTrips:
         bad = fields[:2] if case == "truncated" else fields + ["9"]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join([header, "", "", ",".join(bad), *rest]) + "\n")
-        word = "fewer" if case == "truncated" else "more"
-        with pytest.raises(DataError, match=f"{word} fields than the header's 6") \
+        with pytest.raises(DataError, match=f"expected 6 fields, got {len(bad)}") \
                 as info:
             load(path)
         assert (info.value.file, info.value.row) == (path, 4)
@@ -434,6 +440,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def load_lfs(path: str):
     return load_lfs_aggregate(path, period="2019", quarters_covered=(1, 2, 3, 4))
+
+
+# The first self-employment row of a saved cell table: the 534 wage rows
+# follow the header.
+SELFEMP_LINE = 2 + len(all_wage_keys())
 
 
 def saved_lfs(tmp_path) -> str:
@@ -460,9 +471,9 @@ def set_field(path: str, line: int, column: str, text: str) -> None:
 
 
 class TestStrictCellTables:
-    """Both cell-table CSVs: a repeated column is rejected, and numbers
-    take only their exact spellings, each fault named by file, row and
-    column."""
+    """Both cell-table CSVs: a repeated column or cell and an unknown key
+    are rejected, and numbers take only their exact spellings, each fault
+    named by file, row and column."""
 
     @pytest.mark.parametrize("which", ["lfs", "cells"])
     def test_repeated_column_is_rejected(self, tmp_path, which):
@@ -488,6 +499,48 @@ class TestStrictCellTables:
         lines = [lines[0] + ",note"] + [line + ",x" for line in lines[1:]]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert load(path) == before
+
+    @pytest.mark.parametrize("line,column,text,message", [
+        (2, "cell_type", "farm", "unknown cell_type 'farm'"),
+        (2, "cell_type", "", "unknown cell_type ''"),
+        (2, "nace", "89", "unknown activity division '89'"),
+        (2, "nace", "A", "unknown activity division 'A'"),
+        (2, "sex", "other", "unknown sex 'other'"),
+        (2, "sex", "", "unknown sex ''"),
+        (2, "age_band", "age_15_24", "unknown age band 'age_15_24'"),
+        (SELFEMP_LINE, "nace", "V", "unknown activity section 'V'"),
+        (SELFEMP_LINE, "nace", "47", "unknown activity section '47'"),
+        (SELFEMP_LINE, "sex", "male", "self-employment cells have no sex, got 'male'"),
+        (SELFEMP_LINE, "age_band", "youth_15_24",
+         "self-employment cells have no age_band, got 'youth_15_24'"),
+    ])
+    @pytest.mark.parametrize("which", ["lfs", "cells"])
+    def test_key_faults_name_their_column(self, tmp_path, which, line, column, text,
+                                          message):
+        path, load = ((saved_lfs(tmp_path), load_lfs) if which == "lfs"
+                      else (saved_table(tmp_path), load_cell_table))
+        set_field(path, line, column, text)
+        with pytest.raises(DataError) as info:
+            load(path)
+        assert (info.value.file, info.value.row, info.value.column) == (
+            path, line, column)
+        assert str(info.value) == (f"{message} "
+                                   f"(file={path}, row={line}, column={column})")
+
+    @pytest.mark.parametrize("factor,provenance,column,message", [
+        ("0", "estimated", "factor", "cell factor must be positive, got 0"),
+        ("1", "guessed", "provenance", "unknown provenance 'guessed'"),
+        ("1/2", "suppressed_small_cell", "factor",
+         "suppressed cells must carry factor 1.0"),
+    ])
+    def test_factor_record_faults_name_their_column(self, tmp_path, factor,
+                                                    provenance, column, message):
+        path = saved_table(tmp_path)
+        set_field(path, 5, "factor", factor)
+        set_field(path, 5, "provenance", provenance)
+        with pytest.raises(DataError) as info:
+            load_cell_table(path)
+        assert str(info.value) == f"{message} (file={path}, row=5, column={column})"
 
     @pytest.mark.parametrize("column", ["income", "count"])
     @pytest.mark.parametrize("text,message", [

@@ -170,8 +170,19 @@ class TestCalibrate:
                         encoding="utf-8")
         assert main(["calibrate", "--base", str(base), "--shocked", str(ws.shocked),
                      "--out", str(ws.root / "x6")]) == 1
-        assert (f"row has fewer fields than the header's 6 (file={base}, row=3)"
+        assert (f"expected 6 fields, got 2 (file={base}, row=3)"
                 in capsys.readouterr().err)
+
+    def test_aggregate_not_utf8(self, ws, capsys):
+        """A survey aggregate with a Latin-1 byte is a data error naming the
+        file, not a traceback."""
+        base = ws.root / "base_latin1.csv"
+        base.write_bytes(ws.base.read_bytes().replace(b"female", b"f\xe9male", 1))
+        assert main(["calibrate", "--base", str(base), "--shocked", str(ws.shocked),
+                     "--out", str(ws.root / "x8")]) == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err
+        assert f"(file={base})" in err
 
 
 class TestShocks:
@@ -210,8 +221,21 @@ class TestShocks:
         assert main(["shocks", "--persons", str(ws.gen / "persons.csv"),
                      "--households", str(ws.gen / "households.csv"),
                      "--cells", str(cells), "--out", str(ws.root / "x7")]) == 1
-        assert (f"row has fewer fields than the header's 6 (file={cells}, row=3)"
+        assert (f"expected 6 fields, got 2 (file={cells}, row=3)"
                 in capsys.readouterr().err)
+
+    def test_cell_table_not_utf8(self, ws, capsys):
+        """A factor table that is not UTF-8 is a data error naming the file,
+        not a traceback."""
+        cells = ws.root / "cells_latin1.csv"
+        cells.write_bytes((ws.cal / "cells.csv").read_bytes()
+                          .replace(b"estimated", b"estim\xe9ted", 1))
+        assert main(["shocks", "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(cells), "--out", str(ws.root / "x9")]) == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err
+        assert f"(file={cells})" in err
 
 
 class TestSimulate:

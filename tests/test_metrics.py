@@ -211,8 +211,6 @@ class TestRatesAndLines:
         rel = report.indicators["relative"]
         assert rel.children.rate == Fraction(3, 4)
         assert rel.all_persons.rate == Fraction(6, 13)
-        parsed = report.to_dict()
-        assert parsed["indicators"]["relative"]["child_rate"] == "0.750000"
 
 
 class TestHeadcounts:

@@ -74,7 +74,6 @@ class TestHousehold:
     def test_size_and_weight(self):
         h = Household(household_id=1, member_ids=(1, 2), weight_centi=12345)
         assert h.size == 2
-        assert h.survey_weight == pytest.approx(123.45)
 
     @pytest.mark.parametrize("kw,fragment", [
         (dict(member_ids=()), "no members"),
@@ -123,16 +122,6 @@ class TestPopulation:
         hh = Household(household_id=1, member_ids=(1,), weight_centi=100)
         with pytest.raises(DataError, match="person 1"):
             Population(persons=(adult(1, 1, age=200),), households=(hh,))
-
-    def test_map_persons_identity_returns_self(self):
-        pop = build_micro_population()
-        assert pop.map_persons(lambda p: p) is pop
-
-    def test_map_persons_rebuilds_on_change(self):
-        pop = build_micro_population()
-        bumped = pop.map_persons(lambda p: p._replace(age=p.age + 1))
-        assert bumped is not pop
-        assert all(b.age == a.age + 1 for a, b in zip(pop.persons, bumped.persons))
 
     def test_rescaled_incomes_share_the_household_index(self):
         pop = build_micro_population()

@@ -9,6 +9,7 @@ import pytest
 
 from povsim.config import study_config_from_dict
 from povsim.errors import CalibrationError, ConfigError
+from povsim.money import ZERO_YEAR
 from povsim.population import LaborStatus
 from povsim.scenario import prepare_baseline
 from povsim.synth import (
@@ -119,6 +120,13 @@ class TestGeneration:
         assert LaborStatus.PENSIONER in statuses
         children = sum(1 for p in small_pop.persons if p.is_child)
         assert 0 < children < small_pop.n_persons
+
+    def test_zero_income_vectors_are_zero_year(self, small_pop):
+        """Every all-zero income vector is the shared ZERO_YEAR, which the
+        validator and the engine skip by identity."""
+        zeros = [v for p in small_pop.persons for v in p.incomes if not any(v)]
+        assert zeros
+        assert all(v is ZERO_YEAR for v in zeros)
 
     def test_child_share_is_steered(self):
         cfg = SynthConfig(n_households=800, child_share=0.30)
