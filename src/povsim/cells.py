@@ -17,13 +17,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
 from .money import as_fraction, round_mul_div
 from .nace import DIVISIONS, SECTIONS, is_division, section_of
-from .population import (IncomeVectors, LaborStatus, Person, Population, Sex,
-                         _parse_int, _records)
+from .population import (LaborStatus, Person, Population, Sex, _parse_int,
+                         _records)
 
 AGE_BANDS: tuple[str, ...] = ("youth_15_24", "adult_25_49", "elderly_50_64")
 
@@ -77,13 +77,20 @@ class SelfEmpCellKey:
                             column="section")
 
 
+# Every cell of a complete factor table, in key order, and as sets.
+_WAGE_KEYS = tuple(WageCellKey(d, s, b)
+                   for d in DIVISIONS for s in SEXES for b in AGE_BANDS)
+_SELFEMP_KEYS = tuple(SelfEmpCellKey(s) for s in SECTIONS)
+_WAGE_KEY_SET = frozenset(_WAGE_KEYS)
+_SELFEMP_KEY_SET = frozenset(_SELFEMP_KEYS)
+
+
 def all_wage_keys() -> tuple[WageCellKey, ...]:
-    return tuple(WageCellKey(d, s, b)
-                 for d in DIVISIONS for s in SEXES for b in AGE_BANDS)
+    return _WAGE_KEYS
 
 
 def all_selfemp_keys() -> tuple[SelfEmpCellKey, ...]:
-    return tuple(SelfEmpCellKey(s) for s in SECTIONS)
+    return _SELFEMP_KEYS
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,16 +245,14 @@ class CellChangeTable:
     small_cell_threshold: int = SMALL_CELL_THRESHOLD
 
     def __post_init__(self) -> None:
-        expected_wage = set(all_wage_keys())
-        if set(self.wage) != expected_wage:
-            raise DataError(
-                f"wage table covers {len(self.wage)} cells, expected "
-                f"{len(expected_wage)}")
-        expected_se = set(all_selfemp_keys())
-        if set(self.selfemp) != expected_se:
-            raise DataError(
-                f"self-employment table covers {len(self.selfemp)} cells, expected "
-                f"{len(expected_se)}")
+        for side, cells, keys, key_set in (
+                ("wage", self.wage, _WAGE_KEYS, _WAGE_KEY_SET),
+                ("self-employment", self.selfemp, _SELFEMP_KEYS, _SELFEMP_KEY_SET)):
+            if cells.keys() != key_set:
+                missing = [key for key in keys if key not in cells]
+                raise DataError(f"{side} table lacks cell {missing[0]}" if missing else
+                                f"{side} table has unexpected cell "
+                                f"{next(k for k in cells if k not in key_set)!r}")
 
     @classmethod
     def identity(cls) -> "CellChangeTable":
@@ -303,11 +308,14 @@ def compute_cell_changes(base: LfsAggregate, shocked: LfsAggregate, *,
     missing_default; otherwise the factor is the exact income ratio after
     annualizing both sides.
     """
-    if set(base.wage_cells) != set(shocked.wage_cells):
-        raise DataError("wage cell universes differ between base and shocked periods")
-    if set(base.selfemp_cells) != set(shocked.selfemp_cells):
-        raise DataError(
-            "self-employment cell universes differ between base and shocked periods")
+    for has, lacks, name in ((base, shocked, "shocked"), (shocked, base, "base")):
+        for side, cells, others in (
+                ("wage", has.wage_cells, lacks.wage_cells),
+                ("self-employment", has.selfemp_cells, lacks.selfemp_cells)):
+            missing = sorted(cells.keys() - others.keys())
+            if missing:
+                raise DataError(
+                    f"{side} cell {missing[0]} is missing from the {name} aggregate")
 
     def change(b: CellStat | None, s: CellStat | None) -> CellChange:
         if b is None or s is None:
@@ -353,15 +361,75 @@ def load_cell_table(path: str) -> CellChangeTable:
                             column="factor") from None
 
     wage, selfemp = _load_cells(path, _TABLE_VALUES, change)
-    return CellChangeTable(wage=wage, selfemp=selfemp)
+    try:
+        return CellChangeTable(wage=wage, selfemp=selfemp)
+    except DataError as exc:
+        raise DataError(exc.message, file=path) from None
 
 
-def _effective(factor: Fraction, scale: Fraction) -> tuple[int, int]:
-    """Numerator/denominator of 1 + scale * (factor - 1), floored at zero."""
-    eff = 1 + scale * (factor - 1)
-    if eff < 0:
-        eff = Fraction(0)
-    return eff.numerator, eff.denominator
+def shock_site(p: Person) -> tuple[int, tuple[str, str, str] | str | None]:
+    """Where a shock reaches p: (the index in p.incomes of the vector it
+    moves, the cell whose factor moves it). An employee's wage moves with
+    its (division, sex, age band) cell, a self-employed person's income
+    under 65 with its section; anyone else has cell None, of factor 1 in
+    every shock."""
+    if p.labor_status is LaborStatus.EMPLOYEE:
+        if p.nace2 is None:
+            raise DataError(f"employee {p.person_id} has no industry code")
+        band = age_band_of(p.age)
+        return 0, None if band is None else (p.nace2, p.sex.value, band)
+    if p.labor_status is LaborStatus.SELF_EMPLOYED:
+        if p.nace2 is None:
+            raise DataError(f"self-employed {p.person_id} has no industry code")
+        return 1, None if p.age >= 65 else section_of(p.nace2)
+    return 0, None
+
+
+def shock_factors(table: CellChangeTable, shock_start_month: int,
+                  scale: float | Fraction) -> tuple[dict, int]:
+    """(factors, start) of a shock: factors maps each cell, as shock_site
+    names it, to the numerator and denominator of its effective factor
+    1 + scale * (factor - 1), floored at zero; start is the zero-based
+    first shocked month."""
+    if not 1 <= shock_start_month <= 12:
+        raise DataError(f"shock start month {shock_start_month} outside 1..12")
+    scale = as_fraction(scale)
+    if scale < 0:
+        raise DataError("shock scale must be nonnegative")
+
+    def effective(change: CellChange) -> tuple[int, int]:
+        eff = max(1 + scale * (change.factor - 1), Fraction(0))
+        return eff.numerator, eff.denominator
+
+    # keyed by plain tuples and strings: the table checked its keys
+    factors: dict = {None: (1, 1)}
+    factors.update(((key.nace2, key.sex, key.age_band), effective(change))
+                   for key, change in table.wage.items())
+    factors.update((key.section, effective(change))
+                   for key, change in table.selfemp.items())
+    return factors, shock_start_month - 1
+
+
+def shocked_person(p: Person, k: int, num: int, den: int, start: int) -> Person:
+    """p with p.incomes[k] times num/den from month index start on, each
+    month rounded half away from zero to integer MKD; earlier months and
+    every other field as they were."""
+    incomes = p.incomes
+    vec = incomes[k]
+    return Person._make(p[:10] + incomes[:k] + (vec[:start] + tuple(
+        round_mul_div(v, num, den) for v in vec[start:]),) + incomes[k + 1:])
+
+
+def shocked_persons(pop: Population, table: CellChangeTable, *,
+                    shock_start_month: int,
+                    scale: float | Fraction) -> Iterator[Person]:
+    """The persons of apply_shock(pop, table, ...), in order and built
+    lazily: a person the shock leaves alone is yielded as it is."""
+    factors, start = shock_factors(table, shock_start_month, scale)
+    for p in pop.persons:
+        k, cell = shock_site(p)
+        num, den = factors[cell]
+        yield p if num == den else shocked_person(p, k, num, den, start)
 
 
 def apply_shock(pop: Population, table: CellChangeTable, *,
@@ -371,69 +439,30 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
 
     effective factor = 1 + scale * (factor - 1); months before the shock
     month are untouched, any other income source is untouched, and persons
-    outside the cell universe (for example workers aged 65 and over) are
-    returned unchanged. The input population is not modified.
+    outside the cell universe (for example workers aged 65 and over) or in
+    a cell of effective factor 1 are returned unchanged. The input
+    population is not modified.
     """
-    if not 1 <= shock_start_month <= 12:
-        raise DataError(f"shock start month {shock_start_month} outside 1..12")
-    scale_f = as_fraction(scale)
-    if scale_f < 0:
-        raise DataError("shock scale must be nonnegative")
-
-    # keyed by plain tuples and strings: the table checked its keys, and
-    # Population validated every person's division
-    wage_eff = {(key.nace2, key.sex, key.age_band): _effective(cc.factor, scale_f)
-                for key, cc in table.wage.items()}
-    se_eff = {key.section: _effective(cc.factor, scale_f)
-              for key, cc in table.selfemp.items()}
-    start = shock_start_month - 1  # zero-based index
-
-    def shock_vector(vec: tuple[int, ...], num: int, den: int) -> tuple[int, ...]:
-        if num == den:
-            return vec
-        return vec[:start] + tuple(
-            round_mul_div(v, num, den) for v in vec[start:])
-
-    def transform(p: Person) -> IncomeVectors | None:  # None: p is kept
-        if p.labor_status is LaborStatus.EMPLOYEE:
-            if p.nace2 is None:
-                raise DataError(f"employee {p.person_id} has no industry code")
-            band = age_band_of(p.age)
-            if band is None:
-                return None
-            num, den = wage_eff[p.nace2, p.sex.value, band]
-            wage = shock_vector(p.wage, num, den)
-            return None if wage is p.wage else (wage, *p.incomes[1:])
-        if p.labor_status is LaborStatus.SELF_EMPLOYED:
-            if p.nace2 is None:
-                raise DataError(f"self-employed {p.person_id} has no industry code")
-            if p.age >= 65:
-                return None
-            section = section_of(p.nace2)
-            if section is None:
-                return None
-            num, den = se_eff[section]
-            se = shock_vector(p.self_employment, num, den)
-            return None if se is p.self_employment else (p.wage, se, *p.incomes[2:])
-        return None
-
-    return pop._rescale_incomes(map(transform, pop.persons))
+    return pop._with_persons(shocked_persons(
+        pop, table, shock_start_month=shock_start_month, scale=scale))
 
 
-def aggregate_income_change(before: Population, after: Population,
+def aggregate_income_change(before: Population, after: Sequence[Person],
                             source: str) -> Fraction:
     """Weighted relative change in total annual income from one source.
 
-    Weighted by before's household survey weights; exact; the change sums
-    only persons after does not share with before. Raises when the two
-    populations do not describe the same persons or the base total is zero.
+    after lists before's persons after a change (a derived population's
+    persons, or shocked_persons), in before's order. Weighted by before's
+    household survey weights; exact; the change sums only persons after
+    does not share with before. Raises when the two do not describe the
+    same persons or the base total is zero.
     """
     if source not in ("wage", "self_employment"):
         raise DataError(f"unsupported source {source!r}")
-    if len(before.persons) != len(after.persons):
+    if len(before.persons) != len(after):
         raise DataError("populations cover different persons")
     income = attrgetter(source)
-    pairs = zip(before.persons, after.persons)
+    pairs = zip(before.persons, after)
     total_before = total_change = 0
     for hh in before.households:
         for pb, pa in islice(pairs, hh.size):

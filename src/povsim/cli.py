@@ -13,6 +13,7 @@ the outputs, manifests included.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -171,7 +172,12 @@ def calibrate(base_path: str, shocked_path: str, base_period: str,
                               quarters_covered=_parse_quarters(base_quarters))
     shocked = load_lfs_aggregate(shocked_path, period=shocked_period,
                                  quarters_covered=_parse_quarters(shocked_quarters))
-    table = compute_cell_changes(base, shocked, small_cell_threshold=threshold)
+    try:
+        table = compute_cell_changes(base, shocked, small_cell_threshold=threshold)
+    except DataError as exc:
+        # a cell one aggregate lacks: name that aggregate's file
+        lacking = shocked_path if exc.message.endswith("shocked aggregate") else base_path
+        raise DataError(exc.message, file=lacking) from None
     out = _out_dir(out_path)
     save_cell_table(table, str(out / "cells.csv"))
     outputs = {"cells.csv": sha256_file(out / "cells.csv")}
@@ -212,7 +218,7 @@ def shocks(persons: str, households: str, cells_path: str, scale: str,
     changes: dict[str, str | None] = {}
     for source in ("wage", "self_employment"):
         try:
-            change = aggregate_income_change(pop, shocked, source)
+            change = aggregate_income_change(pop, shocked.persons, source)
         except DataError:
             changes[source] = None
         else:
@@ -444,7 +450,14 @@ def _read_report(path: str, kind: str, extract):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping.
+
+    The cyclic garbage collector is paused while the command runs and
+    restored after it: a command frees its data by reference counting, and
+    collections, triggered by its many allocations, find almost nothing.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         rv = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -464,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PovsimError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return rv if isinstance(rv, int) else 0
 
 

@@ -261,15 +261,19 @@ class Population:
 
     def _rescale_incomes(self, incomes: Iterable[IncomeVectors | None]) -> "Population":
         """The population with, person by person, new Person.incomes or
-        None to keep the person. Internal constructor for the engine's
-        shocks and calibration scaling: it builds persons positionally,
-        shares this population's household index and skips validation,
-        sound as each new vector rescales the old one. Returns self when
-        nothing changed."""
+        None to keep the person, built positionally; see _with_persons."""
         make = Person._make
-        new_persons = tuple(
+        return self._with_persons(
             p if vectors is None else make(p[:10] + vectors)
             for p, vectors in zip(self.persons, incomes, strict=True))
+
+    def _with_persons(self, persons: Iterable[Person]) -> "Population":
+        """The population with persons, this population's in order, each
+        with new income vectors or kept. Internal constructor for the
+        engine's shocks and calibration scaling: it shares this
+        population's household index and skips validation, sound as each
+        new vector rescales the old one. Returns self when nothing changed."""
+        new_persons = tuple(persons)
         if all(a is b for a, b in zip(new_persons, self.persons)):
             return self
         members: dict[int, tuple[Person, ...]] = {}
@@ -457,7 +461,8 @@ def load_population(persons_path: str, households_path: str, *,
     file, row (the line number in the file) and column context; a
     repeated person or household id is reported at its second row. Each
     person's invariants are checked as its row is read, and the
-    cross-table invariants once all rows are in.
+    cross-table invariants once all rows are in; a household no persons
+    row belongs to is reported against the persons file.
     """
     households: list[tuple] = []
     members: dict[int, list[int]] = {}
@@ -528,11 +533,16 @@ def load_population(persons_path: str, households_path: str, *,
         members[hid].append(pid)
 
     del seen  # freed before the cross-table checks, where memory peaks
-    return Population._of_valid_persons(
-        tuple(persons),
-        tuple(Household(hid, tuple(sorted(members[hid])), *rest)
-              for hid, *rest in households),
-        base_year=base_year, provenance="loaded")
+    try:
+        return Population._of_valid_persons(
+            tuple(persons),
+            tuple(Household(hid, tuple(sorted(members[hid])), *rest)
+                  for hid, *rest in households),
+            base_year=base_year, provenance="loaded")
+    except DataError as exc:
+        # every row was checked as it was read: what is left to fail is a
+        # household that no persons row lists as its own
+        raise DataError(exc.message, file=persons_path) from None
 
 
 # A month vector of zeros as written: csv.writer's rendering of twelve "0"s.

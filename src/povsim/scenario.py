@@ -11,10 +11,11 @@ always computed from the unshocked population.
 
 A Study is the one way to evaluate scenarios: it runs every scenario a
 study asks for over one population (its decomposition, uncertainty band
-and group breakdown), each distinct ScenarioSpec once, each distinct
-income shock once, and all of them on one HouseholdBase, the
-per-household data no scenario changes. prepare_baseline is the study of
-the baseline run alone, for generate and calibration.
+and group breakdown), each distinct ScenarioSpec once, all of them on
+one HouseholdBase, the per-household data no scenario changes. A shock
+is applied to the HouseholdBase's ledgers directly; no shocked
+Population is built. prepare_baseline is the study of the baseline run
+alone, for generate and calibration.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from . import cells as cells_mod
 from .errors import ConfigError, PipelineError
-from .cells import CellChangeTable, apply_shock
+from .cells import (CellChangeTable, aggregate_income_change, shock_factors,
+                    shock_site, shocked_person, shocked_persons)
 from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
                       HouseholdFrame, HouseholdScores, PovertyLines,
                       PovertyReport, RateResult, adult_education_group,
@@ -119,7 +120,6 @@ class ScenarioResult:
     spec: ScenarioSpec
     report: PovertyReport
     fiscal: Mapping[int, HouseholdFiscalResult]
-    population: Population  # post-shock population the run was scored on
     scores: HouseholdScores = field(repr=False, compare=False)
 
 
@@ -149,7 +149,8 @@ _GROUPERS: dict[str, tuple[tuple[str, ...],
 
 class HouseholdDemography:
     """What no income change moves, in household order: members (their
-    demographic fields), household_demography fields, frame, group counts."""
+    demographic fields), household_demography fields, frame, group counts
+    and shock sites."""
 
     def __init__(self, pop: Population, params: PolicyParameters,
                  pov: PovertyConfig) -> None:
@@ -170,6 +171,14 @@ class HouseholdDemography:
                         counts[(dim, grouper(child, n_children, edu))][i] += 1
         return {key: tuple(c) for key, c in counts.items()}
 
+    @cached_property
+    def shock_sites(self) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
+        """(household index, (member index, *cells.shock_site) of each member
+        a shock can move) of each household that has such a member."""
+        sites = (tuple((j, k, cell) for j, (k, cell) in enumerate(map(shock_site, members))
+                       if cell is not None) for members in self.members)
+        return tuple((i, s) for i, s in enumerate(sites) if s)
+
 
 class HouseholdBase:
     """Per-household data of one population that no scenario changes.
@@ -177,9 +186,10 @@ class HouseholdBase:
     Its demography and an income part: each member's net-market vector
     and each household's baseline ledger; once evaluated, the baseline
     run and the cascade results evaluate() reuses. Shocks change only
-    income vectors, so every scenario over the population reuses it. Get
-    one through household_base(). cascade_runs and memo_hits count the
-    households evaluate() ran the cascade for and those it reused.
+    income vectors, so every scenario over the population reuses it, and
+    shocked_ledgers() derives a shock's ledgers from it. Get one through
+    household_base(). cascade_runs and memo_hits count the households
+    evaluate() ran the cascade for and those it reused.
     """
 
     def __init__(self, pop: Population, params: PolicyParameters,
@@ -209,23 +219,33 @@ class HouseholdBase:
         self.cascade_runs = 0
         self.memo_hits = 0
 
-    def ledgers_for(self, shocked: Population) -> tuple[HouseholdLedger, ...]:
-        """Ledgers of a population apply_shock derived from this one.
+    def shocked_ledgers(self, table: CellChangeTable, shock_start_month: int,
+                        scale: Fraction) -> tuple[HouseholdLedger, ...]:
+        """The ledgers of cells.apply_shock(pop, table, ...) for this base's
+        population, without building it.
 
-        Only households where the shock replaced a member, told apart by
-        object identity, get a new ledger (rules.shocked_ledger); it
-        reuses the net-market vector of every member the shock kept.
+        A household with a member in a cell of effective factor other than 1
+        gets a rules.shocked_ledger listing those members rebuilt (the May
+        one-off reads the wage) with new net vectors. Every other household
+        keeps this base's ledger object, whose cascade results evaluate()
+        reuses.
         """
-        out = []
-        for base, vectors in zip(self.ledgers, self.net_vectors):
-            members = shocked.members(base.household.household_id)
-            if all(a is b for a, b in zip(members, base.members)):
-                out.append(base)
-                continue
-            out.append(shocked_ledger(base, members, [
-                v if a is b else person_net_market(a, self.params)
-                for a, b, v in zip(members, base.members, vectors)]))
-        return tuple(out)
+        factors, start = shock_factors(table, shock_start_month, scale)
+        ledgers = list(self.ledgers)
+        for i, sites in self.demography.shock_sites:
+            base = ledgers[i]
+            members = nets = None
+            for j, k, cell in sites:
+                num, den = factors[cell]
+                if num == den:
+                    continue
+                if members is None:
+                    members, nets = list(base.members), list(self.net_vectors[i])
+                members[j] = shocked_person(base.members[j], k, num, den, start)
+                nets[j] = person_net_market(members[j], self.params)
+            if members is not None:
+                ledgers[i] = shocked_ledger(base, members, nets)
+        return tuple(ledgers)
 
     def rescaled(self, incomes: Sequence[IncomeVectors | None]) -> "HouseholdBase":
         """The base, baseline run included, of pop._rescale_incomes(incomes)
@@ -328,23 +348,23 @@ def household_base(pop: Population, params: PolicyParameters,
 class Study:
     """Every scenario of one study over one population, each run once.
 
-    Results are kept by ScenarioSpec, shocked populations and their ledgers
-    by shock (wage, self-employment, scale, start month), so a spec or a
-    shock the decomposition, the band and the group breakdown share is
-    evaluated once. runs counts the scenario passes evaluated.
+    Results are kept by ScenarioSpec, so a spec the decomposition, the
+    band and the group breakdown share is evaluated once. Only the ledgers
+    of the latest income shock (wage, self-employment, scale, start month)
+    are kept, for the passes that follow it: a shock asked for again after
+    another one is applied again. runs counts the scenario passes
+    evaluated.
     """
 
     def __init__(self, pop: Population, table: CellChangeTable | None,
                  params: PolicyParameters, pov: PovertyConfig) -> None:
-        self.population = pop
         self.table = table
         self.params = params
         self.pov = pov
         self.base = household_base(pop, params, pov)
         self.runs = 0
         self._results: dict[ScenarioSpec, ScenarioResult] = {}
-        self._shocked: dict[tuple, Population] = {}
-        self._ledgers: dict[tuple, tuple[HouseholdLedger, ...]] = {}
+        self._shock_ledgers: tuple[tuple, tuple[HouseholdLedger, ...]] = ((), ())
         self._stats: BaselineStats | None = None
 
     def result(self, spec: ScenarioSpec) -> ScenarioResult:
@@ -355,7 +375,7 @@ class Study:
         if spec == BASELINE_SPEC and self.base.baseline is not None:
             report, fiscal, scores = self.base.baseline
             found = ScenarioResult(spec=spec, report=report, fiscal=fiscal,
-                                   population=self.population, scores=scores)
+                                   scores=scores)
         else:
             found = self._evaluate(spec, self.stats() if spec.tbi else None)
             if spec == BASELINE_SPEC:
@@ -373,37 +393,26 @@ class Study:
                 scores=baseline.scores)
         return self._stats
 
-    def _shock(self, spec: ScenarioSpec, key: tuple | None) -> Population:
-        if key is None:
-            return self.population
-        if key not in self._shocked:
+    def _ledgers_of(self, spec: ScenarioSpec) -> tuple[HouseholdLedger, ...]:
+        """The ledgers of spec's income shock."""
+        if not spec.any_shock:
+            return self.base.ledgers
+        key = (spec.wage_shock, spec.selfemp_shock, spec.shock_scale,
+               spec.shock_start_month)
+        if self._shock_ledgers[0] != key:
             if self.table is None:
                 raise ConfigError("scenario enables shocks but no cell table given")
-            effective = self.table.neutralize(wage=not spec.wage_shock,
-                                              selfemp=not spec.selfemp_shock)
-            self._shocked[key] = apply_shock(
-                self.population, effective,
-                shock_start_month=spec.shock_start_month, scale=spec.shock_scale)
-        return self._shocked[key]
-
-    def _ledgers_of(self, key: tuple | None,
-                    shocked: Population) -> tuple[HouseholdLedger, ...]:
-        if key is None:
-            return self.base.ledgers
-        if key not in self._ledgers:
-            self._ledgers[key] = self.base.ledgers_for(shocked)
-        return self._ledgers[key]
+            self._shock_ledgers = key, self.base.shocked_ledgers(
+                self.table.neutralize(wage=not spec.wage_shock,
+                                      selfemp=not spec.selfemp_shock),
+                spec.shock_start_month, spec.shock_scale)
+        return self._shock_ledgers[1]
 
     def _evaluate(self, spec: ScenarioSpec,
                   stats: BaselineStats | None) -> ScenarioResult:
         """One pass of the fixed pipeline; stats anchors the basic income."""
-        key = None
-        if spec.any_shock:
-            key = (spec.wage_shock, spec.selfemp_shock, spec.shock_scale,
-                   spec.shock_start_month)
         try:
-            shocked = self._shock(spec, key)
-            ledgers = self._ledgers_of(key, shocked)
+            ledgers = self._ledgers_of(spec)
         except Exception as exc:
             if isinstance(exc, (PipelineError, ConfigError)):
                 raise
@@ -412,8 +421,7 @@ class Study:
             ledgers, spec, stats.tbi_context(self.params) if spec.tbi else None)
 
         self.runs += 1
-        return ScenarioResult(spec=spec, report=report, fiscal=fiscal,
-                              population=shocked, scores=scores)
+        return ScenarioResult(spec=spec, report=report, fiscal=fiscal, scores=scores)
 
     def decompose(self, base_spec: ScenarioSpec | None = None,
                   factors: Sequence[str] | None = None,
@@ -631,12 +639,10 @@ class DisaggregationResult:
 def simulated_aggregate_changes(pop: Population, table: CellChangeTable,
                                 spec: ScenarioSpec | None = None,
                                 ) -> dict[str, Fraction]:
-    """Full-scale aggregate income changes in percent, for validation."""
+    """Full-scale aggregate income changes in percent, for validation,
+    from the shocked persons without building a shocked Population."""
     spec = spec or ScenarioSpec(wage_shock=True, selfemp_shock=True)
-    shocked = apply_shock(pop, table, shock_start_month=spec.shock_start_month,
-                          scale=spec.shock_scale)
-    return {
-        "wage": cells_mod.aggregate_income_change(pop, shocked, "wage") * 100,
-        "self_employment": cells_mod.aggregate_income_change(
-            pop, shocked, "self_employment") * 100,
-    }
+    shocked = tuple(shocked_persons(pop, table, shock_start_month=spec.shock_start_month,
+                                    scale=spec.shock_scale))
+    return {source: aggregate_income_change(pop, shocked, source) * 100
+            for source in ("wage", "self_employment")}

@@ -96,7 +96,13 @@ class TestTableConstruction:
         selfemp = {k: CellChange(Fraction(1), MISSING_DEFAULT)
                    for k in all_selfemp_keys()}
         del wage[next(iter(wage))]
-        with pytest.raises(DataError, match="wage table covers 533"):
+        with pytest.raises(DataError, match=r"^wage table lacks cell WageCellKey"
+                           r"\(nace2='00', sex='male', age_band='youth_15_24'\)$"):
+            CellChangeTable(wage=wage, selfemp=selfemp)
+        wage[WageCellKey("00", "male", "youth_15_24")] = selfemp["U"] = \
+            CellChange(Fraction(1), MISSING_DEFAULT)
+        with pytest.raises(DataError, match="^self-employment table has "
+                           "unexpected cell 'U'$"):
             CellChangeTable(wage=wage, selfemp=selfemp)
 
     def test_neutralize(self):
@@ -272,7 +278,7 @@ class TestAggregateIncomeChange:
         pop = build_micro_population()
         table = build_micro_table()
         shocked = apply_shock(pop, table, shock_start_month=3)
-        got = aggregate_income_change(pop, shocked, "wage")
+        got = aggregate_income_change(pop, shocked.persons, "wage")
         # Weighted wage totals: H1 weight 200, others 100.
         before = 200 * 30000 * 12 + 100 * 12000 * 12 + 100 * 15000 * 12
         after = (200 * (30000 * 2 + 15000 * 10)
@@ -287,7 +293,7 @@ class TestAggregateIncomeChange:
         shocked = apply_shock(pop, CellChangeTable.from_factors(WAGE_F, SE_F),
                               shock_start_month=start, scale=scale)
         for source in ("wage", "self_employment"):
-            got = aggregate_income_change(pop, shocked, source)
+            got = aggregate_income_change(pop, shocked.persons, source)
             assert got == aggregate_change_by_scan(pop, shocked, source)
             assert got < 0
 
@@ -304,10 +310,10 @@ class TestAggregateIncomeChange:
             households=pop.households)
         assert not any(a is b for a, b in zip(pop.persons, other.persons))
         for source in ("wage", "self_employment"):
-            got = aggregate_income_change(pop, other, source)
+            got = aggregate_income_change(pop, other.persons, source)
             assert got == aggregate_change_by_scan(pop, other, source)
-        assert aggregate_income_change(pop, other, "wage") > 0
-        assert aggregate_income_change(pop, other, "self_employment") == 0
+        assert aggregate_income_change(pop, other.persons, "wage") > 0
+        assert aggregate_income_change(pop, other.persons, "self_employment") == 0
 
     def test_different_persons(self):
         pop = build_micro_population()
@@ -323,12 +329,12 @@ class TestAggregateIncomeChange:
                 i for i in hh.member_ids if i != 12)) for hh in pop.households))
         for other in (renumbered, fewer):
             with pytest.raises(DataError, match="different persons"):
-                aggregate_income_change(pop, other, "wage")
+                aggregate_income_change(pop, other.persons, "wage")
 
     def test_source_validation(self):
         pop = build_micro_population()
         with pytest.raises(DataError):
-            aggregate_income_change(pop, pop, "pension")
+            aggregate_income_change(pop, pop.persons, "pension")
 
     def test_zero_base_total(self):
         pop = build_micro_population()
@@ -338,7 +344,7 @@ class TestAggregateIncomeChange:
                           for p in pop.persons),
             households=pop.households)
         with pytest.raises(DataError):
-            aggregate_income_change(stripped, stripped, "self_employment")
+            aggregate_income_change(stripped, stripped.persons, "self_employment")
 
 
 class TestCsvRoundTrips:

@@ -7,6 +7,7 @@ and exercise error paths with fresh invocations.
 
 from __future__ import annotations
 
+import gc
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ import pytest
 
 from povsim.cells import (CellStat, LfsAggregate, all_selfemp_keys,
                           all_wage_keys, load_cell_table, save_lfs_aggregate)
+import povsim.cli as cli_mod
 from povsim.cli import main
 from povsim.config import sha256_file
 from povsim.population import load_population
@@ -85,6 +87,31 @@ class TestUsage:
     def test_nonexistent_config_path(self, ws):
         assert main(["generate", "--config", str(ws.root / "absent.json"),
                      "--out", str(ws.root / "x")]) == 1
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    @pytest.mark.parametrize("quarters,code", [("1,2,3,4", 0), ("one", 1)])
+    def test_collector_paused_for_the_command_and_restored(
+            self, ws, monkeypatch, collecting, quarters, code):
+        """main runs a command with the cyclic garbage collector paused and
+        leaves it as it found it, on success and on an error exit."""
+        during = []
+        load = cli_mod.load_lfs_aggregate
+
+        def recording(*args, **kwargs):
+            during.append(gc.isenabled())
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "load_lfs_aggregate", recording)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["calibrate", "--base", str(ws.base),
+                         "--shocked", str(ws.shocked), "--shocked-quarters", quarters,
+                         "--out", str(ws.root / "x_gc")]) == code
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during and not any(during)
 
 
 class TestGenerate:
@@ -173,6 +200,23 @@ class TestCalibrate:
         assert (f"expected 6 fields, got 2 (file={base}, row=3)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("lacking", ["base", "shocked"])
+    def test_aggregate_lacking_a_cell(self, ws, capsys, lacking):
+        """Aggregates with different cell universes name the cell, the
+        aggregate that lacks it and that aggregate's file."""
+        short = ws.root / f"{lacking}_short.csv"
+        header, first, *rest = getattr(ws, lacking).read_text(
+            encoding="utf-8").splitlines()
+        assert first.startswith("wage,00,female,adult_25_49,")
+        short.write_text("\n".join([header] + rest) + "\n", encoding="utf-8")
+        paths = {"base": str(ws.base), "shocked": str(ws.shocked), lacking: str(short)}
+        assert main(["calibrate", "--base", paths["base"], "--shocked", paths["shocked"],
+                     "--out", str(ws.root / "x14")]) == 1
+        assert capsys.readouterr().err == (
+            "error: wage cell WageCellKey(nace2='00', sex='female', "
+            f"age_band='adult_25_49') is missing from the {lacking} aggregate "
+            f"(file={short})\n")
+
     def test_aggregate_not_utf8(self, ws, capsys):
         """A survey aggregate with a Latin-1 byte is a data error naming the
         file, not a traceback."""
@@ -223,6 +267,22 @@ class TestShocks:
                      "--cells", str(cells), "--out", str(ws.root / "x7")]) == 1
         assert (f"expected 6 fields, got 2 (file={cells}, row=3)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["shocks", "simulate"])
+    def test_cell_table_lacking_a_cell(self, ws, capsys, command):
+        """A factor table without its last row names its file and the cell
+        it lacks."""
+        cells = ws.root / "cells_short.csv"
+        lines = (ws.cal / "cells.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("selfemp,U,")
+        cells.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        config = ["--config", str(ws.cfg)] if command == "simulate" else []
+        assert main([command, *config, "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(cells), "--out", str(ws.root / "x15")]) == 1
+        assert capsys.readouterr().err == (
+            "error: self-employment table lacks cell SelfEmpCellKey(section='U') "
+            f"(file={cells})\n")
 
     def test_cell_table_not_utf8(self, ws, capsys):
         """A factor table that is not UTF-8 is a data error naming the file,
@@ -401,6 +461,22 @@ class TestValidate:
         assert "FAIL" in captured.out
         assert "validation failed" in captured.err
         assert read_manifest(out)["extra"]["passed"] is False
+
+    def test_persons_truncated_before_the_last_household(self, ws, capsys):
+        """A persons file cut before the last household's rows names the
+        household and the persons file."""
+        persons = ws.root / "persons_truncated.csv"
+        lines = (ws.gen / "persons.csv").read_text(encoding="utf-8").splitlines()
+        last = lines[-1].split(",")[1]
+        kept = [line for line in lines if line.split(",")[1] != last]
+        persons.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        assert main(["validate", "--config", observed_config(ws, Fraction(0), "1"),
+                     "--persons", str(persons),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(ws.cal / "cells.csv"),
+                     "--out", str(ws.root / "x16")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: household {last}: household has no members (file={persons})\n")
 
     def test_config_without_observed(self, ws, capsys):
         assert main(["validate", "--config", str(ws.cfg),

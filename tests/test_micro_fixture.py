@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from povsim.cells import apply_shock
+from povsim.rules import ledger_from_vectors, person_net_market
 from povsim.scenario import ScenarioSpec, Study, prepare_baseline
 
 from oracles import MICRO_EXPECTED as E
@@ -89,10 +91,17 @@ class TestCombinedScenario:
         assert sum(combined.fiscal[4].oneoff_may) == E["h4_may_total"]
         assert sum(combined.fiscal[5].oneoff_may) == E["h5_may_total"]
 
-    def test_shock_leaves_first_two_months(self, combined):
-        hotel_worker = [p for p in combined.population.persons
-                        if p.person_id == 1][0]
+    def test_shock_leaves_first_two_months(self, combined, micro_pop,
+                                           micro_table, params):
+        shocked = apply_shock(micro_pop, micro_table)
+        hotel_worker = [p for p in shocked.persons if p.person_id == 1][0]
         assert hotel_worker.wage == (30000, 30000) + (15000,) * 10
+        members = shocked.members(hotel_worker.household_id)
+        ledger = ledger_from_vectors(
+            shocked.household(hotel_worker.household_id), members,
+            [person_net_market(m, params) for m in members], params)
+        assert combined.fiscal[hotel_worker.household_id].net_market == \
+            ledger.net_market
 
 
 class TestTbiScenario:

@@ -113,7 +113,7 @@ PINNED = {
         "expected integer, got 'three' (file={h}, row=4, column=household_id)"),
     "household without members": (
         [("persons", 12, "household_id", "4"), ("persons", 13, "household_id", "4")],
-        "household 5: household has no members"),
+        "household 5: household has no members (file={p})"),
     "duplicate household": (
         [("households", 6, "household_id", "4"), ("persons", 12, "household_id", "4"),
          ("persons", 13, "household_id", "4")],

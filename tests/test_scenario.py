@@ -8,7 +8,7 @@ import pytest
 
 from povsim.errors import ConfigError
 from povsim.metrics import headcount_from_pp
-from povsim.rules import disposable_income
+from povsim.rules import disposable_income, ledger_from_vectors, person_net_market
 from povsim.scenario import (
     COLUMN_ORDER,
     DIMENSIONS,
@@ -23,6 +23,21 @@ from povsim.cells import aggregate_income_change, apply_shock
 
 ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                       gma_relaxation=True, one_offs=True)
+
+
+def net_market(result):
+    """household id -> monthly net market income a scenario run scored."""
+    return {hid: res.net_market for hid, res in result.fiscal.items()}
+
+
+def net_market_of(pop, params):
+    """household id -> monthly net market income of pop's members, by
+    ledger_from_vectors."""
+    return {hh.household_id: ledger_from_vectors(
+                hh, pop.members(hh.household_id),
+                [person_net_market(m, params) for m in pop.members(hh.household_id)],
+                params).net_market
+            for hh in pop.households}
 
 
 class TestScenarioSpec:
@@ -61,23 +76,27 @@ class TestStudyResult:
     def test_transfer_only_scenarios_need_no_table(self, micro_pop, params, pov):
         result = Study(micro_pop, None, params, pov).result(
             ScenarioSpec(gma_relaxation=True, one_offs=True))
-        assert result.population is micro_pop
+        assert net_market(result) == net_market_of(micro_pop, params)
 
     def test_wage_only_spec_neutralizes_selfemp(self, micro_pop, micro_table,
                                                 params, pov):
         result = Study(micro_pop, micro_table, params, pov).result(
             ScenarioSpec(wage_shock=True))
-        by_id = {p.person_id: p for p in result.population.persons}
+        shocked = apply_shock(micro_pop, micro_table.neutralize(selfemp=True))
+        by_id = {p.person_id: p for p in shocked.persons}
         assert by_id[1].wage[11] == 15000          # hotel wage shocked
         assert by_id[8].self_employment[11] == 25000  # self-emp untouched
+        assert net_market(result) == net_market_of(shocked, params)
 
     def test_selfemp_only_spec_neutralizes_wage(self, micro_pop, micro_table,
                                                 params, pov):
         result = Study(micro_pop, micro_table, params, pov).result(
             ScenarioSpec(selfemp_shock=True))
-        by_id = {p.person_id: p for p in result.population.persons}
+        shocked = apply_shock(micro_pop, micro_table.neutralize(wage=True))
+        by_id = {p.person_id: p for p in shocked.persons}
         assert by_id[1].wage[11] == 30000
         assert by_id[8].self_employment[11] == 15000
+        assert net_market(result) == net_market_of(shocked, params)
 
     def test_baseline_stats_anchors(self, micro_pop, params, pov):
         stats, result = prepare_baseline(micro_pop, params, pov)
@@ -107,17 +126,20 @@ class TestDecompose:
     def test_transfer_columns_run_on_unshocked_incomes(self, micro_pop,
                                                        micro_table, params, pov):
         deco = Study(micro_pop, micro_table, params, pov).decompose()
+        unshocked = net_market_of(micro_pop, params)
         gma_col = dict(deco.columns)["gma_relaxation"]
-        assert gma_col.population is micro_pop  # incomes untouched
+        assert net_market(gma_col) == unshocked  # incomes untouched
         combined = dict(deco.columns)["combined"]
-        assert combined.population is not micro_pop
+        assert net_market(combined) == net_market_of(
+            apply_shock(micro_pop, micro_table), params) != unshocked
 
     def test_transfers_on_shocked_flag(self, micro_pop, micro_table, params, pov):
         deco = Study(micro_pop, micro_table, params, pov).decompose(
             transfers_on_shocked=True)
         gma_col = dict(deco.columns)["gma_relaxation"]
-        by_id = {p.person_id: p for p in gma_col.population.persons}
-        assert by_id[1].wage[11] == 15000
+        shocked = apply_shock(micro_pop, micro_table)
+        assert [p.wage[11] for p in shocked.persons if p.person_id == 1] == [15000]
+        assert net_market(gma_col) == net_market_of(shocked, params)
 
     def test_combined_column_matches_direct_run(self, micro_pop, micro_table,
                                                 params, pov):
@@ -195,9 +217,9 @@ class TestValidation:
         got = simulated_aggregate_changes(micro_pop, micro_table)
         shocked = apply_shock(micro_pop, micro_table, shock_start_month=3)
         assert got["wage"] == \
-            aggregate_income_change(micro_pop, shocked, "wage") * 100
+            aggregate_income_change(micro_pop, shocked.persons, "wage") * 100
         assert got["self_employment"] == \
-            aggregate_income_change(micro_pop, shocked, "self_employment") * 100
+            aggregate_income_change(micro_pop, shocked.persons, "self_employment") * 100
         assert got["wage"] < 0
         assert got["self_employment"] < 0
 

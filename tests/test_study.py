@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -20,12 +21,11 @@ import pytest
 
 from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
                       build_micro_population, build_micro_table)
-from oracles import (dec_round_half_up, equivalized, gma_countable_by_definition,
-                     poverty_rate_by_scan, relative_line_by_scan,
-                     weighted_median_by_scan)
+from oracles import (aggregate_change_by_scan, dec_round_half_up, equivalized,
+                     gma_countable_by_definition, poverty_rate_by_scan,
+                     relative_line_by_scan, weighted_median_by_scan)
 
 import povsim.cli as cli_mod
-import povsim.scenario as scenario_mod
 from povsim.cells import CellChangeTable, apply_shock, save_cell_table
 from povsim.cli import main
 from povsim.config import ScenarioSettings
@@ -41,7 +41,7 @@ from povsim.rules import (HouseholdLedger, PolicyParameters, TbiContext,
                           person_net_market)
 from povsim.scenario import (BASELINE_SPEC, HouseholdBase, HouseholdDemography,
                              PovertyConfig, ScenarioSpec, Study, household_base,
-                             prepare_baseline)
+                             prepare_baseline, simulated_aggregate_changes)
 from povsim.synth import calibrate_to_baseline, generate_synthetic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -197,6 +197,17 @@ def test_household_scoring_equals_oracles(params):
     assert on_line >= 60
 
 
+def shocked_by_oracle(pop: Population, table: CellChangeTable | None,
+                      spec: ScenarioSpec) -> Population:
+    """The population spec's income shock makes, by apply_shock."""
+    if not spec.any_shock:
+        return pop
+    return apply_shock(pop, table.neutralize(wage=not spec.wage_shock,
+                                             selfemp=not spec.selfemp_shock),
+                       shock_start_month=spec.shock_start_month,
+                       scale=spec.shock_scale)
+
+
 def reference_run(pop: Population, table: CellChangeTable | None,
                   spec: ScenarioSpec, params: PolicyParameters,
                   pov: PovertyConfig):
@@ -233,14 +244,9 @@ def reference_run(pop: Population, table: CellChangeTable | None,
             vulnerability_line_annual=(params.tbi.vulnerability_multiplier
                                        * oracle_report(pop, base_annual,
                                                        pov).lines.relative))
-    shocked = pop
-    if spec.any_shock:
-        shocked = apply_shock(
-            pop, table.neutralize(wage=not spec.wage_shock,
-                                  selfemp=not spec.selfemp_shock),
-            shock_start_month=spec.shock_start_month, scale=spec.shock_scale)
+    shocked = shocked_by_oracle(pop, table, spec)
     fiscal = fiscal_of(shocked, spec, ctx)
-    return shocked, fiscal, oracle_report(shocked, annual(fiscal), pov)
+    return fiscal, oracle_report(shocked, annual(fiscal), pov)
 
 
 def _micro():
@@ -275,12 +281,9 @@ def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov)
         fresh = Study(fresh_pop, table, params, pov).result(result.spec)
         assert result.report == fresh.report, result.spec
         assert result.fiscal == fresh.fiscal, result.spec
-        assert result.population.persons == fresh.population.persons
-        shocked, fiscal, report = reference_run(fresh_pop, table, result.spec,
-                                                params, pov)
+        fiscal, report = reference_run(fresh_pop, table, result.spec, params, pov)
         assert result.report == report, result.spec
         assert result.fiscal == fiscal, result.spec
-        assert result.population.persons == shocked.persons
 
 
 def _policy_leaves(obj=PolicyParameters(), path=()):
@@ -340,12 +343,13 @@ def test_default_settings_run_eight_distinct_passes(transfers_on_shocked,
     """Decomposition, band and group breakdown at default settings share
     one study: 8 distinct specs run once each, 5 distinct shocks."""
     shocks = []
+    shocked_ledgers = HouseholdBase.shocked_ledgers
 
-    def counting_apply_shock(*args, **kwargs):
-        shocks.append(kwargs)
-        return apply_shock(*args, **kwargs)
+    def counting_shocked_ledgers(self, *args):
+        shocks.append(args)
+        return shocked_ledgers(self, *args)
 
-    monkeypatch.setattr(scenario_mod, "apply_shock", counting_apply_shock)
+    monkeypatch.setattr(HouseholdBase, "shocked_ledgers", counting_shocked_ledgers)
     settings = ScenarioSettings(transfers_on_shocked=transfers_on_shocked)
     pop, table = _micro()
     study = Study(pop, table, params, pov)
@@ -554,27 +558,40 @@ def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_shocked_ledgers_equal_full_rebuild(seed, params, pov):
-    """For every shock a study makes, each shocked ledger equals, field
-    by field, ledger_from_vectors over the shocked members with the
-    unshocked ledger as baseline."""
+def test_shocked_ledgers_equal_full_rebuild(seed, monkeypatch, params, pov):
+    """For every shock a study makes, at start months 1, 3 and 12 and at a
+    scale that floors some effective factors at 0, over formal and informal
+    employees and the self-employed, each shocked ledger equals, field by
+    field, ledger_from_vectors over the members apply_shock gives, with the
+    unshocked ledger as baseline; a household apply_shock left alone keeps
+    the base's ledger object."""
     rng = random.Random(100 + seed)
     pop = random_income_population(rng, 150)
     table = CellChangeTable.from_factors(
         {d: Fraction(rng.randint(30, 160), 100) for d in rng.sample(DIVISIONS, 50)},
         {s: Fraction(rng.randint(30, 160), 100) for s in SECTIONS})
+    shocks = []
+    shocked_ledgers = HouseholdBase.shocked_ledgers
+
+    def recording(self, *args):
+        shocks.append((args, shocked_ledgers(self, *args)))
+        return shocks[-1][1]
+
+    monkeypatch.setattr(HouseholdBase, "shocked_ledgers", recording)
     study = Study(pop, table, params, pov)
-    study.decompose(transfers_on_shocked=True)
-    study.uncertainty_band(scales=(Fraction(1, 2), 1, Fraction(7, 4)))
-    assert len(study._ledgers) == 5
+    for start in (1, 3, 12):
+        base_spec = ScenarioSpec(shock_start_month=start)
+        study.decompose(base_spec=base_spec, transfers_on_shocked=True)
+        study.uncertainty_band(scales=(Fraction(1, 2), 1, 4), base_spec=base_spec)
+    assert len(shocks) == 15
 
     def net(members):
         return [person_net_market(m, params) for m in members]
 
-    rebuilt = 0
-    for key, ledgers in study._ledgers.items():
-        shocked = study._shocked[key]
-        for base, ledger in zip(study.base.ledgers, ledgers):
+    rebuilt, seen = 0, Counter()
+    for (effective, start, scale), ledgers in shocks:
+        shocked = apply_shock(pop, effective, shock_start_month=start, scale=scale)
+        for base, ledger in zip(study.base.ledgers, ledgers, strict=True):
             hh = base.household
             members = shocked.members(hh.household_id)
             baseline = ledger_from_vectors(hh, base.members, net(base.members),
@@ -583,9 +600,38 @@ def test_shocked_ledgers_equal_full_rebuild(seed, params, pov):
                                        baseline=baseline)
             for f in dataclasses.fields(HouseholdLedger):
                 assert getattr(ledger, f.name) == getattr(full, f.name), \
-                    (key, hh.household_id, f.name)
+                    (start, scale, hh.household_id, f.name)
+            touched = [(a, b) for a, b in zip(base.members, members) if a is not b]
+            assert (ledger is base) == (not touched), (start, scale, hh.household_id)
             rebuilt += ledger is not base
-    assert rebuilt > 100
+            for a, b in touched:
+                seen["informal"] += a.informal_wage_flag
+                seen["self_employed"] += a.labor_status is LaborStatus.SELF_EMPLOYED
+                moved = slice(start - 1, None)
+                seen["floored"] += (any(a.wage[moved] + a.self_employment[moved])
+                                    and not any(b.wage[moved] + b.self_employment[moved]))
+    assert rebuilt > 300
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_simulated_aggregate_changes_match_scan(seed):
+    """validate's aggregate changes, summed over the shocked persons
+    without a shocked Population, equal the weighted scan of what
+    apply_shock gives, at several start months and at scales that floor
+    some effective factors at 0."""
+    rng = random.Random(700 + seed)
+    pop = random_income_population(rng, 150)
+    table = CellChangeTable.from_factors(
+        {d: Fraction(rng.randint(30, 160), 100) for d in rng.sample(DIVISIONS, 50)},
+        {s: Fraction(rng.randint(30, 160), 100) for s in SECTIONS})
+    for start in (1, 3, 12):
+        for scale in (Fraction(1, 2), Fraction(1), Fraction(4)):
+            spec = ScenarioSpec(shock_start_month=start, shock_scale=scale)
+            got = simulated_aggregate_changes(pop, table, spec)
+            shocked = apply_shock(pop, table, shock_start_month=start, scale=scale)
+            assert got == {source: aggregate_change_by_scan(pop, shocked, source) * 100
+                           for source in ("wage", "self_employment")}, (start, scale)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -604,12 +650,12 @@ def test_shocks_that_only_cut_raise_no_income(seed, params, pov):
     frame = HouseholdFrame.of(pop, pov.equivalence_scale)
     lines = (Fraction(pov.absolute_extreme), Fraction(pov.absolute_upper))
 
-    def pre_transfer_child_rates(ledgers):
-        scores = frame.scores([sum(ledger.net_market) + sum(ledger.carried)
-                               for ledger in ledgers])
+    def pre_transfer_child_rates(result):
+        scores = frame.scores([sum(res.net_market) + sum(res.carried)
+                               for res in result.fiscal.values()])
         return [scores.rate(line, frame.children).rate for line in lines]
 
-    before = pre_transfer_child_rates(study.base.ledgers)
+    before = pre_transfer_child_rates(study.result(BASELINE_SPEC))
     cut = rose = 0
     # 1/1000: cuts under half an MKD, where only the rounding acts
     for scale in (Fraction(1, 1000), Fraction(1, 4), 1, Fraction(3, 2), 4):
@@ -617,13 +663,13 @@ def test_shocks_that_only_cut_raise_no_income(seed, params, pov):
             spec = ScenarioSpec(wage_shock=wage, selfemp_shock=selfemp,
                                 shock_scale=scale,
                                 shock_start_month=rng.randint(1, 12))
-            shocked = study.result(spec).population
+            shocked = shocked_by_oracle(pop, table, spec)
             for p, q in zip(pop.persons, shocked.persons, strict=True):
                 assert p.person_id == q.person_id
                 for old, new in zip(p.incomes, q.incomes):
                     assert all(n <= o for o, n in zip(old, new)), (spec, p.person_id)
                 cut += q.incomes != p.incomes
-            after = pre_transfer_child_rates(study.base.ledgers_for(shocked))
+            after = pre_transfer_child_rates(study.result(spec))
             assert all(a >= b for a, b in zip(after, before)), spec
             rose += after != before
     assert cut > 100 and rose > 0
@@ -650,7 +696,7 @@ def _assert_fresh_cascade(study, results, params):
     ctx = study.stats().tbi_context(params)
     for result in results:
         spec = result.spec
-        for ledger in study.base.ledgers_for(result.population):
+        for ledger in study._ledgers_of(spec):
             assert result.fiscal[ledger.household.household_id] == disposable_income(
                 ledger, params, relaxed=spec.gma_relaxation, one_offs=spec.one_offs,
                 tbi=spec.tbi, tbi_ctx=ctx if spec.tbi else None), \
@@ -749,9 +795,10 @@ def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, po
     seen = Counter()
     for result in results:
         relaxed = result.spec.gma_relaxation
-        for ledger in study.base.ledgers_for(result.population):
+        shocked = shocked_by_oracle(pop, table, result.spec)
+        for ledger in study._ledgers_of(result.spec):
             hh = ledger.household
-            members = result.population.members(hh.household_id)
+            members = shocked.members(hh.household_id)
             fiscal = result.fiscal[hh.household_id]
             nets = [person_net_market(m, params) for m in members]
             awards = (fiscal.gma, fiscal.energy, fiscal.allowances,
@@ -821,32 +868,48 @@ def _demo300_config(tmp_path: Path) -> Path:
     return cfg
 
 
-def test_demo_chain_matches_golden_digests(tmp_path, capsys):
+def test_demo_chain_matches_golden_digests(tmp_path, capsys, monkeypatch):
     """generate (calibrated) -> calibrate -> simulate -> validate, and
     shocks at two scales and start months, on the demo recipe at 300
-    households write the golden bytes."""
+    households write the golden bytes. simulate and validate apply their
+    shocks to the household base: they build no shocked population with
+    apply_shock, which only shocks, writing it, calls."""
+    applied = []
+
+    def recording_apply_shock(*args, **kwargs):
+        applied.append(kwargs)
+        return apply_shock(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "povsim" and hasattr(module, "apply_shock"):
+            monkeypatch.setattr(module, "apply_shock", recording_apply_shock)
+
+    def run(*argv):
+        """main's exit code and the apply_shock calls the command made."""
+        before = len(applied)
+        return main(list(argv)), len(applied) - before
+
     cfg = _demo300_config(tmp_path)
     lfs = ROOT / "configs"
     pop = ["--persons", str(tmp_path / "pop" / "persons.csv"),
            "--households", str(tmp_path / "pop" / "households.csv")]
     cells = ["--cells", str(tmp_path / "cells" / "cells.csv")]
-    assert main(["generate", "--config", str(cfg),
-                 "--out", str(tmp_path / "pop")]) == 0
+    assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "pop")) == (0, 0)
     assert "baseline relative child poverty: 27.4183%" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "pop" / "manifest.json").read_text())
     assert manifest["extra"]["baseline_child_rate_pct"] == "27.4183"
-    assert main(["calibrate", "--base", str(lfs / "lfs_2019.csv"),
-                 "--shocked", str(lfs / "lfs_2020q23.csv"),
-                 "--base-period", "2019", "--shocked-period", "2020q23",
-                 "--out", str(tmp_path / "cells")]) == 0
-    assert main(["simulate", "--config", str(cfg), *pop, *cells,
-                 "--out", str(tmp_path / "sim")]) == 0
+    assert run("calibrate", "--base", str(lfs / "lfs_2019.csv"),
+               "--shocked", str(lfs / "lfs_2020q23.csv"),
+               "--base-period", "2019", "--shocked-period", "2020q23",
+               "--out", str(tmp_path / "cells")) == (0, 0)
+    assert run("simulate", "--config", str(cfg), *pop, *cells,
+               "--out", str(tmp_path / "sim")) == (0, 0)
     # one source misses its tolerance at this size: a result, exit 1
-    assert main(["validate", "--config", str(cfg), *pop, *cells,
-                 "--out", str(tmp_path / "val")]) == 1
-    assert main(["shocks", *pop, *cells, "--out", str(tmp_path / "shk")]) == 0
-    assert main(["shocks", *pop, *cells, "--scale", "0.8", "--start-month", "5",
-                 "--out", str(tmp_path / "shk08")]) == 0
+    assert run("validate", "--config", str(cfg), *pop, *cells,
+               "--out", str(tmp_path / "val")) == (1, 0)
+    assert run("shocks", *pop, *cells, "--out", str(tmp_path / "shk")) == (0, 1)
+    assert run("shocks", *pop, *cells, "--scale", "0.8", "--start-month", "5",
+               "--out", str(tmp_path / "shk08")) == (0, 1)
     digests = {f"{d}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
                for d in ("pop", "cells", "sim", "val", "shk", "shk08")
                for f in sorted((tmp_path / d).iterdir())
