@@ -24,11 +24,10 @@ from .metrics import (EquivalenceScale, PovertyLines, PovertyReport, RateResult,
 from .population import (Household, LaborStatus, Person, Population, Sex,
                          load_population, save_population)
 from .rules import (GmaScale, OneOffDec, OneOffMay, PolicyParameters,
-                    TbiContext, TbiParams, disposable_income, gma_schedule,
-                    gross_to_net, tbi_award)
-from .scenario import (BandResult, BaselineStats, DecompositionResult,
-                       DisaggregationResult, PovertyConfig, ScenarioResult,
-                       ScenarioSpec, Study, ValidationResult, prepare_baseline,
+                    disposable_income, gma_schedule, gross_to_net)
+from .scenario import (BandResult, DecompositionResult, DisaggregationResult,
+                       PovertyConfig, ScenarioResult, ScenarioSpec, Study,
+                       ValidationResult, prepare_baseline,
                        simulated_aggregate_changes, validate_against_observed)
 from .synth import (IncomeDist, SynthConfig, calibrate_to_baseline,
                     generate_synthetic)
@@ -36,22 +35,22 @@ from .synth import (IncomeDist, SynthConfig, calibrate_to_baseline,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandResult", "BaselineStats", "CalibrationError", "CalibrationSettings",
-    "CellChange", "CellChangeTable", "CellStat", "ConfigError", "DataError",
+    "BandResult", "CalibrationError", "CalibrationSettings", "CellChange",
+    "CellChangeTable", "CellStat", "ConfigError", "DataError",
     "DecompositionResult", "DisaggregationResult", "EquivalenceScale",
     "GmaScale", "Household", "IncomeDist", "LaborStatus", "LfsAggregate",
-    "ObservedChange", "ObservedChanges", "OneOffDec", "OneOffMay", "Person",
-    "PipelineError", "PolicyParameters", "Population", "PovertyConfig",
-    "PovertyLines", "PovertyReport", "PovsimError", "RateResult",
-    "ScenarioResult", "ScenarioSettings", "ScenarioSpec", "SelfEmpCellKey",
-    "Sex", "Study", "StudyConfig", "SynthConfig", "TbiContext", "TbiParams",
+    "ObservedChange", "ObservedChanges", "OneOffDec", "OneOffMay",
+    "Person", "PipelineError", "PolicyParameters", "Population",
+    "PovertyConfig", "PovertyLines", "PovertyReport", "PovsimError",
+    "RateResult", "ScenarioResult", "ScenarioSettings", "ScenarioSpec",
+    "SelfEmpCellKey", "Sex", "Study", "StudyConfig", "SynthConfig",
     "ValidationResult", "WageCellKey", "aggregate_income_change",
     "all_selfemp_keys", "all_wage_keys", "apply_shock",
     "calibrate_to_baseline", "compute_cell_changes", "disposable_income",
-    "generate_synthetic", "gma_schedule", "gross_to_net", "headcount_from_pp",
-    "load_cell_table", "load_lfs_aggregate", "load_population",
-    "load_study_config", "prepare_baseline", "save_cell_table",
-    "save_lfs_aggregate", "save_population", "simulated_aggregate_changes",
-    "study_config_from_dict", "tbi_award", "validate_against_observed",
-    "weighted_median",
+    "generate_synthetic", "gma_schedule", "gross_to_net",
+    "headcount_from_pp", "load_cell_table", "load_lfs_aggregate",
+    "load_population", "load_study_config", "prepare_baseline",
+    "save_cell_table", "save_lfs_aggregate", "save_population",
+    "simulated_aggregate_changes", "study_config_from_dict",
+    "validate_against_observed", "weighted_median",
 ]

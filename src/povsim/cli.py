@@ -134,8 +134,8 @@ def generate(config_path: str, seed: int | None, out_path: str) -> None:
             pop, cfg.calibration.target_child_poverty, cfg.policy, cfg.poverty,
             tolerance=cfg.calibration.tolerance,
             max_evaluations=cfg.calibration.max_evaluations)
-        stats, _ = prepare_baseline(pop, cfg.policy, cfg.poverty)
-        extra["baseline_child_rate_pct"] = pct_str(stats.child_rate)
+        baseline = prepare_baseline(pop, cfg.policy, cfg.poverty)
+        extra["baseline_child_rate_pct"] = pct_str(baseline.report.child_rate("relative"))
     out = _out_dir(out_path)
     save_population(pop, str(out / "persons.csv"), str(out / "households.csv"))
     outputs = {"persons.csv": sha256_file(out / "persons.csv"),
@@ -175,9 +175,11 @@ def calibrate(base_path: str, shocked_path: str, base_period: str,
     try:
         table = compute_cell_changes(base, shocked, small_cell_threshold=threshold)
     except DataError as exc:
-        # a cell one aggregate lacks: name that aggregate's file
-        lacking = shocked_path if exc.message.endswith("shocked aggregate") else base_path
-        raise DataError(exc.message, file=lacking) from None
+        # a cell one aggregate lacks: name that aggregate's file and the other
+        lacking, other = ((shocked_path, base_path)
+                          if exc.message.endswith("shocked aggregate")
+                          else (base_path, shocked_path))
+        raise DataError(f"{exc.message}, though {other} has it", file=lacking) from None
     out = _out_dir(out_path)
     save_cell_table(table, str(out / "cells.csv"))
     outputs = {"cells.csv": sha256_file(out / "cells.csv")}

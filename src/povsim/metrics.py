@@ -209,8 +209,7 @@ class HouseholdFrame:
     def scores(self, annual_income: Sequence[int]) -> "HouseholdScores":
         """Scores of one annual income per household, in household order."""
         return HouseholdScores(
-            frame=self, annual=tuple(annual_income),
-            keys=tuple(y * f for y, f in zip(annual_income, self.eq_factors)))
+            frame=self, keys=tuple(y * f for y, f in zip(annual_income, self.eq_factors)))
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,6 @@ class HouseholdScores:
     """
 
     frame: HouseholdFrame
-    annual: tuple[int, ...]
     keys: tuple[int, ...]
 
     def equivalized(self) -> dict[int, Fraction]:
@@ -236,13 +234,6 @@ class HouseholdScores:
         """Person-weighted lower median of equivalized income."""
         return (weighted_median(zip(self.keys, self._person_weights()))
                 / self.frame.eq_denominator)
-
-    def median_per_capita_monthly(self) -> Fraction:
-        """Person-weighted lower median of per-capita monthly income."""
-        common = math.lcm(*self.frame.sizes)
-        keys = (y * (common // n) for y, n in zip(self.annual, self.frame.sizes))
-        return (weighted_median(zip(keys, self._person_weights()))
-                / (12 * common))
 
     def rate(self, line: Fraction, counts: Sequence[int]) -> RateResult:
         """Weighted share of selected persons strictly below the line; the

@@ -351,7 +351,8 @@ def _parse_bool(text: str, file: str, row: int, column: str) -> bool:
 
 def _parse_int(text: str, file: str, row: int, column: str, *,
                minimum: int | None = None) -> int:
-    """An integer written as ASCII -?[0-9]+; nothing else int() takes."""
+    """An integer written as ASCII -?[0-9]+, other than a negative zero;
+    nothing else int() takes."""
     digits = text[1:] if text.startswith("-") else text
     try:
         if not (digits.isascii() and digits.isdigit()):
@@ -360,6 +361,8 @@ def _parse_int(text: str, file: str, row: int, column: str, *,
     except ValueError:
         raise DataError(f"expected integer, got {text!r}", file=file, row=row,
                         column=column) from None
+    if value == 0 and text.startswith("-"):
+        raise DataError(f"negative zero {text!r}", file=file, row=row, column=column)
     if minimum is not None and value < minimum:
         raise DataError(f"value {value} below minimum {minimum}", file=file, row=row,
                         column=column)
@@ -462,13 +465,14 @@ def load_population(persons_path: str, households_path: str, *,
     repeated person or household id is reported at its second row. Each
     person's invariants are checked as its row is read, and the
     cross-table invariants once all rows are in; a household no persons
-    row belongs to is reported against the persons file.
+    row belongs to is reported against the persons file, and a persons
+    row whose household the households file lacks names both files.
     """
     households: list[tuple] = []
     members: dict[int, list[int]] = {}
     for i, (hid_text, weight_text, residence, other, car, land) in _records(
             households_path, HOUSEHOLD_COLUMNS):
-        hid = _parse_int(hid_text, households_path, i, "household_id")
+        hid = _parse_int(hid_text, households_path, i, "household_id", minimum=1)
         if hid in members:
             raise DataError(f"duplicate household id {hid}", file=households_path,
                             row=i, column="household_id")
@@ -493,19 +497,23 @@ def load_population(persons_path: str, households_path: str, *,
     for i, head, incomes in _records(persons_path, PERSON_COLUMNS[:10],
                                      _INCOME_COLUMNS):
         pid, hid, age, sex, labor, education, nace2, informal, public, special = head
-        # Ids and ages of up to 18 ASCII digits convert inline; any
-        # other text goes through _parse_int and its messages.
+        # Ids (not starting with 0) and ages of up to 18 ASCII digits
+        # convert inline; any other text goes through _parse_int and its
+        # messages.
         pid = (int(pid) if len(pid) < 19 and pid.isascii() and pid.isdigit()
-               else _parse_int(pid, persons_path, i, "person_id"))
+               and pid[0] != "0" else _parse_int(pid, persons_path, i, "person_id",
+                                                 minimum=1))
         if pid in seen:
             raise DataError(f"duplicate person id {pid}", file=persons_path, row=i,
                             column="person_id")
         seen.add(pid)
         hid = (int(hid) if len(hid) < 19 and hid.isascii() and hid.isdigit()
-               else _parse_int(hid, persons_path, i, "household_id"))
+               and hid[0] != "0" else _parse_int(hid, persons_path, i, "household_id",
+                                                 minimum=1))
         if hid not in members:
-            raise DataError(f"person {pid} references unknown household {hid}",
-                            file=persons_path, row=i, column="household_id")
+            raise DataError(f"person {pid} references household {hid}, which "
+                            f"{households_path} lacks", file=persons_path, row=i,
+                            column="household_id")
         # The incomes are parsed before the fields after them in the
         # row, so a row with several faults reports the same one first.
         vectors = _income_vectors(incomes, persons_path, i)
@@ -542,7 +550,8 @@ def load_population(persons_path: str, households_path: str, *,
     except DataError as exc:
         # every row was checked as it was read: what is left to fail is a
         # household that no persons row lists as its own
-        raise DataError(exc.message, file=persons_path) from None
+        raise DataError(f"{exc.message}, though {households_path} lists it",
+                        file=persons_path) from None
 
 
 # A month vector of zeros as written: csv.writer's rendering of twelve "0"s.

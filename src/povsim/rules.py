@@ -2,18 +2,16 @@
 
 The module covers the gross-to-net wage wedge, the guaranteed minimum
 assistance (GMA) means test in its pre-crisis and relaxed variants, the
-energy supplement and child/education allowances that ride on GMA, two
-one-off cash schemes (May and December 2020), and a temporary basic
-income transfer. All awards are integer MKD per month; means tests are
-evaluated in exact arithmetic.
+energy supplement and child/education allowances that ride on GMA, and
+two one-off cash schemes (May and December 2020). All awards are integer
+MKD per month; means tests are evaluated in exact arithmetic.
 
 gma_schedule is the one implementation of the GMA means test. Which
 variant applies is not a policy parameter: the cascade's relaxed switch,
 set by a scenario's gma_relaxation factor, selects it.
 
 Benefit sequencing matters: GMA is resolved before one-offs because the
-May scheme keys off social-assistance receipt, and the basic income is
-resolved last against income including every other component.
+May scheme keys off social-assistance receipt.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import ConfigError, DataError
-from .money import MONTHS, ZERO_YEAR, as_fraction, round_half_away, round_mul_div
+from .money import MONTHS, ZERO_YEAR, as_fraction, round_mul_div
 from .population import Household, IncomeVectors, LaborStatus, Person
 
 
@@ -96,24 +94,6 @@ class OneOffDec:
 
 
 @dataclass(frozen=True)
-class TbiParams:
-    """Temporary basic income: a fraction of median per-capita income paid
-    monthly to households below a vulnerability threshold."""
-
-    transfer_rule: Fraction = Fraction(1, 4)
-    vulnerability_multiplier: Fraction = Fraction(5, 4)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transfer_rule", as_fraction(self.transfer_rule))
-        object.__setattr__(self, "vulnerability_multiplier",
-                           as_fraction(self.vulnerability_multiplier))
-        if self.transfer_rule < 0:
-            raise ConfigError("TBI transfer rule must be nonnegative")
-        if self.vulnerability_multiplier <= 0:
-            raise ConfigError("TBI vulnerability multiplier must be positive")
-
-
-@dataclass(frozen=True)
 class PolicyParameters:
     """Every policy lever in one place; all values are configurable."""
 
@@ -129,7 +109,6 @@ class PolicyParameters:
     universal_child_allowance: bool = False
     oneoff_may: OneOffMay = field(default_factory=OneOffMay)
     oneoff_dec: OneOffDec = field(default_factory=OneOffDec)
-    tbi: TbiParams = field(default_factory=TbiParams)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pit_rate", as_fraction(self.pit_rate))
@@ -224,10 +203,6 @@ class HouseholdLedger:
     threshold: Fraction
     n_children: int
     n_enrolled_children: int
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def household_demography(members: Sequence[Person], params: PolicyParameters,
@@ -381,31 +356,6 @@ def oneoff_dec2020(person: Person, params: PolicyParameters) -> int:
 
 
 @dataclass(frozen=True)
-class TbiContext:
-    """Population statistics the basic-income rule needs, fixed on the
-    baseline (pre-shock) distribution."""
-
-    median_pc_monthly: Fraction
-    vulnerability_line_annual: Fraction
-
-
-def tbi_award(pre_tbi_annual: int, household_size: int, ctx: TbiContext,
-              params: PolicyParameters) -> int:
-    """Monthly basic-income transfer for a household, or 0.
-
-    Qualifies when per-capita annual income (before this transfer) falls
-    below the vulnerability line; pays a fixed fraction of the baseline
-    median per-capita monthly income.
-    """
-    if household_size <= 0:
-        raise DataError("household size must be positive")
-    per_capita = Fraction(pre_tbi_annual, household_size)
-    if per_capita >= ctx.vulnerability_line_annual:
-        return 0
-    return round_half_away(params.tbi.transfer_rule * ctx.median_pc_monthly)
-
-
-@dataclass(frozen=True)
 class HouseholdFiscalResult:
     """Monthly decomposition of one household's disposable income."""
 
@@ -417,20 +367,17 @@ class HouseholdFiscalResult:
     allowances: tuple[int, ...]
     oneoff_may: tuple[int, ...]
     oneoff_dec: tuple[int, ...]
-    tbi: tuple[int, ...]
 
     def monthly_disposable(self) -> tuple[int, ...]:
         return tuple(map(sum, zip(self.net_market, self.carried, self.gma, self.energy,
-                                  self.allowances, self.oneoff_may, self.oneoff_dec,
-                                  self.tbi)))
+                                  self.allowances, self.oneoff_may, self.oneoff_dec)))
 
     @cached_property
     def annual_disposable(self) -> int:
         """Sum of every stream over the year; computed once (not a field,
         so equality ignores it)."""
         return sum(map(sum, (self.net_market, self.carried, self.gma, self.energy,
-                             self.allowances, self.oneoff_may, self.oneoff_dec,
-                             self.tbi)))
+                             self.allowances, self.oneoff_may, self.oneoff_dec)))
 
 
 def _in_month(amount: int, month: int) -> tuple[int, ...]:
@@ -441,21 +388,18 @@ def _in_month(amount: int, month: int) -> tuple[int, ...]:
 
 
 def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
-                      relaxed: bool = False, one_offs: bool = False,
-                      tbi: bool = False,
-                      tbi_ctx: TbiContext | None = None) -> HouseholdFiscalResult:
+                      relaxed: bool = False,
+                      one_offs: bool = False) -> HouseholdFiscalResult:
     """Run the benefit cascade for one household.
 
-    relaxed selects the GMA means test and energy months, one_offs and tbi
-    switch those schemes on; tbi_ctx anchors the basic income. Order: GMA
-    and its supplements, then one-offs (May depends on social assistance
-    receipt), then the basic income against everything else.
+    relaxed selects the GMA means test and energy months, one_offs
+    switches the one-off schemes on. Order: GMA and its supplements, then
+    one-offs (May depends on social assistance receipt).
 
-    With tbi off the result depends on ledger, params, relaxed and
-    one_offs alone, which HouseholdBase.evaluate relies on to reuse it.
-    A stream that is zero all year is money.ZERO_YEAR, shared: the GMA
-    and energy streams of a household with no eligible month, switched-off
-    one-offs and a zero basic income.
+    The result depends on ledger, params, relaxed and one_offs alone,
+    which HouseholdBase.evaluate relies on to reuse it. A stream that is
+    zero all year is money.ZERO_YEAR, shared: the GMA and energy streams
+    of a household with no eligible month and switched-off one-offs.
     """
     schedule = gma_schedule(ledger, relaxed)
     eligible = tuple(reason == ELIGIBLE for _, reason in schedule)
@@ -479,13 +423,5 @@ def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
         may = _in_month(sum(oneoff_may2020(p, on_sa, params) for p in ledger.members), 4)
         dec = _in_month(sum(oneoff_dec2020(p, params) for p in ledger.members), 11)
 
-    streams = (ledger.net_market, ledger.carried, gma, energy, allowances, may, dec)
-    tbi_stream = ZERO_YEAR
-    if tbi:
-        if tbi_ctx is None:
-            raise DataError("TBI enabled without baseline statistics")
-        tbi_monthly = tbi_award(sum(map(sum, streams)), ledger.size, tbi_ctx, params)
-        if tbi_monthly:
-            tbi_stream = (tbi_monthly,) * MONTHS
-
-    return HouseholdFiscalResult(ledger.household.household_id, *streams, tbi_stream)
+    return HouseholdFiscalResult(ledger.household.household_id, ledger.net_market,
+                                 ledger.carried, gma, energy, allowances, may, dec)

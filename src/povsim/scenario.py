@@ -1,13 +1,12 @@
 """Scenario pipeline: shocks, rules, metrics, decomposition, band, groups.
 
 A scenario is a switch set over {wage shock, self-employment shock, GMA
-relaxation, one-offs, basic income} plus a shock scale. The GMA
-relaxation switch is the only choice between the pre-crisis and the
-relaxed means test; no policy parameter selects it. The pipeline
-order is fixed: income shocks, gross-to-net, GMA and allowances, one-off
-schemes, basic income, then poverty metrics. Baseline statistics (the
-pre-shock income profile and the medians the basic income anchors to) are
-always computed from the unshocked population.
+relaxation, one-offs} plus a shock scale. The GMA relaxation switch is
+the only choice between the pre-crisis and the relaxed means test; no
+policy parameter selects it. The pipeline order is fixed: income shocks,
+gross-to-net, GMA and allowances, one-off schemes, then poverty metrics.
+The pre-shock income profile the means test reads before January is
+always the unshocked population's.
 
 A Study is the one way to evaluate scenarios: it runs every scenario a
 study asks for over one population (its decomposition, uncertainty band
@@ -36,9 +35,8 @@ from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
 from .money import as_fraction
 from .population import IncomeVectors, Person, Population
 from .rules import (HouseholdFiscalResult, HouseholdLedger, PolicyParameters,
-                    TbiContext, disposable_income, household_demography,
-                    ledger_from_vectors, net_market_vector, person_net_market,
-                    shocked_ledger)
+                    disposable_income, household_demography, ledger_from_vectors,
+                    net_market_vector, person_net_market, shocked_ledger)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -57,7 +55,6 @@ class ScenarioSpec:
     selfemp_shock: bool = False
     gma_relaxation: bool = False
     one_offs: bool = False
-    tbi: bool = False
     shock_scale: Fraction = Fraction(1)
     shock_start_month: int = 3
 
@@ -89,28 +86,6 @@ class PovertyConfig:
             raise ConfigError("absolute poverty lines must satisfy 0 < extreme < upper")
         if self.child_population <= 0:
             raise ConfigError("child_population must be positive")
-
-
-@dataclass(frozen=True)
-class BaselineStats:
-    """Anchors derived from the unshocked, no-new-transfers run."""
-
-    relative_line: Fraction
-    child_rate: Fraction | None
-    scores: HouseholdScores = field(repr=False, compare=False)
-
-    @cached_property
-    def median_pc_monthly(self) -> Fraction:
-        """Person-weighted median per-capita monthly income; computed on
-        first use, because only the basic income reads it."""
-        return self.scores.median_per_capita_monthly()
-
-    def tbi_context(self, params: PolicyParameters) -> TbiContext:
-        return TbiContext(
-            median_pc_monthly=self.median_pc_monthly,
-            vulnerability_line_annual=(params.tbi.vulnerability_multiplier
-                                       * self.relative_line),
-        )
 
 
 @dataclass(frozen=True)
@@ -271,7 +246,7 @@ class HouseholdBase:
         derived = copy.copy(self)
         derived.net_vectors, derived.ledgers = tuple(net_vectors), tuple(ledgers)
         derived._start_memo()
-        derived.baseline = derived.evaluate(derived.ledgers, BASELINE_SPEC, None)
+        derived.baseline = derived.evaluate(derived.ledgers, BASELINE_SPEC)
         return derived
 
     def materialize(self, source: Population,
@@ -286,35 +261,31 @@ class HouseholdBase:
         pop.derived((HouseholdBase, self.params, self.pov), lambda: self)
         return pop
 
-    def evaluate(self, ledgers: Sequence[HouseholdLedger], spec: ScenarioSpec,
-                 tbi_ctx: TbiContext | None) -> tuple:
+    def evaluate(self, ledgers: Sequence[HouseholdLedger], spec: ScenarioSpec) -> tuple:
         """(report, fiscal results, scores) of spec's cascade over ledgers
         (this or a shocked population's, in household order).
 
-        With spec.tbi off, a household's result depends only on its ledger
-        and the (relaxed, one_offs) switches, so the cascade runs once per
-        household and switch pair: a later pass whose ledger for that
-        household is this base's own ledger object (one no shock touched)
-        reuses the result. Each entry keeps the ledger it was computed on
-        and is served only to that very object. The basic income reads
-        population anchors, so spec.tbi passes always run the cascade.
+        A household's result depends only on its ledger and the (relaxed,
+        one_offs) switches, so the cascade runs once per household and
+        switch pair: a later pass whose ledger for that household is this
+        base's own ledger object (one no shock touched) reuses the result.
+        Each entry keeps the ledger it was computed on and is served only
+        to that very object.
         """
         relaxed, one_offs = spec.gma_relaxation, spec.one_offs
-        memo = (None if spec.tbi else
-                self._memo.setdefault((relaxed, one_offs), [None] * len(self.ledgers)))
+        memo = self._memo.setdefault((relaxed, one_offs), [None] * len(self.ledgers))
         fiscal = {}
         hits = 0
         try:
             for i, (ledger, own) in enumerate(zip(ledgers, self.ledgers, strict=True)):
-                entry = None if memo is None else memo[i]
+                entry = memo[i]
                 if entry and entry[0] is ledger:
                     result = entry[1]
                     hits += 1
                 else:
                     result = disposable_income(ledger, self.params, relaxed=relaxed,
-                                               one_offs=one_offs, tbi=spec.tbi,
-                                               tbi_ctx=tbi_ctx)
-                    if memo is not None and ledger is own:
+                                               one_offs=one_offs)
+                    if ledger is own:
                         memo[i] = (ledger, result)
                 fiscal[ledger.household.household_id] = result
         except (PipelineError, ConfigError):
@@ -365,7 +336,6 @@ class Study:
         self.runs = 0
         self._results: dict[ScenarioSpec, ScenarioResult] = {}
         self._shock_ledgers: tuple[tuple, tuple[HouseholdLedger, ...]] = ((), ())
-        self._stats: BaselineStats | None = None
 
     def result(self, spec: ScenarioSpec) -> ScenarioResult:
         """The run of spec, evaluated on its first request."""
@@ -374,24 +344,20 @@ class Study:
             return found
         if spec == BASELINE_SPEC and self.base.baseline is not None:
             report, fiscal, scores = self.base.baseline
-            found = ScenarioResult(spec=spec, report=report, fiscal=fiscal,
-                                   scores=scores)
         else:
-            found = self._evaluate(spec, self.stats() if spec.tbi else None)
+            try:
+                ledgers = self._ledgers_of(spec)
+            except (PipelineError, ConfigError):
+                raise
+            except Exception as exc:
+                raise PipelineError("shock_application", str(exc)) from exc
+            report, fiscal, scores = self.base.evaluate(ledgers, spec)
+            self.runs += 1
             if spec == BASELINE_SPEC:
-                self.base.baseline = (found.report, found.fiscal, found.scores)
-        self._results[spec] = found
+                self.base.baseline = (report, fiscal, scores)
+        found = self._results[spec] = ScenarioResult(spec=spec, report=report,
+                                                     fiscal=fiscal, scores=scores)
         return found
-
-    def stats(self) -> BaselineStats:
-        """Anchors of the baseline run."""
-        if self._stats is None:
-            baseline = self.result(BASELINE_SPEC)
-            self._stats = BaselineStats(
-                relative_line=baseline.report.lines.relative,
-                child_rate=baseline.report.child_rate("relative"),
-                scores=baseline.scores)
-        return self._stats
 
     def _ledgers_of(self, spec: ScenarioSpec) -> tuple[HouseholdLedger, ...]:
         """The ledgers of spec's income shock."""
@@ -407,21 +373,6 @@ class Study:
                                       selfemp=not spec.selfemp_shock),
                 spec.shock_start_month, spec.shock_scale)
         return self._shock_ledgers[1]
-
-    def _evaluate(self, spec: ScenarioSpec,
-                  stats: BaselineStats | None) -> ScenarioResult:
-        """One pass of the fixed pipeline; stats anchors the basic income."""
-        try:
-            ledgers = self._ledgers_of(spec)
-        except Exception as exc:
-            if isinstance(exc, (PipelineError, ConfigError)):
-                raise
-            raise PipelineError("shock_application", str(exc)) from exc
-        report, fiscal, scores = self.base.evaluate(
-            ledgers, spec, stats.tbi_context(self.params) if spec.tbi else None)
-
-        self.runs += 1
-        return ScenarioResult(spec=spec, report=report, fiscal=fiscal, scores=scores)
 
     def decompose(self, base_spec: ScenarioSpec | None = None,
                   factors: Sequence[str] | None = None,
@@ -508,10 +459,9 @@ class Study:
 
 
 def prepare_baseline(pop: Population, params: PolicyParameters,
-                     pov: PovertyConfig) -> tuple[BaselineStats, ScenarioResult]:
-    """Run the all-off scenario and extract the anchors other runs need."""
-    study = Study(pop, None, params, pov)
-    return study.stats(), study.result(BASELINE_SPEC)
+                     pov: PovertyConfig) -> ScenarioResult:
+    """The all-off scenario's run."""
+    return Study(pop, None, params, pov).result(BASELINE_SPEC)
 
 
 def _column_spec(name: str, base: ScenarioSpec,

@@ -393,7 +393,7 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
     if not 0 <= target <= 1:
         raise ConfigError("target child poverty must lie in [0, 1]")
 
-    _, base_result = prepare_baseline(pop, params, pov)
+    base_result = prepare_baseline(pop, params, pov)
     base_rate = base_result.report.child_rate("relative")
     if base_rate is None:
         raise CalibrationError("population has no children to calibrate on")

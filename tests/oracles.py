@@ -262,9 +262,4 @@ MICRO_EXPECTED = {
     "h4_may_total": 6000,
     "h5_may_total": 9000,
     "h5_gma_monthly_pre": (2200,) * 12,
-    # TBI on top of the combined scenario: baseline median per-capita
-    # monthly income 10400 -> monthly award 2600; vulnerability line
-    # 1.25 * 112320 = 140400 against per-capita annual income.
-    "tbi_monthly_award": 2600,
-    "tbi_qualifies": {1: True, 2: True, 3: False, 4: True, 5: True},
 }

@@ -10,14 +10,20 @@ import pytest
 
 import povsim
 
+# The basic income no command ran and its baseline statistics.
+BASIC_INCOME = ("Tbi" + "Params", "Tbi" + "Context", "tbi" + "_award",
+                "Baseline" + "Stats", "median_per_capita" + "_monthly")
+
 # The person-level scorer, build-a-ledger helper and one-study wrappers
-# that Study and HouseholdBase replaced, spelled in parts so that a search
-# of the tree for one of these names finds only real uses.
+# that Study and HouseholdBase replaced, and the basic income, spelled in
+# parts so that a search of the tree for one of these names finds only
+# real uses.
 RETIRED = tuple("_".join(parts) for parts in (
     ("build", "person", "rows"), ("relative", "poverty", "line"),
     ("poverty", "rate"), ("is", "child", "row"), ("compute", "report"),
     ("equivalized", "income"), ("run", "scenario"), ("build", "ledger"),
-)) + ("Person" + "Row", "decompose", "uncertainty_band", "disaggregate")
+)) + ("Person" + "Row", "decompose", "uncertainty_band", "disaggregate",
+      *BASIC_INCOME)
 
 
 def test_every_exported_name_resolves():
@@ -44,3 +50,16 @@ def test_one_csv_reader():
                      for path in Path(povsim.__file__).parent.glob("*.py"))
     assert source.count("csv.DictReader") == 0
     assert source.count("csv.reader(") == 1
+
+
+@pytest.mark.parametrize("cls", ["metrics.HouseholdScores", "scenario.Study",
+                                 "scenario.ScenarioSpec", "rules.PolicyParameters",
+                                 "rules.HouseholdFiscalResult"])
+def test_retired_members_are_gone(cls):
+    """The basic income left no switch, stream, parameter section or
+    baseline-statistics method on the classes that held them."""
+    module, name = cls.split(".")
+    klass = getattr(importlib.import_module(f"povsim.{module}"), name)
+    members = set(dir(klass)) | {f.name for f in getattr(
+        klass, "__dataclass_fields__", {}).values()}
+    assert members & {*BASIC_INCOME, "tbi", "stats", "annual"} == set()

@@ -560,6 +560,7 @@ class TestStrictCellTables:
         ("0x1", "expected integer, got '0x1'"),
         ("", "expected integer, got ''"),
         ("-1", "value -1 below minimum 0"),
+        ("-0", "negative zero '-0'"),
     ])
     def test_lfs_numbers_are_ascii_integers(self, tmp_path, column, text, message):
         path = saved_lfs(tmp_path)

@@ -203,7 +203,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("lacking", ["base", "shocked"])
     def test_aggregate_lacking_a_cell(self, ws, capsys, lacking):
         """Aggregates with different cell universes name the cell, the
-        aggregate that lacks it and that aggregate's file."""
+        aggregate that lacks it, that aggregate's file and the other file."""
         short = ws.root / f"{lacking}_short.csv"
         header, first, *rest = getattr(ws, lacking).read_text(
             encoding="utf-8").splitlines()
@@ -212,10 +212,11 @@ class TestCalibrate:
         paths = {"base": str(ws.base), "shocked": str(ws.shocked), lacking: str(short)}
         assert main(["calibrate", "--base", paths["base"], "--shocked", paths["shocked"],
                      "--out", str(ws.root / "x14")]) == 1
+        other = paths["shocked" if lacking == "base" else "base"]
         assert capsys.readouterr().err == (
             "error: wage cell WageCellKey(nace2='00', sex='female', "
-            f"age_band='adult_25_49') is missing from the {lacking} aggregate "
-            f"(file={short})\n")
+            f"age_band='adult_25_49') is missing from the {lacking} aggregate, "
+            f"though {other} has it (file={short})\n")
 
     def test_aggregate_not_utf8(self, ws, capsys):
         """A survey aggregate with a Latin-1 byte is a data error naming the
@@ -390,6 +391,19 @@ class TestSimulate:
         assert "No such option" in capsys.readouterr().err
         assert "gma_regime" not in read_manifest(ws.sim)["effective_config"]["policy"]
 
+    def test_there_is_no_basic_income_section(self, ws, capsys):
+        # no command ran a basic income, so its policy section is gone
+        cfg = ws.root / "tbi.json"
+        cfg.write_text(json.dumps({**STUDY, "policy": {"tbi": {}}}), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg),
+                     "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(ws.cal / "cells.csv"),
+                     "--out", str(ws.root / "x14")]) == 1
+        assert "unknown key 'tbi' in policy" in capsys.readouterr().err
+        assert not (ws.root / "x14").exists()
+        assert "tbi" not in read_manifest(ws.sim)["effective_config"]["policy"]
+
     def test_persons_and_households_must_pair(self, ws, capsys):
         assert main(["simulate", "--config", str(ws.cfg),
                      "--persons", str(ws.gen / "persons.csv"),
@@ -464,7 +478,7 @@ class TestValidate:
 
     def test_persons_truncated_before_the_last_household(self, ws, capsys):
         """A persons file cut before the last household's rows names the
-        household and the persons file."""
+        household, the persons file and the households file."""
         persons = ws.root / "persons_truncated.csv"
         lines = (ws.gen / "persons.csv").read_text(encoding="utf-8").splitlines()
         last = lines[-1].split(",")[1]
@@ -476,7 +490,8 @@ class TestValidate:
                      "--cells", str(ws.cal / "cells.csv"),
                      "--out", str(ws.root / "x16")]) == 1
         assert capsys.readouterr().err == (
-            f"error: household {last}: household has no members (file={persons})\n")
+            f"error: household {last}: household has no members, though "
+            f"{ws.gen / 'households.csv'} lists it (file={persons})\n")
 
     def test_config_without_observed(self, ws, capsys):
         assert main(["validate", "--config", str(ws.cfg),

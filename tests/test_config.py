@@ -83,7 +83,7 @@ class TestScenarioSettings:
         s = ScenarioSettings(shock_scale=Fraction(4, 5), shock_start_month=4)
         spec = s.base_spec()
         assert not spec.any_shock
-        assert not (spec.gma_relaxation or spec.one_offs or spec.tbi)
+        assert not (spec.gma_relaxation or spec.one_offs)
         assert spec.shock_scale == Fraction(4, 5)
         assert spec.shock_start_month == 4
 
@@ -92,7 +92,6 @@ class TestScenarioSettings:
         spec = s.scenario_spec()
         assert spec.wage_shock and spec.one_offs
         assert not spec.selfemp_shock and not spec.gma_relaxation
-        assert not spec.tbi
 
     def test_from_dict_parses_exact_scale(self):
         s = section("scenario", {"shock_scale": "0.8"})

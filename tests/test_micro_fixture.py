@@ -32,23 +32,19 @@ def combined(micro_pop, micro_table, params, pov):
 
 class TestBaseline:
     def test_annual_disposable_per_household(self, baseline):
-        _, result = baseline
-        got = {hid: res.annual_disposable for hid, res in result.fiscal.items()}
+        got = {hid: res.annual_disposable for hid, res in baseline.fiscal.items()}
         assert got == E["baseline_annual"]
 
     def test_relative_line(self, baseline):
-        _, result = baseline
-        assert result.report.lines.relative == E["baseline_relative_line"]
+        assert baseline.report.lines.relative == E["baseline_relative_line"]
 
     def test_median_equivalized(self, baseline):
-        _, result = baseline
         # The line is 60 percent of the median, so recover the median.
-        assert result.report.lines.relative * Fraction(5, 3) == \
+        assert baseline.report.lines.relative * Fraction(5, 3) == \
             E["baseline_median_eq"]
 
     def test_poverty_rates(self, baseline):
-        _, result = baseline
-        report = result.report
+        report = baseline.report
         assert report.child_rate("relative") == E["baseline_child_poor"]
         assert report.indicators["relative"].all_persons.rate == \
             E["baseline_all_poor"]
@@ -56,15 +52,12 @@ class TestBaseline:
             E["baseline_extreme_child_poor"]
 
     def test_pre_regime_gma_for_jobless_mother(self, baseline):
-        _, result = baseline
-        assert result.fiscal[5].gma == E["h5_gma_monthly_pre"]
+        assert baseline.fiscal[5].gma == E["h5_gma_monthly_pre"]
 
     def test_no_transfers_without_flags(self, baseline):
-        _, result = baseline
-        for res in result.fiscal.values():
+        for res in baseline.fiscal.values():
             assert res.oneoff_may == (0,) * 12
             assert res.oneoff_dec == (0,) * 12
-            assert res.tbi == (0,) * 12
 
 
 class TestCombinedScenario:
@@ -103,21 +96,3 @@ class TestCombinedScenario:
         assert combined.fiscal[hotel_worker.household_id].net_market == \
             ledger.net_market
 
-
-class TestTbiScenario:
-    def test_awards_and_qualification(self, micro_pop, micro_table, params, pov):
-        spec = ScenarioSpec(wage_shock=True, selfemp_shock=True,
-                            gma_relaxation=True, one_offs=True, tbi=True)
-        result = Study(micro_pop, micro_table, params, pov).result(spec)
-        for hid, qualifies in E["tbi_qualifies"].items():
-            award = result.fiscal[hid].tbi
-            if qualifies:
-                assert award == (E["tbi_monthly_award"],) * 12, hid
-            else:
-                assert award == (0,) * 12, hid
-
-    def test_tbi_context_is_baseline_anchored(self, baseline, params):
-        stats, _ = baseline
-        ctx = stats.tbi_context(params)
-        assert ctx.median_pc_monthly == Fraction(10400)
-        assert ctx.vulnerability_line_annual == Fraction(140400)

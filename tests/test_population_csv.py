@@ -88,8 +88,29 @@ PINNED = {
         "expected 0 or 1, got 'yes' (file={p}, row=3, column=in_public_education)"),
     "unknown household": (
         [("persons", 13, "household_id", "9")],
-        "person 12 references unknown household 9 "
+        "person 12 references household 9, which {h} lacks "
         "(file={p}, row=13, column=household_id)"),
+    "zero person id": (
+        [("persons", 2, "person_id", "0")],
+        "value 0 below minimum 1 (file={p}, row=2, column=person_id)"),
+    "negative person id": (
+        [("persons", 3, "person_id", "-2")],
+        "value -2 below minimum 1 (file={p}, row=3, column=person_id)"),
+    "negative household id of a person": (
+        [("persons", 2, "household_id", "-1")],
+        "value -1 below minimum 1 (file={p}, row=2, column=household_id)"),
+    "zero household id": (
+        [("households", 2, "household_id", "0")],
+        "value 0 below minimum 1 (file={h}, row=2, column=household_id)"),
+    "negative zero income": (
+        [("persons", 4, "pension_m02", "-0")],
+        "negative zero '-0' (file={p}, row=4, column=pension_m02)"),
+    "negative zero id": (
+        [("persons", 4, "person_id", "-00")],
+        "negative zero '-00' (file={p}, row=4, column=person_id)"),
+    "negative zero car age": (
+        [("households", 3, "car_age_years", "-0")],
+        "negative zero '-0' (file={h}, row=3, column=car_age_years)"),
     "person problem": (
         [("persons", 5, "age", "200")],
         "person 4: age 200 outside 0..110 (file={p}, row=5)"),
@@ -113,7 +134,7 @@ PINNED = {
         "expected integer, got 'three' (file={h}, row=4, column=household_id)"),
     "household without members": (
         [("persons", 12, "household_id", "4"), ("persons", 13, "household_id", "4")],
-        "household 5: household has no members (file={p})"),
+        "household 5: household has no members, though {h} lists it (file={p})"),
     "duplicate household": (
         [("households", 6, "household_id", "4"), ("persons", 12, "household_id", "4"),
          ("persons", 13, "household_id", "4")],
@@ -124,7 +145,7 @@ PINNED = {
         "expected integer, got 'x' (file={p}, row=2, column=wage_m01)"),
     "household before income": (
         [("persons", 2, "wage_m01", "x"), ("persons", 2, "household_id", "9")],
-        "person 1 references unknown household 9 "
+        "person 1 references household 9, which {h} lacks "
         "(file={p}, row=2, column=household_id)"),
     "earlier row first": (
         [("persons", 9, "age", "200"), ("persons", 5, "sex", "other")],
@@ -243,9 +264,10 @@ def test_weights_must_be_ascii_decimals(tmp_path, text):
 
 
 def test_canonical_integer_spellings_load(tmp_path):
-    """-?[0-9]+ includes leading zeros and a signed zero."""
+    """-?[0-9]+ includes leading zeros (a negative zero is pinned above)."""
     paths = saved_pair(tmp_path)
-    edit(paths, ("persons", 4, "wage_m01", "000"), ("persons", 4, "pension_m02", "-0"),
+    edit(paths, ("persons", 4, "wage_m01", "000"), ("persons", 4, "pension_m02", "00"),
+         ("persons", 6, "person_id", "05"), ("persons", 6, "household_id", "02"),
          ("persons", 5, "age", "010"), ("households", 2, "car_age_years", "08"),
          ("households", 3, "land_parcel_m2", "0300"))
     assert same_tables(load_population(paths["persons"], paths["households"]),

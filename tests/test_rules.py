@@ -1,4 +1,4 @@
-"""Tax wedge, GMA means test, one-off schemes, basic income."""
+"""Tax wedge, GMA means test, one-off schemes."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from povsim.rules import (
     OTHER_REAL_ESTATE,
     GmaScale,
     PolicyParameters,
-    TbiContext,
     disposable_income,
     gma_schedule,
     gross_to_net,
@@ -29,7 +28,6 @@ from povsim.rules import (
     oneoff_dec2020,
     oneoff_may2020,
     person_net_market,
-    tbi_award,
 )
 
 from conftest import flat
@@ -393,32 +391,6 @@ class TestOneOffDec:
         assert oneoff_dec2020(employee, PARAMS) == 0
 
 
-class TestTbi:
-    CTX = TbiContext(median_pc_monthly=Fraction(10400),
-                     vulnerability_line_annual=Fraction(140400))
-
-    def test_award_below_line(self):
-        assert tbi_award(140399 * 1, 1, self.CTX, PARAMS) == 2600
-
-    def test_threshold_is_strict(self):
-        assert tbi_award(140400, 1, self.CTX, PARAMS) == 0
-        assert tbi_award(140400 * 3, 3, self.CTX, PARAMS) == 0
-
-    def test_per_capita_comparison(self):
-        # 200000 annual over two people is 100000 each: qualifies.
-        assert tbi_award(200000, 2, self.CTX, PARAMS) == 2600
-
-    def test_award_is_fraction_of_median(self):
-        ctx = TbiContext(median_pc_monthly=Fraction(10401, 2),
-                         vulnerability_line_annual=Fraction(140400))
-        # 0.25 * 5200.5 = 1300.125 -> 1300
-        assert tbi_award(0, 1, ctx, PARAMS) == 1300
-
-    def test_size_must_be_positive(self):
-        with pytest.raises(DataError):
-            tbi_award(1000, 0, self.CTX, PARAMS)
-
-
 class TestDisposableCascade:
     def assisted_ledger(self):
         mother = person(age=30, status=LaborStatus.UNEMPLOYED_ACTIVE,
@@ -467,11 +439,6 @@ class TestDisposableCascade:
         assert result.oneoff_may == (0,) * 4 + (9000,) + (0,) * 7
         assert result.oneoff_dec == (0,) * 12
 
-    def test_tbi_without_context_raises(self):
-        ledger = self.assisted_ledger()
-        with pytest.raises(DataError):
-            disposable_income(ledger, PARAMS, tbi=True, tbi_ctx=None)
-
     def test_monthly_and_annual_identities(self):
         ledger = self.assisted_ledger()
         result = disposable_income(ledger, PARAMS, one_offs=True)
@@ -479,8 +446,7 @@ class TestDisposableCascade:
         assert len(months) == 12
         assert sum(months) == result.annual_disposable
         parts = (result.net_market, result.carried, result.gma, result.energy,
-                 result.allowances, result.oneoff_may, result.oneoff_dec,
-                 result.tbi)
+                 result.allowances, result.oneoff_may, result.oneoff_dec)
         for i, month_total in enumerate(months):
             assert month_total == sum(vec[i] for vec in parts)
 
@@ -505,7 +471,7 @@ def _cascade_household(case):
 @pytest.mark.parametrize("case", ["asset_test_fails", "income_too_high",
                                   "some_months"])
 def test_cascade_streams_add_up(case, universal, relaxed, one_offs):
-    """Disposable income is the sum of the eight streams in every month and
+    """Disposable income is the sum of the seven streams in every month and
     over the year, on the shortcut for households with no eligible month
     as on the full path."""
     params = replace(PARAMS, universal_child_allowance=universal)
@@ -516,7 +482,7 @@ def test_cascade_streams_add_up(case, universal, relaxed, one_offs):
                        "some_months": {INCOME_TOO_HIGH, ELIGIBLE}}[case]
     result = disposable_income(ledger, params, relaxed=relaxed, one_offs=one_offs)
     streams = (result.net_market, result.carried, result.gma, result.energy,
-               result.allowances, result.oneoff_may, result.oneoff_dec, result.tbi)
+               result.allowances, result.oneoff_may, result.oneoff_dec)
     assert all(len(s) == 12 for s in streams)
     assert result.monthly_disposable() == tuple(
         sum(s[m] for s in streams) for m in range(12))
@@ -528,7 +494,6 @@ def test_cascade_streams_add_up(case, universal, relaxed, one_offs):
         assert any(result.gma) and any(result.energy)
     assert (result.oneoff_may[4] > 0) == one_offs  # the jobseeker's award
     assert (result.oneoff_dec[11] > 0) == one_offs  # the pensioner's award
-    assert result.tbi is ZERO_YEAR
 
 
 class TestPolicyParameters:

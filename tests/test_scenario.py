@@ -42,8 +42,8 @@ def net_market_of(pop, params):
 
 class TestScenarioSpec:
     def test_flags_mapping(self, micro_pop, params, pov):
-        """A spec's gma_relaxation, one_offs and tbi switches are the
-        cascade's relaxed, one_offs and tbi switches."""
+        """A spec's gma_relaxation and one_offs switches are the cascade's
+        relaxed and one_offs switches."""
         ledgers = household_base(micro_pop, params, pov).ledgers
         for spec in (ScenarioSpec(), ScenarioSpec(gma_relaxation=True),
                      ScenarioSpec(gma_relaxation=True, one_offs=True)):
@@ -51,7 +51,7 @@ class TestScenarioSpec:
             for hh, ledger in zip(micro_pop.households, ledgers, strict=True):
                 assert result.fiscal[hh.household_id] == disposable_income(
                     ledger, params, relaxed=spec.gma_relaxation,
-                    one_offs=spec.one_offs, tbi=False), (spec, hh.household_id)
+                    one_offs=spec.one_offs), (spec, hh.household_id)
 
     def test_any_shock(self):
         assert not ScenarioSpec(gma_relaxation=True, one_offs=True).any_shock
@@ -98,11 +98,10 @@ class TestStudyResult:
         assert by_id[8].self_employment[11] == 15000
         assert net_market(result) == net_market_of(shocked, params)
 
-    def test_baseline_stats_anchors(self, micro_pop, params, pov):
-        stats, result = prepare_baseline(micro_pop, params, pov)
-        assert stats.relative_line == result.report.lines.relative
-        assert stats.median_pc_monthly == Fraction(10400)
-        assert stats.child_rate == Fraction(3, 4)
+    def test_prepare_baseline_is_the_baseline_run(self, micro_pop, params, pov):
+        result = prepare_baseline(micro_pop, params, pov)
+        assert result.spec == ScenarioSpec()
+        assert result.report.child_rate("relative") == Fraction(3, 4)
 
 
 class TestDecompose:
@@ -148,13 +147,6 @@ class TestDecompose:
         combined = dict(deco.columns)["combined"]
         assert combined.fiscal == direct.fiscal
         assert combined.report == direct.report
-
-    def test_combined_column_excludes_tbi(self, micro_pop, micro_table,
-                                          params, pov):
-        deco = Study(micro_pop, micro_table, params, pov).decompose()
-        combined = dict(deco.columns)["combined"]
-        assert not combined.spec.tbi
-        assert all(res.tbi == (0,) * 12 for res in combined.fiscal.values())
 
     def test_report_lookup(self, micro_pop, micro_table, params, pov):
         deco = Study(micro_pop, micro_table, params, pov).decompose()

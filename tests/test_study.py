@@ -36,9 +36,8 @@ from povsim.metrics import (INDICATORS, EquivalenceScale, HouseholdFrame,
 from povsim.population import (EducationLevel, Household, LaborStatus, Person,
                                Population, Sex)
 from povsim.nace import DIVISIONS, SECTIONS
-from povsim.rules import (HouseholdLedger, PolicyParameters, TbiContext,
-                          disposable_income, ledger_from_vectors,
-                          person_net_market)
+from povsim.rules import (HouseholdLedger, PolicyParameters, disposable_income,
+                          ledger_from_vectors, person_net_market)
 from povsim.scenario import (BASELINE_SPEC, HouseholdBase, HouseholdDemography,
                              PovertyConfig, ScenarioSpec, Study, household_base,
                              prepare_baseline, simulated_aggregate_changes)
@@ -48,8 +47,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                       gma_relaxation=True, one_offs=True)
-ALL_ON_TBI = ScenarioSpec(wage_shock=True, selfemp_shock=True,
-                          gma_relaxation=True, one_offs=True, tbi=True)
 
 # The group of a child by each dimension's definition, given the child,
 # its household's number of children and adult education group.
@@ -72,12 +69,6 @@ def equivalized_by_household(pop: Population, annual, pov: PovertyConfig):
                 annual[hh.household_id],
                 [m.age for m in pop.members(hh.household_id)],
                 scale.additional_adult_14plus, scale.child_under_14)
-            for hh in pop.households}
-
-
-def per_capita_monthly(pop: Population, annual):
-    """household id -> its annual income per member and month."""
-    return {hh.household_id: Fraction(annual[hh.household_id], 12 * len(hh.member_ids))
             for hh in pop.households}
 
 
@@ -145,9 +136,9 @@ def random_population(rng: random.Random, n_households: int) -> Population:
 
 
 def test_household_scoring_equals_oracles(params):
-    """Median, per-capita median, rates, reports and group cells on
-    households equal the oracles' scans, with zero incomes, tied incomes
-    and incomes exactly on a line, under two equivalence scales."""
+    """Median, rates, reports and group cells on households equal the
+    oracles' scans, with zero incomes, tied incomes and incomes exactly on
+    a line, under two equivalence scales."""
     rng = random.Random(20200401)
     scales = (EquivalenceScale(),
               EquivalenceScale(additional_adult_14plus=Fraction(7, 10),
@@ -166,8 +157,6 @@ def test_household_scoring_equals_oracles(params):
 
         assert scores.median_equivalized() == weighted_median_by_scan(
             household_pairs(pop, eq))
-        assert scores.median_per_capita_monthly() == weighted_median_by_scan(
-            household_pairs(pop, per_capita_monthly(pop, annual)))
         assert scores.equivalized() == eq
 
         pivot = rng.choice(list(eq.values()))  # some household sits on it
@@ -218,7 +207,7 @@ def reference_run(pop: Population, table: CellChangeTable | None,
     def net(members):
         return [person_net_market(m, params) for m in members]
 
-    def fiscal_of(current: Population, switches: ScenarioSpec, ctx):
+    def fiscal_of(current: Population, switches: ScenarioSpec):
         fiscal = {}
         for hh in current.households:
             before = pop.members(hh.household_id)
@@ -229,23 +218,14 @@ def reference_run(pop: Population, table: CellChangeTable | None,
                                              baseline=ledger)
             fiscal[hh.household_id] = disposable_income(
                 ledger, params, relaxed=switches.gma_relaxation,
-                one_offs=switches.one_offs, tbi=switches.tbi, tbi_ctx=ctx)
+                one_offs=switches.one_offs)
         return fiscal
 
     def annual(fiscal):
         return {hid: res.annual_disposable for hid, res in fiscal.items()}
 
-    ctx = None
-    if spec.tbi:
-        base_annual = annual(fiscal_of(pop, ScenarioSpec(), None))
-        ctx = TbiContext(
-            median_pc_monthly=weighted_median_by_scan(household_pairs(
-                pop, per_capita_monthly(pop, base_annual))),
-            vulnerability_line_annual=(params.tbi.vulnerability_multiplier
-                                       * oracle_report(pop, base_annual,
-                                                       pov).lines.relative))
     shocked = shocked_by_oracle(pop, table, spec)
-    fiscal = fiscal_of(shocked, spec, ctx)
+    fiscal = fiscal_of(shocked, spec)
     return fiscal, oracle_report(shocked, annual(fiscal), pov)
 
 
@@ -261,20 +241,17 @@ def _synth800():
 @pytest.mark.parametrize("transfers_on_shocked", [False, True])
 @pytest.mark.parametrize("make", [_micro, _synth800], ids=["micro", "synth800"])
 def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov):
-    """Every decomposition column, band point, disaggregation scenario and
-    a basic-income run of one study equal a fresh study's run of that spec
-    alone and the reference pipeline, on an identical, separately built
-    population."""
+    """Every decomposition column, band point and disaggregation scenario
+    of one study equal a fresh study's run of that spec alone and the
+    reference pipeline, on an identical, separately built population."""
     pop, table = make()
     study = Study(pop, table, params, pov)
     deco = study.decompose(transfers_on_shocked=transfers_on_shocked)
     band = study.uncertainty_band()
     dis = study.disaggregate(ALL_ON)
     results = ([r for _, r in deco.columns] + [p.result for p in band.points]
-               + [dis.scenario, study.result(ALL_ON_TBI)])
-    assert any(any(res.tbi) for res in results[-1].fiscal.values())
-
-    assert len({r.spec for r in results}) == 9  # band 1.0 and groups share
+               + [dis.scenario])
+    assert len({r.spec for r in results}) == 8  # band 1.0 and groups share
 
     fresh_pop, _ = make()
     for result in {r.spec: r for r in results}.values():
@@ -314,9 +291,7 @@ def _perturbed(obj, path: list[str]):
 
 def _fiscal_by_column(pop, table, params, pov):
     study = Study(pop, table, params, pov)
-    columns = dict(study.decompose().columns)
-    columns["combined_tbi"] = study.result(ALL_ON_TBI)
-    return {name: result.fiscal for name, result in columns.items()}
+    return {name: result.fiscal for name, result in study.decompose().columns}
 
 
 @pytest.fixture(scope="module")
@@ -328,8 +303,8 @@ def synth800_fiscal(params, pov):
 @pytest.mark.parametrize("leaf", list(_policy_leaves()))
 def test_every_policy_parameter_changes_some_result(leaf, synth800_fiscal, pov):
     """Moving any policy parameter off its default changes at least one
-    household's result in a decomposition column or in the combined
-    scenario with the basic income: no parameter is dead."""
+    household's result in a decomposition column, which simulate writes
+    to table2: no parameter is dead."""
     pop, table, default = synth800_fiscal
     params = _perturbed(PolicyParameters(), leaf.split("."))
     changed = _fiscal_by_column(pop, table, params, pov)
@@ -390,9 +365,9 @@ def test_calibrated_population_is_scored_once(tolerance, monkeypatch, params,
     evaluated = []
     evaluate = HouseholdBase.evaluate
 
-    def counting_evaluate(self, ledgers, spec, tbi_ctx):
+    def counting_evaluate(self, ledgers, spec):
         evaluated.append(spec)
-        return evaluate(self, ledgers, spec, tbi_ctx)
+        return evaluate(self, ledgers, spec)
 
     monkeypatch.setattr(HouseholdBase, "evaluate", counting_evaluate)
     raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
@@ -401,9 +376,9 @@ def test_calibrated_population_is_scored_once(tolerance, monkeypatch, params,
     assert (calibrated is raw) == (tolerance == 0.5)
     n_calibration = len(evaluated)
     assert (n_calibration > 1) == (tolerance == 0.01)
-    stats, _ = prepare_baseline(calibrated, params, pov)
+    result = prepare_baseline(calibrated, params, pov)
     assert len(evaluated) == n_calibration
-    assert abs(float(stats.child_rate) - 0.278) <= tolerance
+    assert abs(float(result.report.child_rate("relative")) - 0.278) <= tolerance
 
 
 def test_bisection_materializes_one_population(monkeypatch, params, pov):
@@ -439,7 +414,7 @@ def test_bisection_materializes_one_population(monkeypatch, params, pov):
     assert base.ledgers == fresh_base.ledgers
     assert base.net_vectors == fresh_base.net_vectors
     assert base.demography.group_counts == fresh_base.demography.group_counts
-    _, result = prepare_baseline(fresh, params, pov)
+    result = prepare_baseline(fresh, params, pov)
     assert base.baseline[0] == result.report
     assert base.baseline[1] == result.fiscal
 
@@ -517,7 +492,7 @@ def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
         return candidate
 
     monkeypatch.setattr(HouseholdBase, "rescaled", recording)
-    _, base_result = prepare_baseline(pop, params, pov)
+    base_result = prepare_baseline(pop, params, pov)
     assert 0 in base_result.scores.keys
     assert any(p.informal_wage_flag and any(p.wage) for p in pop.persons)
     with pytest.raises(CalibrationError):
@@ -544,7 +519,7 @@ def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
 
         built = Population(persons=pop._rescale_incomes(incomes).persons,
                            households=pop.households)
-        _, result = prepare_baseline(built, params, pov)
+        result = prepare_baseline(built, params, pov)
         report, fiscal, _ = candidate.baseline
         rate = report.child_rate("relative")
         assert rate == result.report.child_rate("relative")
@@ -693,41 +668,34 @@ def _default_study(pop, table, params, pov, transfers_on_shocked=False):
 def _assert_fresh_cascade(study, results, params):
     """Each household's result of each pass equals disposable_income run
     afresh on the ledger that pass evaluated."""
-    ctx = study.stats().tbi_context(params)
     for result in results:
         spec = result.spec
         for ledger in study._ledgers_of(spec):
             assert result.fiscal[ledger.household.household_id] == disposable_income(
-                ledger, params, relaxed=spec.gma_relaxation, one_offs=spec.one_offs,
-                tbi=spec.tbi, tbi_ctx=ctx if spec.tbi else None), \
+                ledger, params, relaxed=spec.gma_relaxation, one_offs=spec.one_offs), \
                 (spec, ledger.household.household_id)
 
 
 @pytest.mark.parametrize("transfers_on_shocked", [False, True])
 def test_memoized_cascade_equals_fresh_runs(transfers_on_shocked, params, pov):
-    """Every household's fiscal result in every pass of a study, the
-    basic-income pass included, equals a fresh cascade on its ledger,
-    though most untouched households reuse an earlier pass's result."""
+    """Every household's fiscal result in every pass of a study equals a
+    fresh cascade on its ledger, though most untouched households reuse an
+    earlier pass's result."""
     pop, table = _synth800()
     study, results = _default_study(pop, table, params, pov, transfers_on_shocked)
-    _assert_fresh_cascade(study, results + [study.result(ALL_ON_TBI)], params)
+    _assert_fresh_cascade(study, results, params)
     assert study.base.memo_hits > 0
 
 
 def test_cascade_counters_cover_every_pass(params, pov):
     """A study's passes each run the cascade or reuse a result for every
-    household; untouched households hit the memo, a basic-income pass
-    never does."""
+    household; untouched households hit the memo."""
     pop, table = _synth800()
     study, _ = _default_study(pop, table, params, pov)
     base, n = study.base, pop.n_households
     assert study.runs == 8
     assert base.cascade_runs + base.memo_hits == study.runs * n
     assert base.memo_hits > 0
-    runs, hits = base.cascade_runs, base.memo_hits
-    study.result(ALL_ON_TBI)
-    study.result(dataclasses.replace(BASELINE_SPEC, tbi=True))
-    assert (base.cascade_runs, base.memo_hits) == (runs + 2 * n, hits)
 
 
 def test_calibrated_base_serves_no_source_memo(params, pov):
@@ -736,8 +704,8 @@ def test_calibrated_base_serves_no_source_memo(params, pov):
     although the households calibration left alone kept their ledgers;
     its study still matches a fresh cascade everywhere."""
     pop = random_income_population(random.Random(1), 300)
-    stats, _ = prepare_baseline(pop, params, pov)
-    calibrated = calibrate_to_baseline(pop, stats.child_rate - Fraction(1, 20),
+    rate = prepare_baseline(pop, params, pov).report.child_rate("relative")
+    calibrated = calibrate_to_baseline(pop, rate - Fraction(1, 20),
                                        params, pov, tolerance=0.01)
     source = household_base(pop, params, pov)
     base = household_base(calibrated, params, pov)
@@ -753,7 +721,6 @@ def test_calibrated_base_serves_no_source_memo(params, pov):
     assert len(source_results) == pop.n_households
     study, results = _default_study(calibrated, CellChangeTable.from_factors(
         WAGE_F, SE_F), params, pov)
-    results.append(study.result(ALL_ON_TBI))
     assert base.memo_hits > 0
     assert not source_results & {id(res) for r in results for res in r.fiscal.values()}
     # materialize() gave the base new ledgers: the wage-only pass, with the
@@ -778,8 +745,7 @@ def _asset_test_fails(hh: Household, relaxed: bool) -> bool:
 @pytest.mark.parametrize("transfers_on_shocked", [False, True])
 @pytest.mark.parametrize("seed", range(2))
 def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, pov):
-    """In every pass of a study over a random population, the basic-income
-    pass included, each household's disposable income in each month is its
+    """In every pass of a study over a random population, each household's disposable income in each month is its
     members' net market income plus their carried income (pensions,
     transfers, rent) plus each award; no GMA award exceeds the gap from
     the means test's countable income up to ledger.threshold, rounded to
@@ -791,7 +757,6 @@ def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, po
         {d: Fraction(rng.randint(30, 160), 100) for d in rng.sample(DIVISIONS, 50)},
         {s: Fraction(rng.randint(30, 160), 100) for s in SECTIONS})
     study, results = _default_study(pop, table, params, pov, transfers_on_shocked)
-    results.append(study.result(ALL_ON_TBI))
     seen = Counter()
     for result in results:
         relaxed = result.spec.gma_relaxation
@@ -802,7 +767,7 @@ def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, po
             fiscal = result.fiscal[hh.household_id]
             nets = [person_net_market(m, params) for m in members]
             awards = (fiscal.gma, fiscal.energy, fiscal.allowances,
-                      fiscal.oneoff_may, fiscal.oneoff_dec, fiscal.tbi)
+                      fiscal.oneoff_may, fiscal.oneoff_dec)
             assert fiscal.monthly_disposable() == tuple(
                 sum(net[m] for net in nets)
                 + sum(p.pension[m] + p.interhousehold_transfers[m]
@@ -825,7 +790,6 @@ def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, po
                 assert not any(fiscal.gma) and not any(fiscal.energy)
                 assert fiscal.allowances == (unassisted,) * 12
                 seen["asset_failures"] += 1
-            seen["tbi"] += any(fiscal.tbi)
     assert min(seen.values()) > 20, seen
 
 

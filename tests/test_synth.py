@@ -186,13 +186,13 @@ class TestCalibration:
         pop = generate_synthetic(acceptance_config(n_households=1500), seed=9)
         calibrated = calibrate_to_baseline(pop, 0.25, params, pov,
                                            tolerance=0.005)
-        stats, _ = prepare_baseline(calibrated, params, pov)
-        assert abs(float(stats.child_rate) - 0.25) <= 0.005
+        rate = prepare_baseline(calibrated, params, pov).report.child_rate("relative")
+        assert abs(float(rate) - 0.25) <= 0.005
 
     def test_returns_input_when_within_tolerance(self, params, pov):
         pop = generate_synthetic(acceptance_config(n_households=800), seed=9)
-        stats, _ = prepare_baseline(pop, params, pov)
-        already = calibrate_to_baseline(pop, stats.child_rate, params, pov,
+        rate = prepare_baseline(pop, params, pov).report.child_rate("relative")
+        already = calibrate_to_baseline(pop, rate, params, pov,
                                         tolerance=0.01)
         assert already is pop
 
