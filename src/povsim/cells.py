@@ -115,7 +115,6 @@ class LfsAggregate:
     by 4/3 to a full-year basis, four quarters by 1.
     """
 
-    period: str
     quarters_covered: tuple[int, ...]
     wage_cells: Mapping[WageCellKey, CellStat]
     selfemp_cells: Mapping[SelfEmpCellKey, CellStat]
@@ -195,8 +194,7 @@ def _save_cells(path: str, value_columns: tuple[str, str],
                          for key in sorted(selfemp))
 
 
-def load_lfs_aggregate(path: str, *, period: str,
-                       quarters_covered: Iterable[int]) -> LfsAggregate:
+def load_lfs_aggregate(path: str, *, quarters_covered: Iterable[int]) -> LfsAggregate:
     """Read cell totals from CSV: one row per cell.
 
     Wage rows carry nace (two-digit), sex and age_band; self-employment
@@ -208,7 +206,7 @@ def load_lfs_aggregate(path: str, *, period: str,
                         _parse_int(count, path, i, "count", minimum=0))
 
     wage, selfemp = _load_cells(path, _LFS_VALUES, stat)
-    return LfsAggregate(period=period, quarters_covered=tuple(quarters_covered),
+    return LfsAggregate(quarters_covered=tuple(quarters_covered),
                         wage_cells=wage, selfemp_cells=selfemp)
 
 
@@ -242,7 +240,6 @@ class CellChangeTable:
 
     wage: Mapping[WageCellKey, CellChange]
     selfemp: Mapping[SelfEmpCellKey, CellChange]
-    small_cell_threshold: int = SMALL_CELL_THRESHOLD
 
     def __post_init__(self) -> None:
         for side, cells, keys, key_set in (
@@ -334,8 +331,7 @@ def compute_cell_changes(base: LfsAggregate, shocked: LfsAggregate, *,
             for key in all_wage_keys()}
     selfemp = {key: change(base.selfemp_cells.get(key), shocked.selfemp_cells.get(key))
                for key in all_selfemp_keys()}
-    return CellChangeTable(wage=wage, selfemp=selfemp,
-                           small_cell_threshold=small_cell_threshold)
+    return CellChangeTable(wage=wage, selfemp=selfemp)
 
 
 def save_cell_table(table: CellChangeTable, path: str) -> None:

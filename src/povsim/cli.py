@@ -91,19 +91,25 @@ def _population_for(cfg: StudyConfig, persons: str | None,
     if persons is not None:
         return load_population(persons, households), {
             "persons": persons, "households": households}
+    return _synthetic_population(cfg, "no population files given and config",
+                                 "synthetic generation"), {}
+
+
+def _synthetic_population(cfg: StudyConfig, lacking: str, needing: str):
+    """The config's synthetic population, calibrated when configured.
+    lacking and needing name the caller in the errors for a config without
+    a synth section or a seed."""
     if cfg.synth is None:
-        raise ConfigError("no population files given and config has no "
-                          "synth section")
+        raise ConfigError(f"{lacking} has no synth section")
     if cfg.seed is None:
-        raise ConfigError("synthetic generation needs a seed "
-                          "(config key 'seed' or --seed)")
+        raise ConfigError(f"{needing} needs a seed (config key 'seed' or --seed)")
     pop = generate_synthetic(cfg.synth, cfg.seed)
     if cfg.calibration is not None:
         pop = calibrate_to_baseline(
             pop, cfg.calibration.target_child_poverty, cfg.policy, cfg.poverty,
             tolerance=cfg.calibration.tolerance,
             max_evaluations=cfg.calibration.max_evaluations)
-    return pop, {}
+    return pop
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -122,18 +128,10 @@ def cli() -> None:
 def generate(config_path: str, seed: int | None, out_path: str) -> None:
     """Generate a synthetic population; calibrate it when configured."""
     cfg = _load_config_with_overrides(config_path, seed, None, None)
-    if cfg.synth is None:
-        raise ConfigError("config has no synth section")
-    if cfg.seed is None:
-        raise ConfigError("generation needs a seed (config key 'seed' or --seed)")
-    pop = generate_synthetic(cfg.synth, cfg.seed)
+    pop = _synthetic_population(cfg, "config", "generation")
     extra: dict = {"n_households": pop.n_households, "n_persons": pop.n_persons,
                    "provenance": pop.provenance}
     if cfg.calibration is not None:
-        pop = calibrate_to_baseline(
-            pop, cfg.calibration.target_child_poverty, cfg.policy, cfg.poverty,
-            tolerance=cfg.calibration.tolerance,
-            max_evaluations=cfg.calibration.max_evaluations)
         baseline = prepare_baseline(pop, cfg.policy, cfg.poverty)
         extra["baseline_child_rate_pct"] = pct_str(baseline.report.child_rate("relative"))
     out = _out_dir(out_path)
@@ -155,8 +153,10 @@ def generate(config_path: str, seed: int | None, out_path: str) -> None:
 @click.option("--shocked", "shocked_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Shock-period cell aggregate CSV.")
-@click.option("--base-period", default="base", show_default=True)
-@click.option("--shocked-period", default="shocked", show_default=True)
+@click.option("--base-period", default="base", show_default=True,
+              help="Label of the base period, recorded in the manifest.")
+@click.option("--shocked-period", default="shocked", show_default=True,
+              help="Label of the shock period, recorded in the manifest.")
 @click.option("--base-quarters", default="1,2,3,4", show_default=True,
               help="Quarters the base aggregate covers.")
 @click.option("--shocked-quarters", default="2,3", show_default=True,
@@ -168,9 +168,8 @@ def calibrate(base_path: str, shocked_path: str, base_period: str,
               shocked_period: str, base_quarters: str, shocked_quarters: str,
               threshold: int, out_path: str) -> None:
     """Derive the cell factor table from two survey aggregates."""
-    base = load_lfs_aggregate(base_path, period=base_period,
-                              quarters_covered=_parse_quarters(base_quarters))
-    shocked = load_lfs_aggregate(shocked_path, period=shocked_period,
+    base = load_lfs_aggregate(base_path, quarters_covered=_parse_quarters(base_quarters))
+    shocked = load_lfs_aggregate(shocked_path,
                                  quarters_covered=_parse_quarters(shocked_quarters))
     try:
         table = compute_cell_changes(base, shocked, small_cell_threshold=threshold)
@@ -188,8 +187,9 @@ def calibrate(base_path: str, shocked_path: str, base_period: str,
         counts[change.provenance] = counts.get(change.provenance, 0) + 1
     write_manifest(out, "calibrate", None,
                    {"base": base_path, "shocked": shocked_path}, outputs,
-                   extra={"cells": counts,
-                          "small_cell_threshold": threshold})
+                   extra={"cells": counts, "small_cell_threshold": threshold,
+                          "base_period": base_period,
+                          "shocked_period": shocked_period})
     click.echo(f"wrote {out / 'cells.csv'}")
     for provenance in sorted(counts):
         click.echo(f"  {provenance}: {counts[provenance]} cells")

@@ -31,19 +31,16 @@ RELATIVE_LINE_SHARE = Fraction(3, 5)
 
 @dataclass(frozen=True)
 class EquivalenceScale:
-    """Modified OECD scale; coefficients are exact decimals."""
+    """Modified OECD scale; coefficients are exact decimals. The first
+    member aged 14 or over (or, with none, the first child) counts 1."""
 
-    first_adult: Fraction = Fraction(1)
     additional_adult_14plus: Fraction = Fraction(1, 2)
     child_under_14: Fraction = Fraction(3, 10)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first_adult", as_fraction(self.first_adult))
         object.__setattr__(self, "additional_adult_14plus",
                            as_fraction(self.additional_adult_14plus))
         object.__setattr__(self, "child_under_14", as_fraction(self.child_under_14))
-        if self.first_adult != 1:
-            raise ConfigError("equivalence scale first adult coefficient must be 1")
 
     def divisor(self, members: Sequence[Person]) -> Fraction:
         if not members:
@@ -52,9 +49,8 @@ class EquivalenceScale:
         children = len(members) - adults
         if adults == 0:
             # No 14+ member: the first child takes the head coefficient.
-            return self.first_adult + self.child_under_14 * (children - 1)
-        return (self.first_adult
-                + self.additional_adult_14plus * (adults - 1)
+            return 1 + self.child_under_14 * (children - 1)
+        return (1 + self.additional_adult_14plus * (adults - 1)
                 + self.child_under_14 * children)
 
 

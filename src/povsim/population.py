@@ -172,7 +172,6 @@ class Population:
 
     persons: tuple[Person, ...]
     households: tuple[Household, ...]
-    base_year: int = 2019
     provenance: str = "loaded"
     _members: Mapping[int, tuple[Person, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict)
@@ -186,7 +185,7 @@ class Population:
 
     @classmethod
     def _of_valid_persons(cls, persons: tuple[Person, ...],
-                          households: tuple[Household, ...], *, base_year: int,
+                          households: tuple[Household, ...], *,
                           provenance: str) -> "Population":
         """Population(...) for persons whose problems() are known to be empty
         and whose ids are known to be distinct.
@@ -198,8 +197,7 @@ class Population:
         """
         pop = cls.__new__(cls)
         for name, value in (("persons", persons), ("households", households),
-                            ("base_year", base_year), ("provenance", provenance),
-                            ("_derived", None)):
+                            ("provenance", provenance), ("_derived", None)):
             object.__setattr__(pop, name, value)
         pop._index(check_persons=False)
         return pop
@@ -456,8 +454,7 @@ def _records(path: str, *groups: tuple[str, ...],
             raise DataError(f"not UTF-8 text: {exc}", file=path) from None
 
 
-def load_population(persons_path: str, households_path: str, *,
-                    base_year: int = 2019) -> Population:
+def load_population(persons_path: str, households_path: str) -> Population:
     """Load a population from the canonical persons/households CSV pair.
 
     Reads each file in one pass. Every parse problem is reported with
@@ -546,7 +543,7 @@ def load_population(persons_path: str, households_path: str, *,
             tuple(persons),
             tuple(Household(hid, tuple(sorted(members[hid])), *rest)
                   for hid, *rest in households),
-            base_year=base_year, provenance="loaded")
+            provenance="loaded")
     except DataError as exc:
         # every row was checked as it was read: what is left to fail is a
         # household that no persons row lists as its own

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 from typing import Sequence
 
@@ -372,10 +371,9 @@ class HouseholdFiscalResult:
         return tuple(map(sum, zip(self.net_market, self.carried, self.gma, self.energy,
                                   self.allowances, self.oneoff_may, self.oneoff_dec)))
 
-    @cached_property
+    @property
     def annual_disposable(self) -> int:
-        """Sum of every stream over the year; computed once (not a field,
-        so equality ignores it)."""
+        """Sum of every stream over the year."""
         return sum(map(sum, (self.net_market, self.carried, self.gma, self.energy,
                              self.allowances, self.oneoff_may, self.oneoff_dec)))
 
@@ -397,9 +395,10 @@ def disposable_income(ledger: HouseholdLedger, params: PolicyParameters, *,
     one-offs (May depends on social assistance receipt).
 
     The result depends on ledger, params, relaxed and one_offs alone,
-    which HouseholdBase.evaluate relies on to reuse it. A stream that is
-    zero all year is money.ZERO_YEAR, shared: the GMA and energy streams
-    of a household with no eligible month and switched-off one-offs.
+    which HouseholdBase.evaluate relies on to reuse its annual total. A
+    stream that is zero all year is money.ZERO_YEAR, shared: the GMA and
+    energy streams of a household with no eligible month and switched-off
+    one-offs.
     """
     schedule = gma_schedule(ledger, relaxed)
     eligible = tuple(reason == ELIGIBLE for _, reason in schedule)

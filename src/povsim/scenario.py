@@ -34,9 +34,9 @@ from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
                       headcount_from_pp)
 from .money import as_fraction
 from .population import IncomeVectors, Person, Population
-from .rules import (HouseholdFiscalResult, HouseholdLedger, PolicyParameters,
-                    disposable_income, household_demography, ledger_from_vectors,
-                    net_market_vector, person_net_market, shocked_ledger)
+from .rules import (HouseholdLedger, PolicyParameters, disposable_income,
+                    household_demography, ledger_from_vectors, net_market_vector,
+                    person_net_market, shocked_ledger)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -90,11 +90,10 @@ class PovertyConfig:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Everything one scenario run produced."""
+    """One scenario run's poverty report and household scores."""
 
     spec: ScenarioSpec
     report: PovertyReport
-    fiscal: Mapping[int, HouseholdFiscalResult]
     scores: HouseholdScores = field(repr=False, compare=False)
 
 
@@ -160,7 +159,7 @@ class HouseholdBase:
 
     Its demography and an income part: each member's net-market vector
     and each household's baseline ledger; once evaluated, the baseline
-    run and the cascade results evaluate() reuses. Shocks change only
+    run and the annual totals evaluate() reuses. Shocks change only
     income vectors, so every scenario over the population reuses it, and
     shocked_ledgers() derives a shock's ledgers from it. Get one through
     household_base(). cascade_runs and memo_hits count the households
@@ -180,17 +179,15 @@ class HouseholdBase:
             ledger_from_vectors(hh, members, vectors, params, demography=fields)
             for hh, members, vectors, fields in zip(
                 pop.households, demo.members, self.net_vectors, demo.fields))
-        # report, fiscal results and scores of the baseline run; no
-        # reference to the population, which holds this base
-        self.baseline: tuple[PovertyReport, Mapping[int, HouseholdFiscalResult],
-                             HouseholdScores] | None = None
+        # report and scores of the baseline run; no reference to the
+        # population, which holds this base
+        self.baseline: tuple[PovertyReport, HouseholdScores] | None = None
         self._start_memo()
 
     def _start_memo(self) -> None:
-        # (relaxed, one_offs) -> per household, (ledger, result) of the
-        # cascade over this base's own ledger, or None
-        self._memo: dict[tuple[bool, bool],
-                         list[tuple[HouseholdLedger, HouseholdFiscalResult] | None]] = {}
+        # (relaxed, one_offs) -> per household, (ledger, annual disposable
+        # income) of the cascade over this base's own ledger, or None
+        self._memo: dict[tuple[bool, bool], list[tuple[HouseholdLedger, int] | None]] = {}
         self.cascade_runs = 0
         self.memo_hits = 0
 
@@ -202,7 +199,7 @@ class HouseholdBase:
         A household with a member in a cell of effective factor other than 1
         gets a rules.shocked_ledger listing those members rebuilt (the May
         one-off reads the wage) with new net vectors. Every other household
-        keeps this base's ledger object, whose cascade results evaluate()
+        keeps this base's ledger object, whose annual totals evaluate()
         reuses.
         """
         factors, start = shock_factors(table, shock_start_month, scale)
@@ -261,33 +258,34 @@ class HouseholdBase:
         pop.derived((HouseholdBase, self.params, self.pov), lambda: self)
         return pop
 
-    def evaluate(self, ledgers: Sequence[HouseholdLedger], spec: ScenarioSpec) -> tuple:
-        """(report, fiscal results, scores) of spec's cascade over ledgers
-        (this or a shocked population's, in household order).
+    def evaluate(self, ledgers: Sequence[HouseholdLedger], spec: ScenarioSpec,
+                 ) -> tuple[PovertyReport, HouseholdScores]:
+        """(report, scores) of spec's cascade over ledgers (this or a
+        shocked population's, in household order).
 
-        A household's result depends only on its ledger and the (relaxed,
-        one_offs) switches, so the cascade runs once per household and
-        switch pair: a later pass whose ledger for that household is this
-        base's own ledger object (one no shock touched) reuses the result.
-        Each entry keeps the ledger it was computed on and is served only
-        to that very object.
+        A household's annual disposable income depends only on its ledger
+        and the (relaxed, one_offs) switches, so the cascade runs once per
+        household and switch pair: a later pass whose ledger for that
+        household is this base's own ledger object (one no shock touched)
+        reuses the total. Each entry keeps the ledger it was computed on
+        and is served only to that very object.
         """
         relaxed, one_offs = spec.gma_relaxation, spec.one_offs
         memo = self._memo.setdefault((relaxed, one_offs), [None] * len(self.ledgers))
-        fiscal = {}
+        totals = []
         hits = 0
         try:
             for i, (ledger, own) in enumerate(zip(ledgers, self.ledgers, strict=True)):
                 entry = memo[i]
                 if entry and entry[0] is ledger:
-                    result = entry[1]
+                    total = entry[1]
                     hits += 1
                 else:
-                    result = disposable_income(ledger, self.params, relaxed=relaxed,
-                                               one_offs=one_offs)
+                    total = disposable_income(ledger, self.params, relaxed=relaxed,
+                                              one_offs=one_offs).annual_disposable
                     if ledger is own:
-                        memo[i] = (ledger, result)
-                fiscal[ledger.household.household_id] = result
+                        memo[i] = (ledger, total)
+                totals.append(total)
         except (PipelineError, ConfigError):
             raise
         except Exception as exc:
@@ -295,8 +293,7 @@ class HouseholdBase:
         self.memo_hits += hits
         self.cascade_runs += len(ledgers) - hits
         try:
-            scores = self.frame.scores(
-                [res.annual_disposable for res in fiscal.values()])
+            scores = self.frame.scores(totals)
             lines = PovertyLines(
                 relative=RELATIVE_LINE_SHARE * scores.median_equivalized(),
                 absolute_extreme=Fraction(self.pov.absolute_extreme),
@@ -305,7 +302,7 @@ class HouseholdBase:
             report = scores.report(lines)
         except Exception as exc:
             raise PipelineError("poverty_metrics", str(exc)) from exc
-        return report, fiscal, scores
+        return report, scores
 
 
 def household_base(pop: Population, params: PolicyParameters,
@@ -343,7 +340,7 @@ class Study:
         if found is not None:
             return found
         if spec == BASELINE_SPEC and self.base.baseline is not None:
-            report, fiscal, scores = self.base.baseline
+            report, scores = self.base.baseline
         else:
             try:
                 ledgers = self._ledgers_of(spec)
@@ -351,12 +348,12 @@ class Study:
                 raise
             except Exception as exc:
                 raise PipelineError("shock_application", str(exc)) from exc
-            report, fiscal, scores = self.base.evaluate(ledgers, spec)
+            report, scores = self.base.evaluate(ledgers, spec)
             self.runs += 1
             if spec == BASELINE_SPEC:
-                self.base.baseline = (report, fiscal, scores)
+                self.base.baseline = (report, scores)
         found = self._results[spec] = ScenarioResult(spec=spec, report=report,
-                                                     fiscal=fiscal, scores=scores)
+                                                     scores=scores)
         return found
 
     def _ledgers_of(self, spec: ScenarioSpec) -> tuple[HouseholdLedger, ...]:
@@ -466,10 +463,9 @@ def prepare_baseline(pop: Population, params: PolicyParameters,
 
 def _column_spec(name: str, base: ScenarioSpec,
                  transfers_on_shocked: bool) -> ScenarioSpec:
+    """The spec of decomposition column name, a factor or "combined"."""
     kwargs = dict(shock_scale=base.shock_scale,
                   shock_start_month=base.shock_start_month)
-    if name == "baseline":
-        return ScenarioSpec(**kwargs)
     if name == "wage_shock":
         return ScenarioSpec(wage_shock=True, **kwargs)
     if name == "selfemp_shock":
@@ -482,10 +478,8 @@ def _column_spec(name: str, base: ScenarioSpec,
         return ScenarioSpec(one_offs=True,
                             wage_shock=transfers_on_shocked,
                             selfemp_shock=transfers_on_shocked, **kwargs)
-    if name == "combined":
-        return ScenarioSpec(wage_shock=True, selfemp_shock=True,
-                            gma_relaxation=True, one_offs=True, **kwargs)
-    raise ConfigError(f"unknown decomposition column {name!r}")
+    return ScenarioSpec(wage_shock=True, selfemp_shock=True,
+                        gma_relaxation=True, one_offs=True, **kwargs)
 
 
 @dataclass(frozen=True)

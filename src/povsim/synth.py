@@ -100,7 +100,6 @@ class SynthConfig:
     """Every knob of the synthetic generator, with workable defaults."""
 
     n_households: int
-    base_year: int = 2019
     child_share: float = 0.25
     share_tolerance: float | None = None
     household_size_dist: Mapping[int, float] = field(
@@ -355,7 +354,7 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> Population:
         households.append(household)
         persons.extend(members)
     pop = Population(persons=tuple(persons), households=tuple(households),
-                     base_year=cfg.base_year, provenance=f"synthetic(seed={seed})")
+                     provenance=f"synthetic(seed={seed})")
     if cfg.share_tolerance is not None:
         achieved = sum(1 for p in pop.persons if p.is_child) / pop.n_persons
         if abs(achieved - cfg.child_share) > cfg.share_tolerance:

@@ -20,7 +20,7 @@ from povsim.population import (
     Population,
     Sex,
 )
-from povsim.rules import PolicyParameters
+from povsim.rules import PolicyParameters, disposable_income
 from povsim.scenario import PovertyConfig
 from povsim.synth import IncomeDist, SynthConfig, calibrate_to_baseline, generate_synthetic
 
@@ -115,6 +115,28 @@ def acceptance_config(n_households: int = 10_000) -> SynthConfig:
         sector_wage_multipliers=MULT,
         couple_sector_assortativity=0.85,
     )
+
+
+def cascade_results(study, result) -> dict:
+    """household id -> the benefit cascade's result for each household in
+    one pass of a study: disposable_income over the ledgers that pass
+    evaluated (study._ledgers_of), with the spec's switches.
+
+    A pass keeps no per-household results, only the annual totals it
+    scored, some of them served by the household base's memo. So this
+    also checks that result.scores holds these results' annual totals,
+    household by household.
+    """
+    spec = result.spec
+    results = {ledger.household.household_id: disposable_income(
+                   ledger, study.params, relaxed=spec.gma_relaxation,
+                   one_offs=spec.one_offs)
+               for ledger in study._ledgers_of(spec)}
+    frame = result.scores.frame
+    assert tuple(results) == frame.household_ids, spec
+    assert result.scores.keys == tuple(
+        res.annual_disposable * f for res, f in zip(results.values(), frame.eq_factors)), spec
+    return results
 
 
 @pytest.fixture(scope="session")
@@ -213,7 +235,7 @@ def build_micro_population() -> Population:
         Household(household_id=5, member_ids=(11, 12), weight_centi=10000),
     ]
     return Population(persons=tuple(persons), households=tuple(households),
-                      base_year=2019, provenance="handbuilt")
+                      provenance="handbuilt")
 
 
 def build_micro_table() -> CellChangeTable:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import flat
+from conftest import cascade_results, flat
 from oracles import (equivalized, headcount_by_decimal, poverty_rate_by_scan,
                      relative_line_by_scan, weighted_median_by_scan)
 
@@ -55,13 +55,14 @@ def test_01_metrics_match_brute_force_oracles(params, pov):
     for i in range(20):
         pop = generate_synthetic(SynthConfig(n_households=40 + 3 * i),
                                  seed=9000 + i)
-        result = Study(pop, None, params, pov).result(ScenarioSpec())
+        study = Study(pop, None, params, pov)
+        result = study.result(ScenarioSpec())
 
         ages = {hh.household_id: [p.age for p in pop.members(hh.household_id)]
                 for hh in pop.households}
         weight = {hh.household_id: hh.weight_centi for hh in pop.households}
         eq = {hid: equivalized(fr.annual_disposable, ages[hid])
-              for hid, fr in result.fiscal.items()}
+              for hid, fr in cascade_results(study, result).items()}
         assert result.scores.equivalized() == eq
         comparisons += len(eq)
 
@@ -150,11 +151,11 @@ def test_03_cell_table_covers_universe_with_small_cell_rule():
 
     def aggregates(counts):
         base = LfsAggregate(
-            "base", (1, 2, 3, 4),
+            (1, 2, 3, 4),
             {k: CellStat(1_000_000, counts(i)) for i, k in enumerate(wage_keys)},
             {k: CellStat(800_000, counts(i)) for i, k in enumerate(se_keys)})
         shocked = LfsAggregate(
-            "shocked", (2, 3),
+            (2, 3),
             {k: CellStat(400_000, counts(i)) for i, k in enumerate(wage_keys)},
             {k: CellStat(320_000, counts(i)) for i, k in enumerate(se_keys)})
         return base, shocked

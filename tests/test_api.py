@@ -52,14 +52,25 @@ def test_one_csv_reader():
     assert source.count("csv.reader(") == 1
 
 
+# Members no output read: a scenario pass's per-household cascade
+# results, the population's base year, an aggregate's period label, a
+# loaded factor table's threshold and the fixed first-adult coefficient.
+UNREAD = {"scenario.ScenarioResult": "fiscal", "population.Population": "base_year",
+          "synth.SynthConfig": "base_year", "cells.LfsAggregate": "period",
+          "cells.CellChangeTable": "small_cell_threshold",
+          "metrics.EquivalenceScale": "first_adult"}
+
+
 @pytest.mark.parametrize("cls", ["metrics.HouseholdScores", "scenario.Study",
                                  "scenario.ScenarioSpec", "rules.PolicyParameters",
-                                 "rules.HouseholdFiscalResult"])
+                                 "rules.HouseholdFiscalResult", *UNREAD])
 def test_retired_members_are_gone(cls):
     """The basic income left no switch, stream, parameter section or
-    baseline-statistics method on the classes that held them."""
+    baseline-statistics method on the classes that held them, and no
+    class keeps a member that no output read."""
     module, name = cls.split(".")
     klass = getattr(importlib.import_module(f"povsim.{module}"), name)
     members = set(dir(klass)) | {f.name for f in getattr(
         klass, "__dataclass_fields__", {}).values()}
-    assert members & {*BASIC_INCOME, "tbi", "stats", "annual"} == set()
+    retired = {*BASIC_INCOME, "tbi", "stats", "annual", UNREAD.get(cls)} - {None}
+    assert members & retired == set()

@@ -116,12 +116,12 @@ class TestTableConstruction:
         assert se_only.selfemp[SelfEmpCellKey("S")].factor == Fraction(3, 5)
 
 
-def aggregate_with(wage_stats, selfemp_stats, period="2019", quarters=(1, 2, 3, 4)):
+def aggregate_with(wage_stats, selfemp_stats, quarters=(1, 2, 3, 4)):
     wage = {k: CellStat(0, 0) for k in all_wage_keys()}
     selfemp = {k: CellStat(0, 0) for k in all_selfemp_keys()}
     wage.update(wage_stats)
     selfemp.update(selfemp_stats)
-    return LfsAggregate(period=period, quarters_covered=quarters,
+    return LfsAggregate(quarters_covered=quarters,
                         wage_cells=wage, selfemp_cells=selfemp)
 
 
@@ -131,7 +131,7 @@ class TestComputeCellChanges:
 
     def test_exact_universe(self):
         base = aggregate_with({}, {})
-        shocked = aggregate_with({}, {}, period="2020q2", quarters=(1, 2, 3))
+        shocked = aggregate_with({}, {}, quarters=(1, 2, 3))
         table = compute_cell_changes(base, shocked)
         assert len(table.wage) == 534
         assert len(table.selfemp) == 21
@@ -141,7 +141,7 @@ class TestComputeCellChanges:
                               {self.SKEY: CellStat(90000, 2000)})
         shocked = aggregate_with({self.KEY: CellStat(240000, 4200)},
                                  {self.SKEY: CellStat(30000, 900)},
-                                 period="2020", quarters=(1, 2, 3))
+                                 quarters=(1, 2, 3))
         table = compute_cell_changes(base, shocked)
         got = table.wage[self.KEY]
         assert (got.factor, got.provenance) == cell_factor_by_definition(
@@ -155,7 +155,7 @@ class TestComputeCellChanges:
         base = aggregate_with({self.KEY: CellStat(400000, SMALL_CELL_THRESHOLD - 1)},
                               {})
         shocked = aggregate_with({self.KEY: CellStat(100, 10)}, {},
-                                 period="2020", quarters=(1, 2, 3))
+                                 quarters=(1, 2, 3))
         table = compute_cell_changes(base, shocked)
         got = table.wage[self.KEY]
         assert got.factor == 1
@@ -164,22 +164,21 @@ class TestComputeCellChanges:
     def test_threshold_boundary_is_estimated(self):
         base = aggregate_with({self.KEY: CellStat(400000, SMALL_CELL_THRESHOLD)}, {})
         shocked = aggregate_with({self.KEY: CellStat(200000, 10)}, {},
-                                 period="2020", quarters=(1, 2, 3, 4))
+                                 quarters=(1, 2, 3, 4))
         table = compute_cell_changes(base, shocked)
         assert table.wage[self.KEY].provenance == ESTIMATED
         assert table.wage[self.KEY].factor == Fraction(1, 2)
 
     def test_zero_income_defaults_to_one(self):
         base = aggregate_with({self.KEY: CellStat(0, 5000)}, {})
-        shocked = aggregate_with({self.KEY: CellStat(100, 5000)}, {},
-                                 period="2020")
+        shocked = aggregate_with({self.KEY: CellStat(100, 5000)}, {})
         table = compute_cell_changes(base, shocked)
         assert table.wage[self.KEY].factor == 1
         assert table.wage[self.KEY].provenance == MISSING_DEFAULT
 
     def test_every_untouched_cell_defaults_to_one(self):
         base = aggregate_with({}, {})
-        shocked = aggregate_with({}, {}, period="2020")
+        shocked = aggregate_with({}, {})
         table = compute_cell_changes(base, shocked)
         assert all(cc.factor == 1 for cc in table.wage.values())
         assert all(cc.factor == 1 for cc in table.selfemp.values())
@@ -354,7 +353,7 @@ class TestCsvRoundTrips:
                            {TestComputeCellChanges.SKEY: CellStat(90000, 2000)}),
             aggregate_with({TestComputeCellChanges.KEY: CellStat(240001, 4200)},
                            {TestComputeCellChanges.SKEY: CellStat(30001, 900)},
-                           period="2020", quarters=(1, 2, 3)),
+                           quarters=(1, 2, 3)),
         )
         path = str(tmp_path / "cells.csv")
         save_cell_table(table, path)
@@ -368,8 +367,7 @@ class TestCsvRoundTrips:
             {TestComputeCellChanges.SKEY: CellStat(90000, 2000)})
         path = str(tmp_path / "lfs.csv")
         save_lfs_aggregate(agg, path)
-        again = load_lfs_aggregate(path, period=agg.period,
-                                   quarters_covered=agg.quarters_covered)
+        again = load_lfs_aggregate(path, quarters_covered=agg.quarters_covered)
         assert dict(again.wage_cells) == dict(agg.wage_cells)
         assert dict(again.selfemp_cells) == dict(agg.selfemp_cells)
 
@@ -427,8 +425,7 @@ class TestCsvRoundTrips:
                 {TestComputeCellChanges.KEY: CellStat(400000, 5000)}, {}), path)
 
             def load(p):
-                return load_lfs_aggregate(p, period="2019",
-                                          quarters_covered=(1, 2, 3, 4))
+                return load_lfs_aggregate(p, quarters_covered=(1, 2, 3, 4))
         header, first, *rest = open(path, encoding="utf-8").read().splitlines()
         fields = first.split(",")
         bad = fields[:2] if case == "truncated" else fields + ["9"]
@@ -445,7 +442,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def load_lfs(path: str):
-    return load_lfs_aggregate(path, period="2019", quarters_covered=(1, 2, 3, 4))
+    return load_lfs_aggregate(path, quarters_covered=(1, 2, 3, 4))
 
 
 # The first self-employment row of a saved cell table: the 534 wage rows

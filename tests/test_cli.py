@@ -32,10 +32,10 @@ def write_aggregates(base_path, shocked_path) -> None:
     The base covers four quarters, the shocked period two, so the shocked
     totals are annualized by 2 when factors are derived.
     """
-    base = LfsAggregate("2019", (1, 2, 3, 4),
+    base = LfsAggregate((1, 2, 3, 4),
                         {k: CellStat(1_000_000, 1200) for k in all_wage_keys()},
                         {k: CellStat(800_000, 1100) for k in all_selfemp_keys()})
-    shocked = LfsAggregate("2020", (2, 3),
+    shocked = LfsAggregate((2, 3),
                            {k: CellStat(400_000, 1200) for k in all_wage_keys()},
                            {k: CellStat(280_000, 1100) for k in all_selfemp_keys()})
     save_lfs_aggregate(base, str(base_path))
@@ -161,6 +161,18 @@ class TestGenerate:
                      "--out", str(ws.root / "x2")]) == 1
         assert "needs a seed" in capsys.readouterr().err
 
+    def test_there_is_no_base_year(self, ws, capsys):
+        # no output depended on the base year, so its key is gone
+        cfg = ws.root / "base_year.json"
+        cfg.write_text(json.dumps({"seed": SEED, "synth": {"n_households": 10,
+                                                           "base_year": 2019}}),
+                       encoding="utf-8")
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(ws.root / "x17")]) == 1
+        assert "unknown key 'base_year' in synth" in capsys.readouterr().err
+        assert not (ws.root / "x17").exists()
+        assert "base_year" not in read_manifest(ws.gen)["effective_config"]["synth"]
+
     def test_invalid_json_config(self, ws, capsys):
         cfg = ws.root / "broken.json"
         cfg.write_text("{oops", encoding="utf-8")
@@ -180,6 +192,19 @@ class TestCalibrate:
         assert manifest["extra"]["cells"] == {"estimated": 555}
         assert manifest["extra"]["small_cell_threshold"] == 1000
         assert set(manifest["inputs"]) == {"base", "shocked"}
+
+    def test_manifest_records_period_labels(self, ws):
+        """The period labels are recorded in the manifest; they change no
+        factor."""
+        extra = read_manifest(ws.cal)["extra"]
+        assert (extra["base_period"], extra["shocked_period"]) == ("base", "shocked")
+        out = ws.root / "cal_labelled"
+        assert main(["calibrate", "--base", str(ws.base), "--shocked", str(ws.shocked),
+                     "--base-period", "2019", "--shocked-period", "2020q23",
+                     "--out", str(out)]) == 0
+        assert (out / "cells.csv").read_bytes() == (ws.cal / "cells.csv").read_bytes()
+        extra = read_manifest(out)["extra"]
+        assert (extra["base_period"], extra["shocked_period"]) == ("2019", "2020q23")
 
     def test_bad_quarters(self, ws, capsys):
         assert main(["calibrate", "--base", str(ws.base),

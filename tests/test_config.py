@@ -119,15 +119,14 @@ class TestPovertySection:
             "absolute_extreme": 40000,
             "absolute_upper": 160000,
             "child_population": 400000,
-            "equivalence_scale": {"first_adult": "1",
-                                  "additional_adult_14plus": "0.5",
+            "equivalence_scale": {"additional_adult_14plus": "0.5",
                                   "child_under_14": "0.3"},
         })
         assert pov.absolute_extreme == 40000
         assert pov.absolute_upper == 160000
         assert pov.child_population == 400000
         assert pov.equivalence_scale == EquivalenceScale(
-            Fraction(1), Fraction(1, 2), Fraction(3, 10))
+            Fraction(1, 2), Fraction(3, 10))
 
     def test_empty_section_gives_defaults(self):
         assert section("poverty", {}) == PovertyConfig()

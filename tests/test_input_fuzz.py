@@ -119,7 +119,7 @@ def inputs(tmp_path_factory) -> dict[str, Path]:
         return {k: CellStat(rng.randrange(10**6), rng.randrange(2000)) for k in keys}
 
     for name, quarters in (("base", (1, 2, 3, 4)), ("shocked", (2, 3))):
-        save_lfs_aggregate(LfsAggregate(name, quarters, stats(wage), stats(selfemp)),
+        save_lfs_aggregate(LfsAggregate(quarters, stats(wage), stats(selfemp)),
                            str(files[name]))
     return files
 
@@ -151,8 +151,8 @@ def _calibrate(files, out):
 
 
 def _load_aggregates(base, shocked):
-    return (load_lfs_aggregate(base, period="base", quarters_covered=(1, 2, 3, 4)),
-            load_lfs_aggregate(shocked, period="shocked", quarters_covered=(2, 3)))
+    return (load_lfs_aggregate(base, quarters_covered=(1, 2, 3, 4)),
+            load_lfs_aggregate(shocked, quarters_covered=(2, 3)))
 
 
 def _save_aggregates(aggregates, base, shocked):

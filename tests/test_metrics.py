@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from povsim.config import study_config_from_dict
 from povsim.errors import ConfigError, DataError
 from povsim.metrics import (
     RELATIVE_LINE_SHARE,
@@ -67,9 +68,14 @@ class TestEquivalenceScale:
         with pytest.raises(DataError):
             EquivalenceScale().divisor([])
 
-    def test_first_adult_coefficient_fixed(self):
-        with pytest.raises(ConfigError):
-            EquivalenceScale(first_adult=Fraction(2))
+    def test_first_adult_coefficient_is_not_a_key(self):
+        # the first adult always counts 1, so no setting names it
+        with pytest.raises(ConfigError, match="unknown key 'first_adult' in "
+                                              "poverty.equivalence_scale"):
+            study_config_from_dict(
+                {"poverty": {"equivalence_scale": {"first_adult": "1"}}})
+        with pytest.raises(TypeError):
+            EquivalenceScale(first_adult=Fraction(1))
 
     def test_equivalized_income_exact(self):
         members = (person_aged(40), person_aged(10, 2))

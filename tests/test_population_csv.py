@@ -308,9 +308,9 @@ def test_any_column_order_loads_the_same_population(tmp_path, make):
 def test_loaded_population_equals_a_fully_validated_one(tmp_path, make):
     pop = make()
     paths = saved_pair(tmp_path, pop)
-    loaded = load_population(paths["persons"], paths["households"], base_year=2020)
+    loaded = load_population(paths["persons"], paths["households"])
     validated = Population(persons=loaded.persons, households=loaded.households,
-                           base_year=2020, provenance="loaded")
+                           provenance="loaded")
     assert loaded == validated
     for hh in loaded.households:
         assert loaded.household(hh.household_id) == validated.household(hh.household_id)

@@ -21,13 +21,16 @@ from povsim.scenario import (
 )
 from povsim.cells import aggregate_income_change, apply_shock
 
+from conftest import cascade_results
+
 ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                       gma_relaxation=True, one_offs=True)
 
 
-def net_market(result):
-    """household id -> monthly net market income a scenario run scored."""
-    return {hid: res.net_market for hid, res in result.fiscal.items()}
+def net_market(study, result):
+    """household id -> monthly net market income a scenario run of study
+    scored."""
+    return {hid: res.net_market for hid, res in cascade_results(study, result).items()}
 
 
 def net_market_of(pop, params):
@@ -47,9 +50,10 @@ class TestScenarioSpec:
         ledgers = household_base(micro_pop, params, pov).ledgers
         for spec in (ScenarioSpec(), ScenarioSpec(gma_relaxation=True),
                      ScenarioSpec(gma_relaxation=True, one_offs=True)):
-            result = Study(micro_pop, None, params, pov).result(spec)
+            study = Study(micro_pop, None, params, pov)
+            fiscal = cascade_results(study, study.result(spec))
             for hh, ledger in zip(micro_pop.households, ledgers, strict=True):
-                assert result.fiscal[hh.household_id] == disposable_income(
+                assert fiscal[hh.household_id] == disposable_income(
                     ledger, params, relaxed=spec.gma_relaxation,
                     one_offs=spec.one_offs), (spec, hh.household_id)
 
@@ -74,29 +78,29 @@ class TestStudyResult:
             Study(micro_pop, None, params, pov).result(ScenarioSpec(wage_shock=True))
 
     def test_transfer_only_scenarios_need_no_table(self, micro_pop, params, pov):
-        result = Study(micro_pop, None, params, pov).result(
-            ScenarioSpec(gma_relaxation=True, one_offs=True))
-        assert net_market(result) == net_market_of(micro_pop, params)
+        study = Study(micro_pop, None, params, pov)
+        result = study.result(ScenarioSpec(gma_relaxation=True, one_offs=True))
+        assert net_market(study, result) == net_market_of(micro_pop, params)
 
     def test_wage_only_spec_neutralizes_selfemp(self, micro_pop, micro_table,
                                                 params, pov):
-        result = Study(micro_pop, micro_table, params, pov).result(
-            ScenarioSpec(wage_shock=True))
+        study = Study(micro_pop, micro_table, params, pov)
+        result = study.result(ScenarioSpec(wage_shock=True))
         shocked = apply_shock(micro_pop, micro_table.neutralize(selfemp=True))
         by_id = {p.person_id: p for p in shocked.persons}
         assert by_id[1].wage[11] == 15000          # hotel wage shocked
         assert by_id[8].self_employment[11] == 25000  # self-emp untouched
-        assert net_market(result) == net_market_of(shocked, params)
+        assert net_market(study, result) == net_market_of(shocked, params)
 
     def test_selfemp_only_spec_neutralizes_wage(self, micro_pop, micro_table,
                                                 params, pov):
-        result = Study(micro_pop, micro_table, params, pov).result(
-            ScenarioSpec(selfemp_shock=True))
+        study = Study(micro_pop, micro_table, params, pov)
+        result = study.result(ScenarioSpec(selfemp_shock=True))
         shocked = apply_shock(micro_pop, micro_table.neutralize(wage=True))
         by_id = {p.person_id: p for p in shocked.persons}
         assert by_id[1].wage[11] == 30000
         assert by_id[8].self_employment[11] == 15000
-        assert net_market(result) == net_market_of(shocked, params)
+        assert net_market(study, result) == net_market_of(shocked, params)
 
     def test_prepare_baseline_is_the_baseline_run(self, micro_pop, params, pov):
         result = prepare_baseline(micro_pop, params, pov)
@@ -124,28 +128,31 @@ class TestDecompose:
 
     def test_transfer_columns_run_on_unshocked_incomes(self, micro_pop,
                                                        micro_table, params, pov):
-        deco = Study(micro_pop, micro_table, params, pov).decompose()
+        study = Study(micro_pop, micro_table, params, pov)
+        deco = study.decompose()
         unshocked = net_market_of(micro_pop, params)
         gma_col = dict(deco.columns)["gma_relaxation"]
-        assert net_market(gma_col) == unshocked  # incomes untouched
+        assert net_market(study, gma_col) == unshocked  # incomes untouched
         combined = dict(deco.columns)["combined"]
-        assert net_market(combined) == net_market_of(
+        assert net_market(study, combined) == net_market_of(
             apply_shock(micro_pop, micro_table), params) != unshocked
 
     def test_transfers_on_shocked_flag(self, micro_pop, micro_table, params, pov):
-        deco = Study(micro_pop, micro_table, params, pov).decompose(
-            transfers_on_shocked=True)
+        study = Study(micro_pop, micro_table, params, pov)
+        deco = study.decompose(transfers_on_shocked=True)
         gma_col = dict(deco.columns)["gma_relaxation"]
         shocked = apply_shock(micro_pop, micro_table)
         assert [p.wage[11] for p in shocked.persons if p.person_id == 1] == [15000]
-        assert net_market(gma_col) == net_market_of(shocked, params)
+        assert net_market(study, gma_col) == net_market_of(shocked, params)
 
     def test_combined_column_matches_direct_run(self, micro_pop, micro_table,
                                                 params, pov):
-        deco = Study(micro_pop, micro_table, params, pov).decompose()
-        direct = Study(micro_pop, micro_table, params, pov).result(ALL_ON)
+        study = Study(micro_pop, micro_table, params, pov)
+        deco = study.decompose()
+        direct_study = Study(micro_pop, micro_table, params, pov)
+        direct = direct_study.result(ALL_ON)
         combined = dict(deco.columns)["combined"]
-        assert combined.fiscal == direct.fiscal
+        assert cascade_results(study, combined) == cascade_results(direct_study, direct)
         assert combined.report == direct.report
 
     def test_report_lookup(self, micro_pop, micro_table, params, pov):

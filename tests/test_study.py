@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
-                      build_micro_population, build_micro_table)
+                      build_micro_population, build_micro_table, cascade_results)
 from oracles import (aggregate_change_by_scan, dec_round_half_up, equivalized,
                      gma_countable_by_definition, poverty_rate_by_scan,
                      relative_line_by_scan, weighted_median_by_scan)
@@ -255,12 +255,14 @@ def test_study_results_equal_fresh_runs(make, transfers_on_shocked, params, pov)
 
     fresh_pop, _ = make()
     for result in {r.spec: r for r in results}.values():
-        fresh = Study(fresh_pop, table, params, pov).result(result.spec)
+        fresh_study = Study(fresh_pop, table, params, pov)
+        fresh = fresh_study.result(result.spec)
+        got = cascade_results(study, result)
         assert result.report == fresh.report, result.spec
-        assert result.fiscal == fresh.fiscal, result.spec
+        assert got == cascade_results(fresh_study, fresh), result.spec
         fiscal, report = reference_run(fresh_pop, table, result.spec, params, pov)
         assert result.report == report, result.spec
-        assert result.fiscal == fiscal, result.spec
+        assert got == fiscal, result.spec
 
 
 def _policy_leaves(obj=PolicyParameters(), path=()):
@@ -291,7 +293,8 @@ def _perturbed(obj, path: list[str]):
 
 def _fiscal_by_column(pop, table, params, pov):
     study = Study(pop, table, params, pov)
-    return {name: result.fiscal for name, result in study.decompose().columns}
+    return {name: cascade_results(study, result)
+            for name, result in study.decompose().columns}
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +418,12 @@ def test_bisection_materializes_one_population(monkeypatch, params, pov):
     assert base.net_vectors == fresh_base.net_vectors
     assert base.demography.group_counts == fresh_base.demography.group_counts
     result = prepare_baseline(fresh, params, pov)
-    assert base.baseline[0] == result.report
-    assert base.baseline[1] == result.fiscal
+    report, scores = base.baseline
+    assert report == result.report
+    assert scores.keys == result.scores.keys
+    study = Study(calibrated, None, params, pov)
+    assert cascade_results(study, study.result(BASELINE_SPEC)) == cascade_results(
+        Study(fresh, None, params, pov), result)
 
 
 def random_income_population(rng: random.Random,
@@ -479,9 +486,10 @@ def random_income_population(rng: random.Random,
 def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
                                                      pov):
     """Every candidate of a bisection, scored from its scaled income
-    vectors, gets the report and fiscal results prepare_baseline gives on
-    that candidate built as a validated Population; factors clamped at
-    0.05 and 20 and households left at factor 1 among them."""
+    vectors, gets the report, annual totals and cascade results
+    prepare_baseline gives on that candidate built as a validated
+    Population; factors clamped at 0.05 and 20 and households left at
+    factor 1 among them."""
     pop = random_income_population(random.Random(seed), 150)
     candidates = []
     rescaled = HouseholdBase.rescaled
@@ -520,11 +528,14 @@ def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
         built = Population(persons=pop._rescale_incomes(incomes).persons,
                            households=pop.households)
         result = prepare_baseline(built, params, pov)
-        report, fiscal, _ = candidate.baseline
+        report, scores = candidate.baseline
         rate = report.child_rate("relative")
         assert rate == result.report.child_rate("relative")
         assert report == result.report
-        assert fiscal == result.fiscal
+        assert scores.keys == result.scores.keys
+        assert {ledger.household.household_id: disposable_income(ledger, params)
+                for ledger in candidate.ledgers} == cascade_results(
+                    Study(built, None, params, pov), result)
         if float(rate) < 0.5:
             lo = gamma
         else:
@@ -627,7 +638,7 @@ def test_shocks_that_only_cut_raise_no_income(seed, params, pov):
 
     def pre_transfer_child_rates(result):
         scores = frame.scores([sum(res.net_market) + sum(res.carried)
-                               for res in result.fiscal.values()])
+                               for res in cascade_results(study, result).values()])
         return [scores.rate(line, frame.children).rate for line in lines]
 
     before = pre_transfer_child_rates(study.result(BASELINE_SPEC))
@@ -665,25 +676,22 @@ def _default_study(pop, table, params, pov, transfers_on_shocked=False):
     return study, list({r.spec: r for r in results}.values())
 
 
-def _assert_fresh_cascade(study, results, params):
-    """Each household's result of each pass equals disposable_income run
-    afresh on the ledger that pass evaluated."""
+def _assert_fresh_cascade(study, results):
+    """Each household's annual total in each pass, whether the memo served
+    it or not, equals that of disposable_income run afresh on the ledger
+    that pass evaluated (cascade_results checks it)."""
     for result in results:
-        spec = result.spec
-        for ledger in study._ledgers_of(spec):
-            assert result.fiscal[ledger.household.household_id] == disposable_income(
-                ledger, params, relaxed=spec.gma_relaxation, one_offs=spec.one_offs), \
-                (spec, ledger.household.household_id)
+        cascade_results(study, result)
 
 
 @pytest.mark.parametrize("transfers_on_shocked", [False, True])
 def test_memoized_cascade_equals_fresh_runs(transfers_on_shocked, params, pov):
-    """Every household's fiscal result in every pass of a study equals a
-    fresh cascade on its ledger, though most untouched households reuse an
-    earlier pass's result."""
+    """Every household's annual total in every pass of a study equals a
+    fresh cascade's on its ledger, though most untouched households reuse
+    an earlier pass's total."""
     pop, table = _synth800()
     study, results = _default_study(pop, table, params, pov, transfers_on_shocked)
-    _assert_fresh_cascade(study, results, params)
+    _assert_fresh_cascade(study, results)
     assert study.base.memo_hits > 0
 
 
@@ -700,35 +708,36 @@ def test_cascade_counters_cover_every_pass(params, pov):
 
 def test_calibrated_base_serves_no_source_memo(params, pov):
     """A calibrated population's base, scored through rescaled() and
-    built by materialize(), never reuses a result of its source's memo,
+    built by materialize(), never reuses a total of its source's memo,
     although the households calibration left alone kept their ledgers;
     its study still matches a fresh cascade everywhere."""
     pop = random_income_population(random.Random(1), 300)
+    n = pop.n_households
     rate = prepare_baseline(pop, params, pov).report.child_rate("relative")
     calibrated = calibrate_to_baseline(pop, rate - Fraction(1, 20),
                                        params, pov, tolerance=0.01)
     source = household_base(pop, params, pov)
     base = household_base(calibrated, params, pov)
-    assert base is not source and source.memo_hits == 0
+    assert base is not source
+    # the source's one pass, its baseline run, filled its memo
+    assert (source.cascade_runs, source.memo_hits) == (n, 0)
     assert sum(all(a is b for a, b in zip(calibrated.members(hh.household_id),
                                           pop.members(hh.household_id)))
                for hh in pop.households) > 50
     # one cascade per household: the accepted candidate's baseline run
-    assert (base.cascade_runs, base.memo_hits) == (pop.n_households, 0)
+    assert (base.cascade_runs, base.memo_hits) == (n, 0)
 
-    source_results = {id(entry[1]) for entries in source._memo.values()
-                      for entry in entries if entry}
-    assert len(source_results) == pop.n_households
-    study, results = _default_study(calibrated, CellChangeTable.from_factors(
-        WAGE_F, SE_F), params, pov)
-    assert base.memo_hits > 0
-    assert not source_results & {id(res) for r in results for res in r.fiscal.values()}
+    table = CellChangeTable.from_factors(WAGE_F, SE_F)
     # materialize() gave the base new ledgers: the wage-only pass, with the
     # baseline's switches, ran the cascade again for untouched households
-    wage_only = study.result(ScenarioSpec(wage_shock=True))
-    assert all(res is not study.result(BASELINE_SPEC).fiscal[hid]
-               for hid, res in wage_only.fiscal.items())
-    _assert_fresh_cascade(study, results, params)
+    Study(calibrated, table, params, pov).result(ScenarioSpec(wage_shock=True))
+    assert (base.cascade_runs, base.memo_hits) == (2 * n, 0)
+    study, results = _default_study(calibrated, table, params, pov)
+    assert base.memo_hits > 0
+    assert base.cascade_runs + base.memo_hits == (2 + study.runs) * n
+    # no pass over the calibrated population consulted the source's memo
+    assert (source.cascade_runs, source.memo_hits) == (n, 0)
+    _assert_fresh_cascade(study, results)
 
 
 def _asset_test_fails(hh: Household, relaxed: bool) -> bool:
@@ -761,10 +770,11 @@ def test_cascade_accounting_in_every_pass(seed, transfers_on_shocked, params, po
     for result in results:
         relaxed = result.spec.gma_relaxation
         shocked = shocked_by_oracle(pop, table, result.spec)
+        cascade = cascade_results(study, result)
         for ledger in study._ledgers_of(result.spec):
             hh = ledger.household
             members = shocked.members(hh.household_id)
-            fiscal = result.fiscal[hh.household_id]
+            fiscal = cascade[hh.household_id]
             nets = [person_net_market(m, params) for m in members]
             awards = (fiscal.gma, fiscal.energy, fiscal.allowances,
                       fiscal.oneoff_may, fiscal.oneoff_dec)
