@@ -257,14 +257,6 @@ class Population:
     def n_households(self) -> int:
         return len(self.households)
 
-    def _rescale_incomes(self, incomes: Iterable[IncomeVectors | None]) -> "Population":
-        """The population with, person by person, new Person.incomes or
-        None to keep the person, built positionally; see _with_persons."""
-        make = Person._make
-        return self._with_persons(
-            p if vectors is None else make(p[:10] + vectors)
-            for p, vectors in zip(self.persons, incomes, strict=True))
-
     def _with_persons(self, persons: Iterable[Person]) -> "Population":
         """The population with persons, this population's in order, each
         with new income vectors or kept. Internal constructor for the

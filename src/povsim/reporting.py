@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .metrics import INDICATORS, RateResult
@@ -151,27 +152,13 @@ def groups_csv(dis: DisaggregationResult) -> str:
 
 
 def groups_json_obj(dis: DisaggregationResult) -> dict:
-    dims: list[dict] = []
-    for breakdown in dis.breakdowns:
-        entry: dict = {"dimension": breakdown.dimension, "groups": []}
-        for group in breakdown.groups:
-            rates = []
-            for indicator in INDICATORS:
-                cell = breakdown.cell(group, indicator)
-                pre, post = cell.pre.rate, cell.post.rate
-                rates.append({
-                    "indicator": indicator,
-                    "pre_pct": pct_str(pre) or None,
-                    "post_pct": pct_str(post) or None,
-                    "delta_pp": (None if pre is None or post is None
-                                 else fmt_fraction((post - pre) * 100,
-                                                   PCT_PLACES)),
-                    "pre_headcount": _headcount_str(cell.pre),
-                    "post_headcount": _headcount_str(cell.post),
-                })
-            entry["groups"].append({"group": group, "rates": rates})
-        dims.append(entry)
-    return {"indicators": list(INDICATORS), "dimensions": dims}
+    rows = iter(groups_rows(dis))
+    return {"indicators": list(INDICATORS), "dimensions": [
+        {"dimension": breakdown.dimension, "groups": [
+            {"group": group, "rates": [{col: r[col] or None for col in GROUPS_HEADER[2:]}
+                                       for r in islice(rows, len(INDICATORS))]}
+            for group in breakdown.groups]}
+        for breakdown in dis.breakdowns]}
 
 
 # -- aggregate-change validation table --------------------------------------

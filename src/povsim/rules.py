@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import ConfigError, DataError
 from .money import MONTHS, ZERO_YEAR, as_fraction, round_mul_div
-from .population import Household, IncomeVectors, LaborStatus, Person
+from .population import Household, LaborStatus, Person
 
 
 # GMA ineligibility reasons.
@@ -154,21 +154,13 @@ def _net_vector(gross: tuple[int, ...], params: PolicyParameters) -> tuple[int, 
     return tuple(net[v] for v in gross)
 
 
-def net_market_vector(wage: tuple[int, ...], self_employment: tuple[int, ...],
-                      informal: bool, params: PolicyParameters) -> tuple[int, ...]:
-    """person_net_market from gross vectors and the informal wage flag."""
-    if not informal:
-        wage = _net_vector(wage, params)
-    se = _net_vector(self_employment, params)
+def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
+    """Twelve months of net market income (wage plus self-employment)."""
+    wage = person.wage if person.informal_wage_flag else _net_vector(person.wage, params)
+    se = _net_vector(person.self_employment, params)
     if se == ZERO_YEAR:
         return wage
     return tuple(w + s for w, s in zip(wage, se))
-
-
-def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
-    """Twelve months of net market income (wage plus self-employment)."""
-    return net_market_vector(person.wage, person.self_employment,
-                             person.informal_wage_flag, params)
 
 
 def _sum_vectors(vectors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -216,17 +208,16 @@ def ledger_from_vectors(household: Household, members: Sequence[Person],
                         net_vectors: Sequence[tuple[int, ...]],
                         params: PolicyParameters,
                         baseline: HouseholdLedger | None = None, *,
-                        incomes: Sequence[IncomeVectors] | None = None,
                         demography: tuple[Fraction, int, int] | None = None,
                         ) -> HouseholdLedger:
     """Assemble one household's ledger from its members' income vectors.
 
-    net_vectors[i] is person_net_market(members[i], params); incomes[i]
-    (members[i].incomes) and household_demography(members, params) can be
-    given. baseline is the household's pre-shock ledger; it defaults to
-    this ledger itself (appropriate when no shock was applied).
+    net_vectors[i] is person_net_market(members[i], params), and
+    household_demography(members, params) can be given. baseline is the
+    household's pre-shock ledger; it defaults to this ledger itself
+    (appropriate when no shock was applied).
     """
-    _, _, pensions, rents, transfers = zip(*(incomes or [m.incomes for m in members]))
+    _, _, pensions, rents, transfers = zip(*(m.incomes for m in members))
     net_market = _sum_vectors(net_vectors)
     pensions, rent, transfers = map(_sum_vectors, (pensions, rents, transfers))
     unearned = tuple(map(add, pensions, transfers))

@@ -20,7 +20,7 @@ alone, for generate and calibration.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -33,10 +33,10 @@ from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
                       PovertyReport, RateResult, adult_education_group,
                       headcount_from_pp)
 from .money import as_fraction
-from .population import IncomeVectors, Person, Population
+from .population import Person, Population
 from .rules import (HouseholdLedger, PolicyParameters, disposable_income,
-                    household_demography, ledger_from_vectors, net_market_vector,
-                    person_net_market, shocked_ledger)
+                    household_demography, ledger_from_vectors, person_net_market,
+                    shocked_ledger)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -219,25 +219,22 @@ class HouseholdBase:
                 ledgers[i] = shocked_ledger(base, members, nets)
         return tuple(ledgers)
 
-    def rescaled(self, incomes: Sequence[IncomeVectors | None]) -> "HouseholdBase":
-        """The base, baseline run included, of pop._rescale_incomes(incomes)
-        for this base's pop, without building it: a household with new
-        incomes gets new net vectors and a ledger with the demography's
-        fields, listing this base's members (their incomes unread by the
-        baseline cascade) until materialize(). It starts an empty memo and
-        zero counters."""
-        net_vectors, ledgers, start = [], [], 0
-        for ledger, vectors, fields in zip(self.ledgers, self.net_vectors,
-                                           self.demography.fields):
-            members = ledger.members
-            new = incomes[start:start + len(members)]
-            start += len(members)
-            if any(new):
-                new = [n or m.incomes for m, n in zip(members, new)]
-                vectors = tuple(net_market_vector(w, s, m.informal_wage_flag, self.params)
-                                for m, (w, s, *_) in zip(members, new))
-                ledger = ledger_from_vectors(ledger.household, members, vectors, self.params,
-                                             incomes=new, demography=fields)
+    def rescaled(self, members: Sequence[tuple[Person, ...] | None]) -> "HouseholdBase":
+        """The base, baseline run included, of this base's population with
+        each household's members replaced by members[i] (None keeps them):
+        a changed household gets a ledger listing its new members, with the
+        demography's fields, and only its new member objects are netted
+        again. It starts an empty memo and zero counters."""
+        net_vectors, ledgers = [], []
+        for ledger, vectors, fields, new in zip(self.ledgers, self.net_vectors,
+                                                self.demography.fields, members,
+                                                strict=True):
+            if new is not None:
+                vectors = tuple(v if m is old else person_net_market(m, self.params)
+                                for m, old, v in zip(new, ledger.members, vectors,
+                                                     strict=True))
+                ledger = ledger_from_vectors(ledger.household, new, vectors, self.params,
+                                             demography=fields)
             net_vectors.append(vectors)
             ledgers.append(ledger)
         derived = copy.copy(self)
@@ -246,15 +243,10 @@ class HouseholdBase:
         derived.baseline = derived.evaluate(derived.ledgers, BASELINE_SPEC)
         return derived
 
-    def materialize(self, source: Population,
-                    incomes: Sequence[IncomeVectors | None]) -> Population:
-        """source._rescale_incomes(incomes); this base, source's base
-        rescaled(incomes), gets its members and is kept with it. Its
-        ledgers are new objects, so no earlier memo entry matches them."""
-        pop = source._rescale_incomes(incomes)
-        self.ledgers = tuple(
-            replace(ledger, members=pop.members(ledger.household.household_id))
-            for ledger in self.ledgers)
+    def materialize(self, source: Population) -> Population:
+        """source with this base's members, a base rescaled() from source's
+        base, which it keeps, memo included, as its household base."""
+        pop = source._with_persons(m for ledger in self.ledgers for m in ledger.members)
         pop.derived((HouseholdBase, self.params, self.pov), lambda: self)
         return pop
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import is_
 from typing import Mapping
 
 import random
@@ -23,8 +24,8 @@ import random
 from .errors import CalibrationError, ConfigError
 from .money import MONTHS, ZERO_YEAR, as_fraction, round_mul_div
 from .nace import DIVISIONS
-from .population import (EducationLevel, Household, IncomeVectors, LaborStatus,
-                         Person, Population, Sex)
+from .population import (EducationLevel, Household, LaborStatus, Person,
+                         Population, Sex)
 
 _DEFAULT_SIZE_DIST: dict[int, float] = {1: 0.13, 2: 0.22, 3: 0.20, 4: 0.27,
                                         5: 0.12, 6: 0.06}
@@ -371,6 +372,14 @@ def _scaled(vec: tuple[int, ...], f: Fraction) -> tuple[int, ...]:
     return tuple(map(scaled.__getitem__, vec))
 
 
+def _scaled_person(p: Person, f: Fraction) -> Person:
+    """p with each income vector scaled by f; p itself if it has no income."""
+    if not any(map(any, p.incomes)):
+        return p
+    return Person._make(p[:10] + tuple([_scaled(v, f) if any(v) else v
+                                        for v in p.incomes]))
+
+
 def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fraction,
                           params, pov, *, tolerance: float = 0.005,
                           max_evaluations: int = 16) -> Population:
@@ -382,9 +391,9 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
     within tolerance. Raises CalibrationError when the target cannot be
     reached within the evaluation budget, reporting the best achieved rate.
 
-    A candidate is scored from its scaled income vectors on the input's
-    household base (HouseholdBase.rescaled); only the accepted one becomes
-    a Population, which keeps its baseline run.
+    A candidate is the input's household base with each household's
+    rescaled members (HouseholdBase.rescaled); only the accepted one
+    becomes a Population, which keeps it as its base, memo included.
     """
     from .scenario import household_base, prepare_baseline  # avoids a cycle
 
@@ -408,30 +417,30 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
     ratios = [float(eq / median_eq) for eq in base_result.scores.equivalized().values()]
     base = household_base(pop, params, pov)
 
-    def incomes_for(gamma: float) -> list[IncomeVectors | None]:
-        """Each person's scaled incomes, None where unchanged."""
-        incomes: list[IncomeVectors | None] = []
+    def members_for(gamma: float) -> list[tuple[Person, ...] | None]:
+        """Each household's members with scaled incomes, None where no
+        member changes."""
+        out: list[tuple[Person, ...] | None] = []
         for ratio, members in zip(ratios, base.demography.members):
             f = 1 if ratio <= 0 else as_fraction(
                 round(min(20.0, max(0.05, ratio ** (gamma - 1.0))), 9))
-            incomes += [None if f == 1 or not any(map(any, p.incomes)) else
-                        tuple([_scaled(v, f) if any(v) else v for v in p.incomes])
-                        for p in members]
-        return incomes
+            new = members if f == 1 else tuple(_scaled_person(p, f) for p in members)
+            out.append(None if all(map(is_, new, members)) else new)
+        return out
 
     lo, hi = 0.3, 3.0
     best_rate = base_rate
     evaluations = 0
     while evaluations < max_evaluations:
         gamma = 0.5 * (lo + hi)
-        incomes = incomes_for(gamma)
-        candidate = base.rescaled(incomes)  # the same children as pop
+        candidate = base.rescaled(members_for(gamma))  # the same children as pop
         rate = float(candidate.baseline[0].child_rate("relative"))
         evaluations += 1
         if abs(rate - target) < abs(best_rate - target):
             best_rate = rate
         if abs(rate - target) <= tolerance:
-            return candidate.materialize(pop, incomes)
+            return candidate.materialize(pop)
+        del candidate  # released before the next one is built
         if rate < target:
             lo = gamma
         else:

@@ -4,6 +4,7 @@ points stay retired, so scores have one way in (Study)."""
 from __future__ import annotations
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -14,14 +15,16 @@ import povsim
 BASIC_INCOME = ("Tbi" + "Params", "Tbi" + "Context", "tbi" + "_award",
                 "Baseline" + "Stats", "median_per_capita" + "_monthly")
 
-# The person-level scorer, build-a-ledger helper and one-study wrappers
-# that Study and HouseholdBase replaced, and the basic income, spelled in
+# The person-level scorer, build-a-ledger helper, gross-vector netting
+# helper and one-study wrappers that Study, HouseholdBase and
+# person_net_market replaced, and the basic income, spelled in
 # parts so that a search of the tree for one of these names finds only
 # real uses.
 RETIRED = tuple("_".join(parts) for parts in (
     ("build", "person", "rows"), ("relative", "poverty", "line"),
     ("poverty", "rate"), ("is", "child", "row"), ("compute", "report"),
     ("equivalized", "income"), ("run", "scenario"), ("build", "ledger"),
+    ("net", "market", "vector"),
 )) + ("Person" + "Row", "decompose", "uncertainty_band", "disaggregate",
       *BASIC_INCOME)
 
@@ -74,3 +77,13 @@ def test_retired_members_are_gone(cls):
         klass, "__dataclass_fields__", {}).values()}
     retired = {*BASIC_INCOME, "tbi", "stats", "annual", UNREAD.get(cls)} - {None}
     assert members & retired == set()
+
+
+def test_calibration_keeps_no_rescaling_path():
+    """A calibration candidate lists its real members and becomes a
+    Population through _with_persons: no income-rescaling constructor and
+    no ledger built from incomes other than its members' remain."""
+    from povsim.population import Population
+    from povsim.rules import ledger_from_vectors
+    assert not hasattr(Population, "_".join(("", "rescale", "incomes")))
+    assert "incomes" not in inspect.signature(ledger_from_vectors).parameters

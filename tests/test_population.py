@@ -125,10 +125,9 @@ class TestPopulation:
 
     def test_rescaled_incomes_share_the_household_index(self):
         pop = build_micro_population()
-        assert pop._rescale_incomes([None] * pop.n_persons) is pop
-        doubled = pop._rescale_incomes(
-            (p.wage, p.self_employment, tuple(2 * v for v in p.pension),
-             p.capital_rent, p.interhousehold_transfers) for p in pop.persons)
+        assert pop._with_persons(pop.persons) is pop
+        doubled = pop._with_persons(
+            p._replace(pension=tuple(2 * v for v in p.pension)) for p in pop.persons)
         validated = Population(persons=doubled.persons,
                                households=pop.households,
                                provenance=pop.provenance)
@@ -145,9 +144,8 @@ class TestPopulation:
         assert pop.derived("a", lambda: 2) == 1
         assert pop.derived("b", lambda: 3) == 3
         assert pop.derived("a", lambda: 4) == 4
-        rescaled = pop._rescale_incomes(
-            (p.wage, p.self_employment, p.pension[::-1], p.capital_rent,
-             p.interhousehold_transfers) for p in pop.persons)
+        rescaled = pop._with_persons(p._replace(pension=p.pension[::-1])
+                                     for p in pop.persons)
         assert rescaled.derived("a", lambda: 5) == 5
 
 

@@ -400,14 +400,14 @@ def test_bisection_materializes_one_population(monkeypatch, params, pov):
 
     raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
     for cls, name in ((Population, "__post_init__"),
-                      (Population, "_rescale_incomes"),
+                      (Population, "_with_persons"),
                       (HouseholdDemography, "__init__"),
                       (HouseholdBase, "__init__"), (HouseholdBase, "evaluate")):
         counting(cls, name)
     calibrated = calibrate_to_baseline(raw, 0.278, params, pov, tolerance=0.01)
     evaluations = built.pop("HouseholdBase.evaluate")
     assert evaluations > 2
-    assert built == {"Population._rescale_incomes": 1,
+    assert built == {"Population._with_persons": 1,
                      "HouseholdDemography.__init__": 1,
                      "HouseholdBase.__init__": 1}
 
@@ -494,9 +494,9 @@ def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
     candidates = []
     rescaled = HouseholdBase.rescaled
 
-    def recording(self, incomes):
-        candidate = rescaled(self, incomes)
-        candidates.append((incomes, candidate))
+    def recording(self, members):
+        candidate = rescaled(self, members)
+        candidates.append((members, candidate))
         return candidate
 
     monkeypatch.setattr(HouseholdBase, "rescaled", recording)
@@ -508,24 +508,30 @@ def test_calibration_candidates_score_as_materialized(seed, monkeypatch, params,
                               max_evaluations=6)
     assert len(candidates) == 6
 
-    # each candidate's vectors, from the spread transform's definition
+    # each candidate's members, from the spread transform's definition
     median = base_result.scores.median_equivalized()
     ratios = [float(eq / median) for eq in base_result.scores.equivalized().values()]
     lo, hi = 0.3, 3.0
     factors = set()
-    for incomes, candidate in candidates:
+    for members, candidate in candidates:
         gamma = 0.5 * (lo + hi)
         factor = {hh.household_id: Fraction(1) if r <= 0 else Fraction(
                       str(round(min(20.0, max(0.05, r ** (gamma - 1.0))), 9)))
                   for hh, r in zip(pop.households, ratios)}
         factors.update(factor.values())
-        for p, vectors in zip(pop.persons, incomes):
-            f = factor[p.household_id]
-            assert (vectors or p.incomes) == tuple(
-                tuple(dec_round_half_up(v * f) for v in vec) if any(vec) else vec
-                for vec in p.incomes)
+        assert len(members) == pop.n_households
+        for hh, new, ledger in zip(pop.households, members, candidate.ledgers):
+            old = pop.members(hh.household_id)
+            assert ledger.members == (new or old)
+            f = factor[hh.household_id]
+            for p, q in zip(old, new or old, strict=True):
+                assert q[:10] == p[:10]
+                assert q.incomes == tuple(
+                    tuple(dec_round_half_up(v * f) for v in vec) if any(vec) else vec
+                    for vec in p.incomes)
 
-        built = Population(persons=pop._rescale_incomes(incomes).persons,
+        built = Population(persons=tuple(m for ledger in candidate.ledgers
+                                         for m in ledger.members),
                            households=pop.households)
         result = prepare_baseline(built, params, pov)
         report, scores = candidate.baseline
@@ -706,11 +712,12 @@ def test_cascade_counters_cover_every_pass(params, pov):
     assert base.memo_hits > 0
 
 
-def test_calibrated_base_serves_no_source_memo(params, pov):
-    """A calibrated population's base, scored through rescaled() and
-    built by materialize(), never reuses a total of its source's memo,
-    although the households calibration left alone kept their ledgers;
-    its study still matches a fresh cascade everywhere."""
+def test_calibrated_base_keeps_its_memo(params, pov):
+    """A calibrated population's base is the accepted candidate, memo
+    included: its first wage-only pass reuses the baseline run's total for
+    every household the shock leaves alone, it never reuses a total of its
+    source's memo, and its study still matches a fresh cascade
+    everywhere."""
     pop = random_income_population(random.Random(1), 300)
     n = pop.n_households
     rate = prepare_baseline(pop, params, pov).report.child_rate("relative")
@@ -724,14 +731,19 @@ def test_calibrated_base_serves_no_source_memo(params, pov):
     assert sum(all(a is b for a, b in zip(calibrated.members(hh.household_id),
                                           pop.members(hh.household_id)))
                for hh in pop.households) > 50
+    assert [ledger.members for ledger in base.ledgers] == [
+        calibrated.members(hh.household_id) for hh in calibrated.households]
     # one cascade per household: the accepted candidate's baseline run
     assert (base.cascade_runs, base.memo_hits) == (n, 0)
 
     table = CellChangeTable.from_factors(WAGE_F, SE_F)
-    # materialize() gave the base new ledgers: the wage-only pass, with the
-    # baseline's switches, ran the cascade again for untouched households
-    Study(calibrated, table, params, pov).result(ScenarioSpec(wage_shock=True))
-    assert (base.cascade_runs, base.memo_hits) == (2 * n, 0)
+    # the wage-only pass has the baseline's switches: every household whose
+    # shocked ledger is the base's own ledger is served from the memo
+    study, wage_only = Study(calibrated, table, params, pov), ScenarioSpec(wage_shock=True)
+    study.result(wage_only)
+    untouched = sum(a is b for a, b in zip(study._ledgers_of(wage_only), base.ledgers))
+    assert base.memo_hits > 0
+    assert (base.cascade_runs, base.memo_hits) == (2 * n - untouched, untouched)
     study, results = _default_study(calibrated, table, params, pov)
     assert base.memo_hits > 0
     assert base.cascade_runs + base.memo_hits == (2 + study.runs) * n
