@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ConfigError, DataError
-from .money import as_fraction, round_mul_div
+from .money import as_fraction, scaled_months
 from .nace import DIVISIONS, SECTIONS, is_division, section_of
 from .population import (LaborStatus, Person, Population, Sex, _parse_int,
                          _records)
@@ -408,12 +408,12 @@ def shock_factors(table: CellChangeTable, shock_start_month: int,
 
 def shocked_person(p: Person, k: int, num: int, den: int, start: int) -> Person:
     """p with p.incomes[k] times num/den from month index start on, each
-    month rounded half away from zero to integer MKD; earlier months and
-    every other field as they were."""
+    month rounded half away from zero to integer MKD (money.scaled_months);
+    earlier months and every other field as they were."""
     incomes = p.incomes
     vec = incomes[k]
-    return Person._make(p[:10] + incomes[:k] + (vec[:start] + tuple(
-        round_mul_div(v, num, den) for v in vec[start:]),) + incomes[k + 1:])
+    return Person._make(p[:10] + incomes[:k] + (
+        vec[:start] + scaled_months(vec[start:], num, den),) + incomes[k + 1:])
 
 
 def shocked_persons(pop: Population, table: CellChangeTable, *,

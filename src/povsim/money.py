@@ -53,6 +53,14 @@ def round_mul_div(value: int, num: int, den: int) -> int:
     return (2 * x + den) // (2 * den)
 
 
+def scaled_months(vec: tuple[int, ...], num: int, den: int) -> tuple[int, ...]:
+    """vec times num/den, each month rounded half away from zero
+    (round_mul_div); computed once per distinct amount, so equal months
+    share one int."""
+    scaled = {v: round_mul_div(v, num, den) for v in set(vec)}
+    return tuple(map(scaled.__getitem__, vec))
+
+
 def fmt_fraction(x: Fraction | int, places: int) -> str:
     """Render an exact number as a fixed-point decimal string.
 

@@ -23,7 +23,7 @@ from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
 
 from .errors import DataError
 from .money import MONTHS, ZERO_YEAR, parse_weight, weight_to_str
-from .nace import is_division
+from .nace import DIVISIONS, is_division
 
 MonthVector = tuple[int, ...]
 IncomeVectors = tuple[MonthVector, MonthVector, MonthVector, MonthVector, MonthVector]
@@ -329,6 +329,7 @@ _FLAGS = {"0": False, "1": True, "": False}
 _SEXES = {e.value: e for e in Sex}
 _LABOR_STATUSES = {e.value: e for e in LaborStatus}
 _EDUCATION_LEVELS = {e.value: e for e in EducationLevel}
+_DIVISION_CODES = {code: code for code in DIVISIONS}
 
 
 def _parse_bool(text: str, file: str, row: int, column: str) -> bool:
@@ -368,34 +369,46 @@ def _parse_enum(enum_cls, text: str, file: str, row: int, column: str):
                         row=row, column=column) from None
 
 
-def _income_vectors(texts: Sequence[str], file: str,
-                    row: int) -> Sequence[MonthVector]:
+class _Amounts(dict):
+    """Income month text -> int, one int object per distinct amount: a
+    text maps to the object made at its first sighting, and a spelling
+    with leading zeros to its canonical spelling's. Only ASCII digit texts
+    may be looked up; int() raises ValueError for any other."""
+
+    def __missing__(self, text: str) -> int:
+        value = int(text)
+        canonical = str(value)
+        value = self[text] = value if canonical == text else self[canonical]
+        return value
+
+
+def _income_vectors(texts: Sequence[str], file: str, row: int, amounts: _Amounts,
+                    vectors: dict[MonthVector, MonthVector]) -> Sequence[MonthVector]:
     """A persons row's income months as vectors in INCOME_SOURCES order.
 
-    Every text must be a nonnegative integer. A row of "0" texts only is
-    the shared _ZERO_VECTORS; any other row of ASCII digits converts in
-    bulk; any other is walked field by field, which reports the first
-    fault with its column. A vector of zeros is ZERO_YEAR, shared by every
-    person.
+    Every text must be a nonnegative integer. A row of ASCII digits
+    converts through the file's memos, amounts and vectors (int tuple ->
+    the first equal tuple; it holds ZERO_YEAR), so equal amounts and equal
+    vectors are one object each and every vector of zeros is ZERO_YEAR;
+    "0" texts only skip the conversion. Any other row has a faulty text,
+    and the first one is reported with its column.
     """
     if texts.count("0") == len(_INCOME_COLUMNS):
         return _ZERO_VECTORS
     joined = "".join(texts)
-    try:
-        if joined.isascii() and joined.isdigit():
-            return [ZERO_YEAR if vec.count("0") == MONTHS else tuple(map(int, vec))
-                    for vec in map(texts.__getitem__, _VECTORS)]
-    except ValueError:  # an empty text, or one too long for int()
-        pass
-    values = []
+    if joined.isascii() and joined.isdigit():
+        try:
+            return [ZERO_YEAR if part.count("0") == MONTHS
+                    else vectors.setdefault(vec := tuple(map(amounts.__getitem__, part)), vec)
+                    for part in map(texts.__getitem__, _VECTORS)]
+        except ValueError:  # an empty text, or one too long for int()
+            pass
     for column, text in zip(_INCOME_COLUMNS, texts):
         value = _parse_int(text, file, row, column)
         if value < 0:
             raise DataError(f"negative income {value}", file=file, row=row,
                             column=column)
-        values.append(value)
-    return [ZERO_YEAR if vec == ZERO_YEAR else vec
-            for vec in map(tuple(values).__getitem__, _VECTORS)]
+    raise AssertionError(f"{file} row {row}: no faulty income text")
 
 
 def _check_header(header: list[str], expected: tuple[str, ...], file: str,
@@ -456,9 +469,12 @@ def load_population(persons_path: str, households_path: str) -> Population:
     cross-table invariants once all rows are in; a household no persons
     row belongs to is reported against the persons file, and a persons
     row whose household the households file lacks names both files.
+    Equal amounts and vectors (_income_vectors), household ids and NACE
+    codes (nace.DIVISIONS entries) are one object each.
     """
     households: list[tuple] = []
     members: dict[int, list[int]] = {}
+    household_ids: dict[int, int] = {}  # id -> the households row's int
     for i, (hid_text, weight_text, residence, other, car, land) in _records(
             households_path, HOUSEHOLD_COLUMNS):
         hid = _parse_int(hid_text, households_path, i, "household_id", minimum=1)
@@ -480,9 +496,12 @@ def load_population(persons_path: str, households_path: str) -> Population:
                 land, households_path, i, "land_parcel_m2", minimum=0),
         ))
         members[hid] = []
+        household_ids[hid] = hid
 
     persons: list[Person] = []
     seen: set[int] = set()
+    amounts = _Amounts()
+    vectors = {ZERO_YEAR: ZERO_YEAR}
     for i, head, incomes in _records(persons_path, PERSON_COLUMNS[:10],
                                      _INCOME_COLUMNS):
         pid, hid, age, sex, labor, education, nace2, informal, public, special = head
@@ -496,16 +515,17 @@ def load_population(persons_path: str, households_path: str) -> Population:
             raise DataError(f"duplicate person id {pid}", file=persons_path, row=i,
                             column="person_id")
         seen.add(pid)
-        hid = (int(hid) if len(hid) < 19 and hid.isascii() and hid.isdigit()
-               and hid[0] != "0" else _parse_int(hid, persons_path, i, "household_id",
-                                                 minimum=1))
-        if hid not in members:
-            raise DataError(f"person {pid} references household {hid}, which "
+        number = (int(hid) if len(hid) < 19 and hid.isascii() and hid.isdigit()
+                  and hid[0] != "0" else _parse_int(hid, persons_path, i,
+                                                    "household_id", minimum=1))
+        hid = household_ids.get(number)
+        if hid is None:
+            raise DataError(f"person {pid} references household {number}, which "
                             f"{households_path} lacks", file=persons_path, row=i,
                             column="household_id")
         # The incomes are parsed before the fields after them in the
         # row, so a row with several faults reports the same one first.
-        vectors = _income_vectors(incomes, persons_path, i)
+        vecs = _income_vectors(incomes, persons_path, i, amounts, vectors)
         person = Person(
             pid, hid,
             (int(age) if len(age) < 19 and age.isascii() and age.isdigit()
@@ -515,21 +535,21 @@ def load_population(persons_path: str, households_path: str) -> Population:
                 LaborStatus, labor, persons_path, i, "labor_status"),
             _EDUCATION_LEVELS.get(education) or _parse_enum(
                 EducationLevel, education, persons_path, i, "education_level"),
-            nace2 or None,
+            _DIVISION_CODES.get(nace2, nace2 or None),
             _FLAGS[informal] if informal in _FLAGS else _parse_bool(
                 informal, persons_path, i, "informal_wage_flag"),
             _FLAGS[public] if public in _FLAGS else _parse_bool(
                 public, persons_path, i, "in_public_education"),
             _FLAGS[special] if special in _FLAGS else _parse_bool(
                 special, persons_path, i, "special_category_flag"),
-            *vectors)
+            *vecs)
         probs = person.problems()
         if probs:
             raise DataError(f"person {pid}: {probs[0]}", file=persons_path, row=i)
         persons.append(person)
         members[hid].append(pid)
 
-    del seen  # freed before the cross-table checks, where memory peaks
+    del seen, amounts, vectors  # freed before the cross-table checks, where memory peaks
     try:
         return Population._of_valid_persons(
             tuple(persons),

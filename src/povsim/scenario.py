@@ -245,8 +245,13 @@ class HouseholdBase:
 
     def materialize(self, source: Population) -> Population:
         """source with this base's members, a base rescaled() from source's
-        base, which it keeps, memo included, as its household base."""
+        base, which it keeps, memo included, as its household base; its
+        demography, cached group counts and shock sites kept, lists pop's
+        members, so it holds none of source's persons."""
         pop = source._with_persons(m for ledger in self.ledgers for m in ledger.members)
+        self.demography = copy.copy(self.demography)
+        self.demography.members = tuple(pop.members(hh.household_id)
+                                        for hh in pop.households)
         pop.derived((HouseholdBase, self.params, self.pov), lambda: self)
         return pop
 

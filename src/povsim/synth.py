@@ -22,7 +22,7 @@ from typing import Mapping
 import random
 
 from .errors import CalibrationError, ConfigError
-from .money import MONTHS, ZERO_YEAR, as_fraction, round_mul_div
+from .money import MONTHS, ZERO_YEAR, as_fraction, scaled_months
 from .nace import DIVISIONS
 from .population import (EducationLevel, Household, LaborStatus, Person,
                          Population, Sex)
@@ -365,18 +365,12 @@ def generate_synthetic(cfg: SynthConfig, seed: int) -> Population:
     return pop
 
 
-def _scaled(vec: tuple[int, ...], f: Fraction) -> tuple[int, ...]:
-    """vec times f, each month rounded half away from zero; computed once
-    per distinct amount."""
-    scaled = {v: round_mul_div(v, f.numerator, f.denominator) for v in set(vec)}
-    return tuple(map(scaled.__getitem__, vec))
-
-
 def _scaled_person(p: Person, f: Fraction) -> Person:
     """p with each income vector scaled by f; p itself if it has no income."""
     if not any(map(any, p.incomes)):
         return p
-    return Person._make(p[:10] + tuple([_scaled(v, f) if any(v) else v
+    num, den = f.numerator, f.denominator
+    return Person._make(p[:10] + tuple([scaled_months(v, num, den) if any(v) else v
                                         for v in p.incomes]))
 
 

@@ -30,9 +30,11 @@ from povsim.cells import (
     load_lfs_aggregate,
     save_cell_table,
     save_lfs_aggregate,
+    shocked_person,
 )
 from povsim.cli import main
 from povsim.errors import DataError
+from povsim.money import round_mul_div
 from povsim.population import Population
 from povsim.synth import generate_synthetic
 
@@ -262,6 +264,25 @@ class TestApplyShock:
         shocked = apply_shock(odd, table, shock_start_month=1)
         by_id = {p.person_id: p for p in shocked.persons}
         assert by_id[2].wage == (6001,) * 12  # 6000.5 rounds away from zero
+
+    @pytest.mark.parametrize("start_month", range(1, 13))
+    def test_shocked_person_is_round_mul_div_per_month(self, start_month):
+        """Each month from the start on is round_mul_div of its amount,
+        earlier months and every other field are kept, and equal amounts
+        scale to one shared int."""
+        rng = random.Random(start_month)
+        worker = build_micro_population().persons[0]  # the hotel employee
+        start = start_month - 1
+        for num, den in ((1, 2), (7, 10), (13, 9), (2, 3), (0, 1)):
+            wage = tuple(rng.choice((12001, 30000, 4999, 777)) for _ in range(12))
+            shocked = shocked_person(worker._replace(wage=wage), 0, num, den, start)
+            assert shocked.wage == wage[:start] + tuple(
+                round_mul_div(v, num, den) for v in wage[start:])
+            assert shocked[:10] == worker[:10]
+            assert shocked.incomes[1:] == worker.incomes[1:]
+            scaled_of = {}
+            for amount, scaled in zip(wage[start:], shocked.wage[start:]):
+                assert scaled_of.setdefault(amount, scaled) is scaled
 
     def test_bad_arguments(self):
         pop = build_micro_population()

@@ -17,8 +17,10 @@ from povsim.cells import save_cell_table
 from povsim.cli import main
 from povsim.errors import DataError
 from povsim.money import ZERO_YEAR
-from povsim.population import (HOUSEHOLD_COLUMNS, PERSON_COLUMNS,
-                               Population, load_population, save_population)
+from povsim.nace import DIVISIONS
+from povsim.population import (HOUSEHOLD_COLUMNS, PERSON_COLUMNS, Household,
+                               LaborStatus, Person, Population, Sex,
+                               load_population, save_population)
 from povsim.synth import generate_synthetic
 
 
@@ -320,6 +322,42 @@ def test_loaded_population_equals_a_fully_validated_one(tmp_path, make):
     zero_vectors = [vec for p in loaded.persons
                     for vec in p.incomes if vec == ZERO_YEAR]
     assert zero_vectors and all(vec is ZERO_YEAR for vec in zero_vectors)
+
+
+def repeating_population() -> Population:
+    """Three households whose members repeat constant and varying income
+    vectors, and amounts across different vectors. Ids are above 256,
+    which CPython does not cache as shared ints."""
+    varying = tuple(1000 * m for m in range(1, 13))
+    stepped = (12000,) * 6 + (30000,) * 6
+    persons = []
+    for pid in range(1, 7):
+        hid = 1000 + (pid + 1) // 2
+        persons.append(Person(
+            pid, hid, 30 + pid, Sex.FEMALE if pid % 2 else Sex.MALE,
+            LaborStatus.EMPLOYEE, nace2=("47", "55", "47")[hid - 1001],
+            wage=(varying, stepped, (30000,) * 12)[pid % 3],
+            pension=varying if pid < 3 else ZERO_YEAR,
+            capital_rent=(12000,) * 12 if pid == 6 else ZERO_YEAR))
+    households = [Household(1000 + i, (2 * i - 1, 2 * i), 10000) for i in (1, 2, 3)]
+    return Population(tuple(persons), tuple(households))
+
+
+def test_a_loaded_population_keeps_one_object_per_distinct_value(tmp_path):
+    paths = saved_pair(tmp_path, repeating_population())
+    # spellings with leading zeros share the canonical spelling's objects
+    edit(paths, ("persons", 2, "wage_m07", "030000"), ("persons", 6, "household_id", "01003"))
+    loaded = load_population(paths["persons"], paths["households"])
+    assert same_tables(loaded, repeating_population())
+    vectors = [vec for p in loaded.persons for vec in p.incomes]
+    amounts = [amount for vec in vectors for amount in vec]
+    assert len({id(a) for a in amounts}) == len(set(amounts)) == 14
+    assert len({id(v) for v in vectors}) == len(set(vectors)) == 5
+    zero_vectors = [vec for vec in vectors if vec == ZERO_YEAR]
+    assert zero_vectors and all(vec is ZERO_YEAR for vec in zero_vectors)
+    for p in loaded.persons:
+        assert p.household_id is loaded.household(p.household_id).household_id
+        assert p.nace2 is DIVISIONS[DIVISIONS.index(p.nace2)]
 
 
 def test_resave_is_byte_identical(tmp_path):

@@ -752,6 +752,27 @@ def test_calibrated_base_keeps_its_memo(params, pov):
     _assert_fresh_cascade(study, results)
 
 
+def test_calibrated_base_holds_no_source_person(params, pov):
+    """The accepted candidate's demography lists the calibrated
+    population's members, not its source's, and keeps the group counts and
+    shock sites cached on the source's demography."""
+    raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
+    source = household_base(raw, params, pov)
+    counts, sites = source.demography.group_counts, source.demography.shock_sites
+    calibrated = calibrate_to_baseline(raw, 0.278, params, pov, tolerance=0.01)
+    assert calibrated is not raw
+    demography = household_base(calibrated, params, pov).demography
+    assert demography is not source.demography
+    for members, hh in zip(demography.members, calibrated.households, strict=True):
+        assert members is calibrated.members(hh.household_id)
+    assert demography.group_counts is counts
+    assert demography.shock_sites is sites
+    assert demography.fields is source.demography.fields
+    # the source's own demography still lists the source's members
+    assert all(members is raw.members(hh.household_id) for members, hh in
+               zip(source.demography.members, raw.households, strict=True))
+
+
 def _asset_test_fails(hh: Household, relaxed: bool) -> bool:
     """The GMA asset test by its definition: other real estate always
     fails; pre-crisis any car or land fails, relaxed a car under five years
