@@ -160,9 +160,6 @@ class PovertyReport:
     def child_rate(self, indicator: str = "relative") -> Fraction | None:
         return self.indicators[indicator].children.rate
 
-    def child_headcount(self, indicator: str = "relative") -> Fraction:
-        return self.indicators[indicator].children.headcount
-
 
 # -- household-level scoring --------------------------------------------------
 #

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from operator import add
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
 from .money import MONTHS, ZERO_YEAR, as_fraction, round_mul_div
@@ -154,25 +153,32 @@ def _net_vector(gross: tuple[int, ...], params: PolicyParameters) -> tuple[int, 
     return tuple(net[v] for v in gross)
 
 
-def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
-    """Twelve months of net market income (wage plus self-employment)."""
-    wage = person.wage if person.informal_wage_flag else _net_vector(person.wage, params)
-    se = _net_vector(person.self_employment, params)
-    if se == ZERO_YEAR:
-        return wage
-    return tuple(w + s for w, s in zip(wage, se))
+def _shared_months(months: Iterable[int]) -> tuple[int, ...]:
+    """The months as a vector in which equal amounts are one int."""
+    months = list(months)
+    first: dict[int, int] = {}
+    return tuple(map(first.setdefault, months, months))
 
 
-def _sum_vectors(vectors: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+def _sum_vectors(vectors: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """Month-by-month sum. ZERO_YEAR operands are skipped: with none left
+    the sum is ZERO_YEAR and with one it is that operand itself; otherwise
+    equal monthly sums share one int."""
+    vectors = [v for v in vectors if v is not ZERO_YEAR]
     if not vectors:
         return ZERO_YEAR
     if len(vectors) == 1:
         return vectors[0]
-    return tuple(map(sum, zip(*vectors)))
+    return _shared_months(map(sum, zip(*vectors)))
 
 
-@dataclass(frozen=True)
-class HouseholdLedger:
+def person_net_market(person: Person, params: PolicyParameters) -> tuple[int, ...]:
+    """Twelve months of net market income (wage plus self-employment)."""
+    wage = person.wage if person.informal_wage_flag else _net_vector(person.wage, params)
+    return _sum_vectors((wage, _net_vector(person.self_employment, params)))
+
+
+class HouseholdLedger(NamedTuple):
     """Per-household income streams the benefit rules read from.
 
     core_countable is the means-testable stream without capital rent
@@ -181,6 +187,12 @@ class HouseholdLedger:
     base_* streams hold the pre-shock profile used for assessment months
     that fall before January. threshold is the GMA threshold under the
     parameters the ledger was built with.
+
+    Streams share their values: a stream that is zero all year may be
+    money.ZERO_YEAR, a stream may be the very object of another stream or
+    of a member's vector (core_countable is net_market in a household
+    with no pension or transfer), and equal months may be one int. So
+    streams are compared by value; identity serves only as a shortcut.
     """
 
     household: Household
@@ -219,13 +231,13 @@ def ledger_from_vectors(household: Household, members: Sequence[Person],
     """
     _, _, pensions, rents, transfers = zip(*(m.incomes for m in members))
     net_market = _sum_vectors(net_vectors)
-    pensions, rent, transfers = map(_sum_vectors, (pensions, rents, transfers))
-    unearned = tuple(map(add, pensions, transfers))
-    core = tuple(map(add, net_market, unearned))
+    rent = _sum_vectors(rents)
+    unearned = _sum_vectors(pensions + transfers)
+    core = _sum_vectors((net_market, unearned))
     base_core, base_rent = ((core, rent) if baseline is None
                             else (baseline.core_countable, baseline.rent))
     return HouseholdLedger(household, tuple(members), net_market,
-                           tuple(map(add, unearned, rent)), core, rent,
+                           _sum_vectors((unearned, rent)), core, rent,
                            base_core, base_rent,
                            *(demography or household_demography(members, params)))
 
@@ -233,10 +245,14 @@ def ledger_from_vectors(household: Household, members: Sequence[Person],
 def shocked_ledger(baseline: HouseholdLedger, members: Sequence[Person],
                    net_vectors: Sequence[tuple[int, ...]]) -> HouseholdLedger:
     """ledger_from_vectors(..., baseline=baseline) after a shock: it moves only
-    wage and self-employment, so only net_market and core_countable change."""
+    wage and self-employment, so only net_market and core_countable change,
+    and core_countable stays net_market where it was."""
     net_market = _sum_vectors(net_vectors)
-    core = tuple(n + c - b for n, c, b in zip(net_market, baseline.core_countable,
-                                              baseline.net_market))
+    if baseline.core_countable is baseline.net_market:
+        core = net_market
+    else:
+        core = _shared_months(n + c - b for n, c, b in zip(
+            net_market, baseline.core_countable, baseline.net_market))
     return HouseholdLedger(
         baseline.household, tuple(members), net_market, baseline.carried, core,
         baseline.rent, baseline.core_countable, baseline.rent, baseline.threshold,
@@ -345,8 +361,7 @@ def oneoff_dec2020(person: Person, params: PolicyParameters) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class HouseholdFiscalResult:
+class HouseholdFiscalResult(NamedTuple):
     """Monthly decomposition of one household's disposable income."""
 
     household_id: int

@@ -95,6 +95,30 @@ def net_by_decimal(gross: int, pit: Fraction, ssc: Fraction) -> int:
     return gross - contributions - tax
 
 
+def ledger_streams_by_definition(members, params) -> dict[str, list[int]]:
+    """A household's twelve-month ledger streams, each month summed over
+    every member: net market income (wages through net_by_decimal unless
+    informal, plus netted self-employment), carried income (pensions,
+    transfers, rent), means-testable income without rent, and rent."""
+    streams = {"net_market": [], "carried": [], "core_countable": [], "rent": []}
+    for month in range(12):
+        net = pensions = transfers = rent = 0
+        for m in members:
+            wage = m.wage[month]
+            if not m.informal_wage_flag:
+                wage = net_by_decimal(wage, params.pit_rate, params.ssc_rate)
+            net += wage + net_by_decimal(m.self_employment[month], params.pit_rate,
+                                         params.ssc_rate)
+            pensions += m.pension[month]
+            transfers += m.interhousehold_transfers[month]
+            rent += m.capital_rent[month]
+        streams["net_market"].append(net)
+        streams["carried"].append(pensions + transfers + rent)
+        streams["core_countable"].append(net + pensions + transfers)
+        streams["rent"].append(rent)
+    return streams
+
+
 def cell_factor_by_definition(base_income: int, base_count: int,
                               shock_income: int, base_quarters: int,
                               shock_quarters: int,

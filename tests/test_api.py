@@ -57,11 +57,13 @@ def test_one_csv_reader():
 
 # Members no output read: a scenario pass's per-household cascade
 # results, the population's base year, an aggregate's period label, a
-# loaded factor table's threshold and the fixed first-adult coefficient.
+# loaded factor table's threshold, the fixed first-adult coefficient and a
+# report's child headcount.
 UNREAD = {"scenario.ScenarioResult": "fiscal", "population.Population": "base_year",
           "synth.SynthConfig": "base_year", "cells.LfsAggregate": "period",
           "cells.CellChangeTable": "small_cell_threshold",
-          "metrics.EquivalenceScale": "first_adult"}
+          "metrics.EquivalenceScale": "first_adult",
+          "metrics.PovertyReport": "child_headcount"}
 
 
 @pytest.mark.parametrize("cls", ["metrics.HouseholdScores", "scenario.Study",

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from povsim.cells import shocked_person
 from povsim.errors import ConfigError, DataError
 from povsim.money import ZERO_YEAR, round_half_away
 from povsim.population import Household, LaborStatus, Person, Sex
@@ -28,6 +29,7 @@ from povsim.rules import (
     oneoff_dec2020,
     oneoff_may2020,
     person_net_market,
+    shocked_ledger,
 )
 
 from conftest import flat
@@ -494,6 +496,50 @@ def test_cascade_streams_add_up(case, universal, relaxed, one_offs):
         assert any(result.gma) and any(result.energy)
     assert (result.oneoff_may[4] > 0) == one_offs  # the jobseeker's award
     assert (result.oneoff_dec[11] > 0) == one_offs  # the pensioner's award
+
+
+class TestLedgerSharing:
+    """Ledger streams share their values instead of copying them: a zero
+    stream is ZERO_YEAR, a sum with one nonzero operand is that operand,
+    and equal months are one int. Amounts are above 256, so CPython's
+    small-int cache cannot make them one object."""
+
+    def earners(self):
+        return [person(status=LaborStatus.EMPLOYEE, wage=flat(30000)),
+                person(pid=2, status=LaborStatus.EMPLOYEE, wage=flat(41000))]
+
+    def test_streams_share_their_operands_and_months(self):
+        ledger = ledger_for(self.earners())
+        assert ledger.carried is ZERO_YEAR
+        assert ledger.rent is ZERO_YEAR
+        assert ledger.core_countable is ledger.net_market
+        assert ledger.net_market == (19440 + 26568,) * 12
+        assert len({id(month) for month in ledger.net_market}) == 1
+        pensioner = person(age=70, status=LaborStatus.PENSIONER, pension=flat(13000))
+        alone = ledger_for([pensioner])
+        assert alone.net_market is ZERO_YEAR
+        assert alone.carried is alone.core_countable is pensioner.pension
+
+    def test_a_shocked_ledger_keeps_core_countable_as_net_market(self):
+        members = self.earners()
+        baseline = ledger_for(members)
+        members[0] = shocked_person(members[0], 0, 9, 10, 2)
+        shocked = shocked_ledger(baseline, members,
+                                 [person_net_market(m, PARAMS) for m in members])
+        assert shocked.net_market == (19440 + 26568,) * 2 + (17496 + 26568,) * 10
+        assert shocked.core_countable is shocked.net_market
+        assert shocked.base_core_countable is baseline.net_market
+
+    def test_ledgers_and_cascade_results_are_immutable(self):
+        """Shared streams rely on no ledger or result being changed in place."""
+        ledger = ledger_for(self.earners())
+        result = disposable_income(ledger, PARAMS)
+        for record, name in ((ledger, "net_market"), (ledger, "threshold"),
+                             (result, "gma"), (result, "household_id")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, ZERO_YEAR)
+            with pytest.raises(AttributeError):
+                record.extra = 0
 
 
 class TestPolicyParameters:

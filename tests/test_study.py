@@ -22,8 +22,9 @@ import pytest
 from conftest import (ACCEPT_SEED, SE_F, WAGE_F, acceptance_config,
                       build_micro_population, build_micro_table, cascade_results)
 from oracles import (aggregate_change_by_scan, dec_round_half_up, equivalized,
-                     gma_countable_by_definition, poverty_rate_by_scan,
-                     relative_line_by_scan, weighted_median_by_scan)
+                     gma_countable_by_definition, ledger_streams_by_definition,
+                     poverty_rate_by_scan, relative_line_by_scan,
+                     weighted_median_by_scan)
 
 import povsim.cli as cli_mod
 from povsim.cells import CellChangeTable, apply_shock, save_cell_table
@@ -590,9 +591,9 @@ def test_shocked_ledgers_equal_full_rebuild(seed, monkeypatch, params, pov):
                                            params)
             full = ledger_from_vectors(hh, members, net(members), params,
                                        baseline=baseline)
-            for f in dataclasses.fields(HouseholdLedger):
-                assert getattr(ledger, f.name) == getattr(full, f.name), \
-                    (start, scale, hh.household_id, f.name)
+            for f in HouseholdLedger._fields:
+                assert getattr(ledger, f) == getattr(full, f), \
+                    (start, scale, hh.household_id, f)
             touched = [(a, b) for a, b in zip(base.members, members) if a is not b]
             assert (ledger is base) == (not touched), (start, scale, hh.household_id)
             rebuilt += ledger is not base
@@ -604,6 +605,49 @@ def test_shocked_ledgers_equal_full_rebuild(seed, monkeypatch, params, pov):
                                     and not any(b.wage[moved] + b.self_employment[moved]))
     assert rebuilt > 300
     assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("maker", ["synthetic", "random"])
+def test_ledger_streams_equal_their_definition(seed, maker, params, pov):
+    """Every stream of every base ledger, and of every ledger of shocks at
+    scales 0, 1/2 and 3/2, equals its month-by-month sum over the members
+    (oracles.ledger_streams_by_definition), however the engine shares the
+    streams' values. Some factors floor at 0 at scale 3/2, so shocked
+    members have all-zero vectors that are not money.ZERO_YEAR. At scale 0
+    every effective factor is 1, so every household keeps its base ledger."""
+    rng = random.Random(1600 + seed)
+    pop = (generate_synthetic(acceptance_config(60), 1600 + seed) if maker == "synthetic"
+           else random_income_population(rng, 60))
+    table = CellChangeTable.from_factors(
+        {d: Fraction(rng.randint(20, 160), 100) for d in rng.sample(DIVISIONS, 60)},
+        {s: Fraction(rng.randint(20, 160), 100) for s in SECTIONS})
+    base = household_base(pop, params, pov)
+    for ledger in base.ledgers:
+        want = ledger_streams_by_definition(ledger.members, params)
+        want.update(base_core_countable=want["core_countable"], base_rent=want["rent"])
+        for name, months in want.items():
+            assert list(getattr(ledger, name)) == months, (ledger.household, name)
+    zeroed = 0
+    for start in (1, 7):
+        for scale in (0, Fraction(1, 2), Fraction(3, 2)):
+            shocked = apply_shock(pop, table, shock_start_month=start, scale=scale)
+            ledgers = base.shocked_ledgers(table, start, scale)
+            for own, ledger in zip(base.ledgers, ledgers, strict=True):
+                members = shocked.members(own.household.household_id)
+                assert ledger.members == members
+                if ledger is own:  # its streams were checked above
+                    continue
+                want = ledger_streams_by_definition(members, params)
+                want.update(base_core_countable=own.core_countable, base_rent=own.rent)
+                for name, months in want.items():
+                    assert list(getattr(ledger, name)) == list(months), \
+                        (start, scale, own.household, name)
+                zeroed += sum(any(a.incomes[k]) and not any(b.incomes[k])
+                              for a, b in zip(own.members, members) for k in (0, 1))
+            if scale == 0:
+                assert all(a is b for a, b in zip(ledgers, base.ledgers))
+    assert zeroed > 0
 
 
 @pytest.mark.parametrize("seed", range(3))
