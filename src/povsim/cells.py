@@ -123,6 +123,9 @@ class LfsAggregate:
         quarters = tuple(sorted(set(self.quarters_covered)))
         if not quarters or any(q not in (1, 2, 3, 4) for q in quarters):
             raise DataError(f"invalid quarter coverage {self.quarters_covered!r}")
+        if len(quarters) != len(self.quarters_covered):
+            raise DataError(f"quarter coverage {self.quarters_covered!r} "
+                            f"repeats a quarter")
         object.__setattr__(self, "quarters_covered", quarters)
 
     @property

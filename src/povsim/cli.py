@@ -22,9 +22,9 @@ from pathlib import Path
 
 import click
 
-from .cells import (SMALL_CELL_THRESHOLD, aggregate_income_change, apply_shock,
-                    compute_cell_changes, load_cell_table, load_lfs_aggregate,
-                    save_cell_table)
+from .cells import (SMALL_CELL_THRESHOLD, LfsAggregate, aggregate_income_change,
+                    apply_shock, compute_cell_changes, load_cell_table,
+                    load_lfs_aggregate, save_cell_table)
 from .config import (StudyConfig, decode, load_study_config, sha256_file,
                      sha256_text, write_manifest)
 from .errors import (CalibrationError, ConfigError, DataError, PipelineError,
@@ -50,12 +50,17 @@ def _write_text(out: Path, name: str, text: str, outputs: dict[str, str]) -> Non
     outputs[name] = sha256_text(text)
 
 
-def _parse_quarters(text: str) -> tuple[int, ...]:
+def _parse_quarters(text: str, option: str) -> tuple[int, ...]:
+    """The quarters text lists as comma-separated ASCII digits, checked as
+    an aggregate checks its quarter coverage."""
+    quarters = text.split(",")
+    if not all(q.isascii() and q.isdigit() for q in quarters):
+        raise ConfigError(f"{option}: quarters must be comma-separated integers, "
+                          f"got {text!r}")
     try:
-        return tuple(int(q) for q in text.split(",") if q.strip())
-    except ValueError:
-        raise ConfigError(f"quarters must be comma-separated integers, "
-                          f"got {text!r}") from None
+        return LfsAggregate(tuple(map(int, quarters)), {}, {}).quarters_covered
+    except DataError as exc:
+        raise ConfigError(f"{option}: {exc}") from None
 
 
 def _parse_scale(text: str) -> Fraction:
@@ -168,9 +173,10 @@ def calibrate(base_path: str, shocked_path: str, base_period: str,
               shocked_period: str, base_quarters: str, shocked_quarters: str,
               threshold: int, out_path: str) -> None:
     """Derive the cell factor table from two survey aggregates."""
-    base = load_lfs_aggregate(base_path, quarters_covered=_parse_quarters(base_quarters))
-    shocked = load_lfs_aggregate(shocked_path,
-                                 quarters_covered=_parse_quarters(shocked_quarters))
+    base = load_lfs_aggregate(base_path, quarters_covered=_parse_quarters(
+        base_quarters, "--base-quarters"))
+    shocked = load_lfs_aggregate(shocked_path, quarters_covered=_parse_quarters(
+        shocked_quarters, "--shocked-quarters"))
     try:
         table = compute_cell_changes(base, shocked, small_cell_threshold=threshold)
     except DataError as exc:

@@ -212,6 +212,11 @@ class ScenarioSettings:
                               f"(allowed: {', '.join(FACTOR_NAMES)})")
         if not self.factors:
             raise ConfigError("factors must not be empty")
+        for name in ("factors", "dimensions"):
+            items = getattr(self, name)
+            repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"{name} lists {repeated!r} more than once")
         if not 1 <= self.shock_start_month <= 12:
             raise ConfigError(
                 f"shock_start_month {self.shock_start_month} outside 1..12")

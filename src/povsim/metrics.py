@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DataError
 from .money import as_fraction, round_half_away
-from .population import EducationLevel, Person, Population
+from .population import EducationLevel, Household, Person
 
 #: Age below which a household member counts as a child on the modified
 #: OECD scale (the scale's cut, distinct from the under-18 poverty cut).
@@ -184,14 +184,16 @@ class HouseholdFrame:
     eq_denominator: int
 
     @classmethod
-    def of(cls, pop: Population, scale: EquivalenceScale) -> "HouseholdFrame":
-        members = [pop.members(hh.household_id) for hh in pop.households]
+    def of(cls, households: Sequence[Household],
+           members: Sequence[Sequence[Person]],
+           scale: EquivalenceScale) -> "HouseholdFrame":
+        """The frame of households, household i with members[i]."""
         divisors = [scale.divisor(ms) for ms in members]
         # eq = income / (n/d) = income * d * (L/n) / L with L = lcm of the n
         den = math.lcm(*(d.numerator for d in divisors))
         return cls(
-            household_ids=tuple(hh.household_id for hh in pop.households),
-            weights=tuple(hh.weight_centi for hh in pop.households),
+            household_ids=tuple(hh.household_id for hh in households),
+            weights=tuple(hh.weight_centi for hh in households),
             sizes=tuple(len(ms) for ms in members),
             children=tuple(sum(1 for m in ms if m.is_child) for ms in members),
             eq_factors=tuple(d.denominator * (den // d.numerator)

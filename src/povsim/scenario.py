@@ -35,8 +35,7 @@ from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
 from .money import as_fraction
 from .population import Person, Population
 from .rules import (HouseholdLedger, PolicyParameters, disposable_income,
-                    household_demography, ledger_from_vectors, person_net_market,
-                    shocked_ledger)
+                    ledger_from_vectors, person_net_market, shocked_ledger)
 
 FACTOR_NAMES: tuple[str, ...] = ("wage_shock", "selfemp_shock", "gma_relaxation",
                                  "one_offs")
@@ -121,44 +120,12 @@ _GROUPERS: dict[str, tuple[tuple[str, ...],
 }
 
 
-class HouseholdDemography:
-    """What no income change moves, in household order: members (their
-    demographic fields), household_demography fields, frame, group counts
-    and shock sites."""
-
-    def __init__(self, pop: Population, params: PolicyParameters,
-                 pov: PovertyConfig) -> None:
-        self.members = tuple(pop.members(hh.household_id) for hh in pop.households)
-        self.fields = tuple(household_demography(ms, params) for ms in self.members)
-        self.frame = HouseholdFrame.of(pop, pov.equivalence_scale)
-
-    @cached_property
-    def group_counts(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        """(dimension, group) -> that group's children in each household."""
-        counts = {(dim, group): [0] * len(self.members)
-                  for dim, (groups, _) in _GROUPERS.items() for group in groups}
-        for i, (members, n_children) in enumerate(zip(self.members, self.frame.children)):
-            edu = adult_education_group(members)
-            for child in members:
-                if child.is_child:
-                    for dim, (_, grouper) in _GROUPERS.items():
-                        counts[(dim, grouper(child, n_children, edu))][i] += 1
-        return {key: tuple(c) for key, c in counts.items()}
-
-    @cached_property
-    def shock_sites(self) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
-        """(household index, (member index, *cells.shock_site) of each member
-        a shock can move) of each household that has such a member."""
-        sites = (tuple((j, k, cell) for j, (k, cell) in enumerate(map(shock_site, members))
-                       if cell is not None) for members in self.members)
-        return tuple((i, s) for i, s in enumerate(sites) if s)
-
-
 class HouseholdBase:
     """Per-household data of one population that no scenario changes.
 
-    Its demography and an income part: each member's net-market vector
-    and each household's baseline ledger; once evaluated, the baseline
+    Each household's baseline ledger, which lists its members and holds
+    what no income moves (GMA threshold, child counts), each member's
+    net-market vector and the scoring frame; once evaluated, the baseline
     run and the annual totals evaluate() reuses. Shocks change only
     income vectors, so every scenario over the population reuses it, and
     shocked_ledgers() derives a shock's ledgers from it. Get one through
@@ -170,26 +137,46 @@ class HouseholdBase:
                  pov: PovertyConfig) -> None:
         self.params = params
         self.pov = pov
-        self.demography = demo = HouseholdDemography(pop, params, pov)
-        self.frame = demo.frame
+        members = tuple(pop.members(hh.household_id) for hh in pop.households)
+        self.frame = HouseholdFrame.of(pop.households, members, pov.equivalence_scale)
         self.net_vectors: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
-            tuple(person_net_market(m, params) for m in members)
-            for members in demo.members)
+            tuple(person_net_market(m, params) for m in ms) for ms in members)
         self.ledgers: tuple[HouseholdLedger, ...] = tuple(
-            ledger_from_vectors(hh, members, vectors, params, demography=fields)
-            for hh, members, vectors, fields in zip(
-                pop.households, demo.members, self.net_vectors, demo.fields))
+            ledger_from_vectors(hh, ms, vectors, params)
+            for hh, ms, vectors in zip(pop.households, members, self.net_vectors))
         # report and scores of the baseline run; no reference to the
         # population, which holds this base
         self.baseline: tuple[PovertyReport, HouseholdScores] | None = None
         self._start_memo()
 
     def _start_memo(self) -> None:
-        # (relaxed, one_offs) -> per household, (ledger, annual disposable
-        # income) of the cascade over this base's own ledger, or None
-        self._memo: dict[tuple[bool, bool], list[tuple[HouseholdLedger, int] | None]] = {}
+        # (relaxed, one_offs) -> per household, the annual disposable
+        # income of the cascade over this base's own ledger, or None
+        self._memo: dict[tuple[bool, bool], list[int | None]] = {}
         self.cascade_runs = 0
         self.memo_hits = 0
+
+    @cached_property
+    def group_counts(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """(dimension, group) -> that group's children in each household."""
+        counts = {(dim, group): [0] * len(self.ledgers)
+                  for dim, (groups, _) in _GROUPERS.items() for group in groups}
+        for i, ledger in enumerate(self.ledgers):
+            edu = adult_education_group(ledger.members)
+            for child in ledger.members:
+                if child.is_child:
+                    for dim, (_, grouper) in _GROUPERS.items():
+                        counts[(dim, grouper(child, ledger.n_children, edu))][i] += 1
+        return {key: tuple(c) for key, c in counts.items()}
+
+    @cached_property
+    def shock_sites(self) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
+        """(household index, (member index, *cells.shock_site) of each member
+        a shock can move) of each household that has such a member."""
+        sites = (tuple((j, k, cell) for j, (k, cell) in
+                       enumerate(map(shock_site, ledger.members)) if cell is not None)
+                 for ledger in self.ledgers)
+        return tuple((i, s) for i, s in enumerate(sites) if s)
 
     def shocked_ledgers(self, table: CellChangeTable, shock_start_month: int,
                         scale: Fraction) -> tuple[HouseholdLedger, ...]:
@@ -204,7 +191,7 @@ class HouseholdBase:
         """
         factors, start = shock_factors(table, shock_start_month, scale)
         ledgers = list(self.ledgers)
-        for i, sites in self.demography.shock_sites:
+        for i, sites in self.shock_sites:
             base = ledgers[i]
             members = nets = None
             for j, k, cell in sites:
@@ -223,18 +210,21 @@ class HouseholdBase:
         """The base, baseline run included, of this base's population with
         each household's members replaced by members[i] (None keeps them):
         a changed household gets a ledger listing its new members, with the
-        demography's fields, and only its new member objects are netted
-        again. It starts an empty memo and zero counters."""
+        old ledger's threshold and child counts, and only its new member
+        objects are netted again. Rescaling moves only incomes, so the
+        frame and the cached group counts and shock sites are shared. It
+        starts an empty memo and zero counters."""
         net_vectors, ledgers = [], []
-        for ledger, vectors, fields, new in zip(self.ledgers, self.net_vectors,
-                                                self.demography.fields, members,
-                                                strict=True):
+        for ledger, vectors, new in zip(self.ledgers, self.net_vectors, members,
+                                        strict=True):
             if new is not None:
                 vectors = tuple(v if m is old else person_net_market(m, self.params)
                                 for m, old, v in zip(new, ledger.members, vectors,
                                                      strict=True))
-                ledger = ledger_from_vectors(ledger.household, new, vectors, self.params,
-                                             demography=fields)
+                ledger = ledger_from_vectors(
+                    ledger.household, new, vectors, self.params,
+                    demography=(ledger.threshold, ledger.n_children,
+                                ledger.n_enrolled_children))
             net_vectors.append(vectors)
             ledgers.append(ledger)
         derived = copy.copy(self)
@@ -245,13 +235,10 @@ class HouseholdBase:
 
     def materialize(self, source: Population) -> Population:
         """source with this base's members, a base rescaled() from source's
-        base, which it keeps, memo included, as its household base; its
-        demography, cached group counts and shock sites kept, lists pop's
-        members, so it holds none of source's persons."""
+        base, which it keeps, memo included, as its household base. Its
+        ledgers list only the new population's members, so it keeps no
+        source person that rescaling replaced."""
         pop = source._with_persons(m for ledger in self.ledgers for m in ledger.members)
-        self.demography = copy.copy(self.demography)
-        self.demography.members = tuple(pop.members(hh.household_id)
-                                        for hh in pop.households)
         pop.derived((HouseholdBase, self.params, self.pov), lambda: self)
         return pop
 
@@ -264,8 +251,8 @@ class HouseholdBase:
         and the (relaxed, one_offs) switches, so the cascade runs once per
         household and switch pair: a later pass whose ledger for that
         household is this base's own ledger object (one no shock touched)
-        reuses the total. Each entry keeps the ledger it was computed on
-        and is served only to that very object.
+        reuses the total. An entry is stored and served only for that
+        very object.
         """
         relaxed, one_offs = spec.gma_relaxation, spec.one_offs
         memo = self._memo.setdefault((relaxed, one_offs), [None] * len(self.ledgers))
@@ -273,15 +260,14 @@ class HouseholdBase:
         hits = 0
         try:
             for i, (ledger, own) in enumerate(zip(ledgers, self.ledgers, strict=True)):
-                entry = memo[i]
-                if entry and entry[0] is ledger:
-                    total = entry[1]
+                total = memo[i] if ledger is own else None
+                if total is not None:
                     hits += 1
                 else:
                     total = disposable_income(ledger, self.params, relaxed=relaxed,
                                               one_offs=one_offs).annual_disposable
                     if ledger is own:
-                        memo[i] = (ledger, total)
+                        memo[i] = total
                 totals.append(total)
         except (PipelineError, ConfigError):
             raise
@@ -324,8 +310,6 @@ class Study:
     def __init__(self, pop: Population, table: CellChangeTable | None,
                  params: PolicyParameters, pov: PovertyConfig) -> None:
         self.table = table
-        self.params = params
-        self.pov = pov
         self.base = household_base(pop, params, pov)
         self.runs = 0
         self._results: dict[ScenarioSpec, ScenarioResult] = {}
@@ -416,7 +400,7 @@ class Study:
             points.append(BandPoint(
                 scale=scale, result=result, delta_pp=delta_pp,
                 headcount_shift=headcount_from_pp(delta_pp,
-                                                  self.pov.child_population)))
+                                                  self.base.pov.child_population)))
         return BandResult(baseline=baseline, points=tuple(points))
 
     def disaggregate(self, spec: ScenarioSpec,
@@ -433,7 +417,7 @@ class Study:
                                   f"(allowed: {', '.join(_GROUPERS)})")
         baseline = self.result(BASELINE_SPEC)
         scenario = self.result(spec)
-        counts = self.base.demography.group_counts
+        counts = self.base.group_counts
         breakdowns = []
         for dim in dimensions:
             group_names, _ = _GROUPERS[dim]

@@ -415,7 +415,8 @@ def calibrate_to_baseline(pop: Population, target_child_poverty: float | Fractio
         """Each household's members with scaled incomes, None where no
         member changes."""
         out: list[tuple[Person, ...] | None] = []
-        for ratio, members in zip(ratios, base.demography.members):
+        for ratio, ledger in zip(ratios, base.ledgers):
+            members = ledger.members
             f = 1 if ratio <= 0 else as_fraction(
                 round(min(20.0, max(0.05, ratio ** (gamma - 1.0))), 9))
             new = members if f == 1 else tuple(_scaled_person(p, f) for p in members)

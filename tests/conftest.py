@@ -129,7 +129,7 @@ def cascade_results(study, result) -> dict:
     """
     spec = result.spec
     results = {ledger.household.household_id: disposable_income(
-                   ledger, study.params, relaxed=spec.gma_relaxation,
+                   ledger, study.base.params, relaxed=spec.gma_relaxation,
                    one_offs=spec.one_offs)
                for ledger in study._ledgers_of(spec)}
     frame = result.scores.frame

@@ -16,17 +16,17 @@ BASIC_INCOME = ("Tbi" + "Params", "Tbi" + "Context", "tbi" + "_award",
                 "Baseline" + "Stats", "median_per_capita" + "_monthly")
 
 # The person-level scorer, build-a-ledger helper, gross-vector netting
-# helper and one-study wrappers that Study, HouseholdBase and
-# person_net_market replaced, and the basic income, spelled in
-# parts so that a search of the tree for one of these names finds only
-# real uses.
+# helper, one-study wrappers and household demography record that Study,
+# HouseholdBase and person_net_market replaced, and the basic income,
+# spelled in parts so that a search of the tree for one of these names
+# finds only real uses.
 RETIRED = tuple("_".join(parts) for parts in (
     ("build", "person", "rows"), ("relative", "poverty", "line"),
     ("poverty", "rate"), ("is", "child", "row"), ("compute", "report"),
     ("equivalized", "income"), ("run", "scenario"), ("build", "ledger"),
     ("net", "market", "vector"),
-)) + ("Person" + "Row", "decompose", "uncertainty_band", "disaggregate",
-      *BASIC_INCOME)
+)) + ("Person" + "Row", "Household" + "Demography", "decompose",
+      "uncertainty_band", "disaggregate", *BASIC_INCOME)
 
 
 def test_every_exported_name_resolves():

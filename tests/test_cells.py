@@ -190,6 +190,10 @@ class TestComputeCellChanges:
             aggregate_with({}, {}, quarters=())
         with pytest.raises(DataError):
             aggregate_with({}, {}, quarters=(0, 1))
+        # a repeat is an error, not a shorter coverage annualized by 4/2
+        with pytest.raises(DataError, match="repeats a quarter"):
+            aggregate_with({}, {}, quarters=(1, 1, 2, 2))
+        assert aggregate_with({}, {}, quarters=(3, 1, 2)).quarters_covered == (1, 2, 3)
 
     def test_scaling(self):
         assert aggregate_with({}, {}, quarters=(1, 2, 3)).scaling == Fraction(4, 3)
@@ -396,7 +400,7 @@ class TestCsvRoundTrips:
         table = CellChangeTable.identity()
         path = str(tmp_path / "cells.csv")
         save_cell_table(table, path)
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("wage,00,male,youth_15_24,1",
                                   "wage,00,male,youth_15_24,x", 1))
@@ -407,7 +411,7 @@ class TestCsvRoundTrips:
         table = CellChangeTable.identity()
         path = str(tmp_path / "cells.csv")
         save_cell_table(table, path)
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[:-1]) + "\n")  # drop one row
         with pytest.raises(DataError):
@@ -420,7 +424,7 @@ class TestCsvRoundTrips:
         not a silent overwrite by the last row."""
         path, load = ((saved_lfs(tmp_path), load_lfs) if which == "lfs"
                       else (saved_table(tmp_path), load_cell_table))
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         first = next(line for line in lines if line.startswith(kind + ","))
         cells = first.split(",")
         cells[4] = "7"  # same cell, another value
@@ -447,7 +451,7 @@ class TestCsvRoundTrips:
 
             def load(p):
                 return load_lfs_aggregate(p, quarters_covered=(1, 2, 3, 4))
-        header, first, *rest = open(path, encoding="utf-8").read().splitlines()
+        header, first, *rest = Path(path).read_text(encoding="utf-8").splitlines()
         fields = first.split(",")
         bad = fields[:2] if case == "truncated" else fields + ["9"]
         with open(path, "w", encoding="utf-8") as fh:

@@ -213,6 +213,17 @@ class TestCalibrate:
                      "--out", str(ws.root / "x4")]) == 1
         assert "comma-separated integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--base-quarters", "--shocked-quarters"])
+    @pytest.mark.parametrize("quarters", ["1,1,2,2", "2,3,3", "+1", "\u0661",
+                                          "1,,3", "1, 2", "", "0,1"])
+    def test_malformed_quarters_name_the_option(self, ws, capsys, option, quarters):
+        """Quarters are comma-separated ASCII digits, each a quarter 1..4
+        listed once; anything else exits 1 naming the option."""
+        assert main(["calibrate", "--base", str(ws.base), "--shocked", str(ws.shocked),
+                     option, quarters, "--out", str(ws.root / "x_quarters")]) == 1
+        assert f"error: {option}: " in capsys.readouterr().err
+        assert not (ws.root / "x_quarters").exists()
+
     def test_truncated_aggregate_row(self, ws, capsys):
         """A truncated survey-aggregate row is a data error naming file and
         row, not a traceback."""
@@ -394,6 +405,17 @@ class TestSimulate:
                      "--households", str(ws.gen / "households.csv"),
                      "--out", str(ws.root / "x6")]) == 1
         assert "--cells is required" in capsys.readouterr().err
+
+    def test_repeated_factor_override(self, ws, capsys):
+        # rejected as a repeat in the config key is, before any pass runs
+        assert main(["simulate", "--config", str(ws.cfg),
+                     "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--factors", "gma_relaxation,one_offs,gma_relaxation",
+                     "--out", str(ws.root / "x_factors")]) == 1
+        assert capsys.readouterr().err == (
+            "error: factors lists 'gma_relaxation' more than once\n")
+        assert not (ws.root / "x_factors").exists()
 
     def test_transfer_only_factors_need_no_cells(self, ws):
         other = ws.root / "sim_transfers"

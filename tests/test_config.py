@@ -466,6 +466,10 @@ OBSERVED_CHANGE = {"observed_pct": "1", "tolerance_pp": "1"}
      "scenario.shock_scale -1 must be nonnegative"),
     ({"scenario": {"shock_scale": -0.2}},
      "scenario.shock_scale -1/5 must be nonnegative"),
+    ({"scenario": {"dimensions": ["sex", "sex"]}},
+     "scenario.dimensions lists 'sex' more than once"),
+    ({"scenario": {"factors": ["one_offs", "wage_shock", "one_offs"]}},
+     "scenario.factors lists 'one_offs' more than once"),
 ])
 def test_rejection_names_the_path(data, message):
     with pytest.raises(ConfigError) as info:

@@ -81,7 +81,8 @@ class TestEquivalenceScale:
         members = (person_aged(40), person_aged(10, 2))
         pop = Population(persons=members, households=(
             Household(household_id=1, member_ids=(1, 2), weight_centi=100),))
-        scores = HouseholdFrame.of(pop, EquivalenceScale()).scores([100000])
+        scores = HouseholdFrame.of(pop.households, [pop.members(1)],
+                                   EquivalenceScale()).scores([100000])
         assert scores.equivalized() == {1: equivalized(100000, [40, 10])}
         assert scores.equivalized()[1] == Fraction(1000000, 13)
 
@@ -142,7 +143,9 @@ class TestRatesAndLines:
 
     def micro(self):
         pop = build_micro_population()
-        frame = HouseholdFrame.of(pop, EquivalenceScale())
+        frame = HouseholdFrame.of(
+            pop.households, [pop.members(hh.household_id) for hh in pop.households],
+            EquivalenceScale())
         scores = frame.scores([MICRO_ANNUAL[hid] for hid in frame.household_ids])
         return pop, frame, scores
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import random
+from pathlib import Path
 
 import pytest
 
@@ -165,7 +166,7 @@ class TestCsvRoundTrip:
                  for i in range(2)]
         for ppath, hpath in paths:
             save_population(pop, ppath, hpath)
-        blobs = [open(p, "rb").read() + open(h, "rb").read() for p, h in paths]
+        blobs = [Path(p).read_bytes() + Path(h).read_bytes() for p, h in paths]
         assert blobs[0] == blobs[1]
 
     def test_header_is_validated(self, tmp_path):
@@ -173,7 +174,7 @@ class TestCsvRoundTrip:
         ppath = str(tmp_path / "persons.csv")
         hpath = str(tmp_path / "households.csv")
         save_population(pop, ppath, hpath)
-        text = open(ppath, encoding="utf-8").read()
+        text = Path(ppath).read_text(encoding="utf-8")
         broken = str(tmp_path / "broken.csv")
         with open(broken, "w", encoding="utf-8") as fh:
             fh.write(text.replace("person_id", "person", 1))
@@ -186,7 +187,7 @@ class TestCsvRoundTrip:
         ppath = str(tmp_path / "persons.csv")
         hpath = str(tmp_path / "households.csv")
         save_population(pop, ppath, hpath)
-        lines = open(hpath, encoding="utf-8").read().splitlines()
+        lines = Path(hpath).read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].replace("200.00", "-3")
         with open(hpath, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

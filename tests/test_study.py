@@ -39,8 +39,8 @@ from povsim.population import (EducationLevel, Household, LaborStatus, Person,
 from povsim.nace import DIVISIONS, SECTIONS
 from povsim.rules import (HouseholdLedger, PolicyParameters, disposable_income,
                           ledger_from_vectors, person_net_market)
-from povsim.scenario import (BASELINE_SPEC, HouseholdBase, HouseholdDemography,
-                             PovertyConfig, ScenarioSpec, Study, household_base,
+from povsim.scenario import (BASELINE_SPEC, HouseholdBase, PovertyConfig,
+                             ScenarioSpec, Study, household_base,
                              prepare_baseline, simulated_aggregate_changes)
 from povsim.synth import calibrate_to_baseline, generate_synthetic
 
@@ -179,7 +179,7 @@ def test_household_scoring_equals_oracles(params):
                 person_triples(pop, eq), line)
             assert scores.rate(line, base.frame.children) == rate_by_scan(
                 person_triples(pop, eq, lambda p: p.age < 18), line)
-            for (dim, group), counts in base.demography.group_counts.items():
+            for (dim, group), counts in base.group_counts.items():
                 assert scores.rate(line, counts) == rate_by_scan(
                     person_triples(pop, eq, lambda p: p.age < 18
                                    and groups[p.person_id][dim] == group),
@@ -386,9 +386,9 @@ def test_calibrated_population_is_scored_once(tolerance, monkeypatch, params,
 
 
 def test_bisection_materializes_one_population(monkeypatch, params, pov):
-    """A bisection scores its candidates on the input's demography and
-    builds the demographic part once and one Population, the accepted
-    candidate, whose household base equals a fresh one."""
+    """A bisection scores its candidates on the input's scoring frame,
+    built once, and builds one household base and one Population, the
+    accepted candidate, whose household base equals a fresh one."""
     built = Counter()
 
     def counting(cls, name):
@@ -402,14 +402,14 @@ def test_bisection_materializes_one_population(monkeypatch, params, pov):
     raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
     for cls, name in ((Population, "__post_init__"),
                       (Population, "_with_persons"),
-                      (HouseholdDemography, "__init__"),
+                      (HouseholdFrame, "of"),
                       (HouseholdBase, "__init__"), (HouseholdBase, "evaluate")):
         counting(cls, name)
     calibrated = calibrate_to_baseline(raw, 0.278, params, pov, tolerance=0.01)
     evaluations = built.pop("HouseholdBase.evaluate")
     assert evaluations > 2
     assert built == {"Population._with_persons": 1,
-                     "HouseholdDemography.__init__": 1,
+                     "HouseholdFrame.of": 1,
                      "HouseholdBase.__init__": 1}
 
     monkeypatch.undo()
@@ -417,7 +417,8 @@ def test_bisection_materializes_one_population(monkeypatch, params, pov):
     base, fresh_base = (household_base(p, params, pov) for p in (calibrated, fresh))
     assert base.ledgers == fresh_base.ledgers
     assert base.net_vectors == fresh_base.net_vectors
-    assert base.demography.group_counts == fresh_base.demography.group_counts
+    assert base.group_counts == fresh_base.group_counts
+    assert base.shock_sites == fresh_base.shock_sites
     result = prepare_baseline(fresh, params, pov)
     report, scores = base.baseline
     assert report == result.report
@@ -683,7 +684,9 @@ def test_shocks_that_only_cut_raise_no_income(seed, params, pov):
         {d: Fraction(rng.randint(1, 100), 100) for d in rng.sample(DIVISIONS, 60)},
         {s: Fraction(rng.randint(1, 100), 100) for s in rng.sample(SECTIONS, 15)})
     study = Study(pop, table, params, pov)
-    frame = HouseholdFrame.of(pop, pov.equivalence_scale)
+    frame = HouseholdFrame.of(
+        pop.households, [pop.members(hh.household_id) for hh in pop.households],
+        pov.equivalence_scale)
     lines = (Fraction(pov.absolute_extreme), Fraction(pov.absolute_upper))
 
     def pre_transfer_child_rates(result):
@@ -756,6 +759,33 @@ def test_cascade_counters_cover_every_pass(params, pov):
     assert base.memo_hits > 0
 
 
+def test_memo_serves_only_the_base_ledger_object(params, pov):
+    """The memo serves a household's total only to the base's own ledger
+    object: after the baseline pass, equal copies of the base ledgers run
+    the cascade for every household and give the same report, and a
+    shocked ledger at a memoized index gets its own total, not the
+    base's."""
+    pop = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
+    study = Study(pop, CellChangeTable.from_factors(WAGE_F, SE_F), params, pov)
+    baseline = study.result(BASELINE_SPEC)
+    base, n = study.base, pop.n_households
+    runs, hits = base.cascade_runs, base.memo_hits
+    report, scores = base.evaluate(tuple(ledger._replace() for ledger in base.ledgers),
+                                   BASELINE_SPEC)
+    assert (base.cascade_runs - runs, base.memo_hits - hits) == (n, 0)
+    assert report == baseline.report
+    assert scores.keys == baseline.scores.keys
+
+    wage_only = ScenarioSpec(wage_shock=True)
+    touched = sum(a is not b for a, b in zip(study._ledgers_of(wage_only), base.ledgers))
+    runs, hits = base.cascade_runs, base.memo_hits
+    shocked = cascade_results(study, study.result(wage_only))  # the totals scored
+    assert (base.cascade_runs - runs, base.memo_hits - hits) == (touched, n - touched)
+    before = cascade_results(study, baseline)
+    assert sum(shocked[hid].annual_disposable != before[hid].annual_disposable
+               for hid in before) > 0
+
+
 def test_calibrated_base_keeps_its_memo(params, pov):
     """A calibrated population's base is the accepted candidate, memo
     included: its first wage-only pass reuses the baseline run's total for
@@ -796,25 +826,34 @@ def test_calibrated_base_keeps_its_memo(params, pov):
     _assert_fresh_cascade(study, results)
 
 
+def _lists_members(ledgers: tuple[HouseholdLedger, ...], pop: Population) -> bool:
+    """Whether ledgers list pop's members, the same objects, in household
+    order."""
+    return [list(map(id, ledger.members)) for ledger in ledgers] == [
+        list(map(id, pop.members(hh.household_id))) for hh in pop.households]
+
+
 def test_calibrated_base_holds_no_source_person(params, pov):
-    """The accepted candidate's demography lists the calibrated
-    population's members, not its source's, and keeps the group counts and
-    shock sites cached on the source's demography."""
+    """The accepted candidate's ledgers list the calibrated population's
+    members, not its source's; it keeps the group counts and shock sites
+    cached on the source's base, and a rescaled household's ledger keeps
+    its source ledger's GMA threshold."""
     raw = generate_synthetic(acceptance_config(300), ACCEPT_SEED)
     source = household_base(raw, params, pov)
-    counts, sites = source.demography.group_counts, source.demography.shock_sites
+    counts, sites = source.group_counts, source.shock_sites
     calibrated = calibrate_to_baseline(raw, 0.278, params, pov, tolerance=0.01)
     assert calibrated is not raw
-    demography = household_base(calibrated, params, pov).demography
-    assert demography is not source.demography
-    for members, hh in zip(demography.members, calibrated.households, strict=True):
-        assert members is calibrated.members(hh.household_id)
-    assert demography.group_counts is counts
-    assert demography.shock_sites is sites
-    assert demography.fields is source.demography.fields
-    # the source's own demography still lists the source's members
-    assert all(members is raw.members(hh.household_id) for members, hh in
-               zip(source.demography.members, raw.households, strict=True))
+    base = household_base(calibrated, params, pov)
+    assert base is not source
+    assert _lists_members(base.ledgers, calibrated)
+    assert base.group_counts is counts
+    assert base.shock_sites is sites
+    rescaled = [(new, old) for new, old in zip(base.ledgers, source.ledgers, strict=True)
+                if new is not old]
+    assert rescaled
+    assert all(new.threshold is old.threshold for new, old in rescaled)
+    # the source's own ledgers still list the source's members
+    assert _lists_members(source.ledgers, raw)
 
 
 def _asset_test_fails(hh: Household, relaxed: bool) -> bool:
