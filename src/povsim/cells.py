@@ -13,11 +13,12 @@ half away from zero back to integer MKD.
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import zip_longest
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import ConfigError, DataError
 from .money import as_fraction, scaled_months
@@ -256,10 +257,7 @@ class CellChangeTable:
 
     @classmethod
     def identity(cls) -> "CellChangeTable":
-        return cls(
-            wage={k: _NO_CHANGE_MISSING for k in all_wage_keys()},
-            selfemp={k: _NO_CHANGE_MISSING for k in all_selfemp_keys()},
-        )
+        return cls.from_factors()
 
     @classmethod
     def from_factors(cls, wage_factors: Mapping[str, float | Fraction] | None = None,
@@ -271,22 +269,14 @@ class CellChangeTable:
         applied to all six sex x age cells of that division; unspecified
         cells stay at 1.0.
         """
-        wage_factors = dict(wage_factors or {})
-        selfemp_factors = dict(selfemp_factors or {})
-        wage = {}
-        for key in all_wage_keys():
-            if key.nace2 in wage_factors:
-                wage[key] = CellChange(as_fraction(wage_factors[key.nace2]), ESTIMATED)
-            else:
-                wage[key] = _NO_CHANGE_MISSING
-        selfemp = {}
-        for skey in all_selfemp_keys():
-            if skey.section in selfemp_factors:
-                selfemp[skey] = CellChange(
-                    as_fraction(selfemp_factors[skey.section]), ESTIMATED)
-            else:
-                selfemp[skey] = _NO_CHANGE_MISSING
-        return cls(wage=wage, selfemp=selfemp)
+        def change(factors: Mapping | None, name: str) -> CellChange:
+            if factors and name in factors:
+                return CellChange(as_fraction(factors[name]), ESTIMATED)
+            return _NO_CHANGE_MISSING
+
+        return cls(wage={k: change(wage_factors, k.nace2) for k in all_wage_keys()},
+                   selfemp={k: change(selfemp_factors, k.section)
+                            for k in all_selfemp_keys()})
 
     def neutralize(self, *, wage: bool = False, selfemp: bool = False,
                    ) -> "CellChangeTable":
@@ -423,12 +413,16 @@ def shocked_persons(pop: Population, table: CellChangeTable, *,
                     shock_start_month: int,
                     scale: float | Fraction) -> Iterator[Person]:
     """The persons of apply_shock(pop, table, ...), in order and built
-    lazily: a person the shock leaves alone is yielded as it is."""
+    lazily: a person the shock leaves alone is yielded as it is. The start
+    month and scale are checked on the call, before any person is built."""
     factors, start = shock_factors(table, shock_start_month, scale)
-    for p in pop.persons:
+
+    def shocked(p: Person) -> Person:
         k, cell = shock_site(p)
         num, den = factors[cell]
-        yield p if num == den else shocked_person(p, k, num, den, start)
+        return p if num == den else shocked_person(p, k, num, den, start)
+
+    return map(shocked, pop.persons)
 
 
 def apply_shock(pop: Population, table: CellChangeTable, *,
@@ -446,30 +440,57 @@ def apply_shock(pop: Population, table: CellChangeTable, *,
         pop, table, shock_start_month=shock_start_month, scale=scale))
 
 
-def aggregate_income_change(before: Population, after: Sequence[Person],
-                            source: str) -> Fraction:
-    """Weighted relative change in total annual income from one source.
+CHANGE_SOURCES: tuple[str, ...] = ("wage", "self_employment")
 
-    after lists before's persons after a change (a derived population's
-    persons, or shocked_persons), in before's order. Weighted by before's
-    household survey weights; exact; the change sums only persons after
-    does not share with before. Raises when the two do not describe the
-    same persons or the base total is zero.
-    """
-    if source not in ("wage", "self_employment"):
-        raise DataError(f"unsupported source {source!r}")
-    if len(before.persons) != len(after):
-        raise DataError("populations cover different persons")
-    income = attrgetter(source)
-    pairs = zip(before.persons, after)
-    total_before = total_change = 0
-    for hh in before.households:
-        for pb, pa in islice(pairs, hh.size):
-            total_before += hh.weight_centi * sum(income(pb))
+
+class IncomeChanges:
+    """Weighted annual wage and self-employment income of a population and
+    its change, summed as count() passes the persons after a change on.
+    Each person weighs its household's survey weight; the change sums only
+    the persons after does not share with before. Exact."""
+
+    def __init__(self, before: Population) -> None:
+        self.before = before
+        self.totals: dict[str, tuple[int, int]] = {}  # source -> (total, change)
+
+    def count(self, after: Iterable[Person]) -> Iterator[Person]:
+        """after's persons, each yielded once counted: before's persons after
+        a change (shocked_persons), in order; the walk raises if they are not."""
+        wage = wage_moved = selfemp = selfemp_moved = 0
+        households = iter(self.before.households)
+        hh = None
+        for pb, pa in zip_longest(self.before.persons, after):
+            if pa is None or pb is None or pa.person_id != pb.person_id:
+                raise DataError("populations cover different persons")
+            if hh is None or hh.household_id != pb.household_id:
+                hh = next(households)  # the next run of persons
+            weight = hh.weight_centi
+            wage += weight * sum(pb.wage)
+            selfemp += weight * sum(pb.self_employment)
             if pa is not pb:
-                if pa.person_id != pb.person_id:
-                    raise DataError("populations cover different persons")
-                total_change += hh.weight_centi * (sum(income(pa)) - sum(income(pb)))
-    if total_before == 0:
-        raise DataError(f"zero base-period total for source {source!r}")
-    return Fraction(total_change, total_before)
+                wage_moved += weight * (sum(pa.wage) - sum(pb.wage))
+                selfemp_moved += weight * (sum(pa.self_employment)
+                                           - sum(pb.self_employment))
+            yield pa
+        self.totals = {"wage": (wage, wage_moved),
+                       "self_employment": (selfemp, selfemp_moved)}
+
+    def change(self, source: str) -> Fraction:
+        """The relative change in source's total, once count() is done.
+        Raises when the base total is zero."""
+        if source not in CHANGE_SOURCES:
+            raise DataError(f"unsupported source {source!r}")
+        total, moved = self.totals[source]
+        if total == 0:
+            raise DataError(f"zero base-period total for source {source!r}")
+        return Fraction(moved, total)
+
+
+def aggregate_income_change(before: Population, after: Iterable[Person],
+                            source: str) -> Fraction:
+    """Weighted relative change in total annual income from one source
+    (IncomeChanges). Raises when after does not list before's persons, in
+    order, or the base total is zero."""
+    changes = IncomeChanges(before)
+    deque(changes.count(after), maxlen=0)
+    return changes.change(source)

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import click
 
-from .cells import (SMALL_CELL_THRESHOLD, LfsAggregate, aggregate_income_change,
-                    apply_shock, compute_cell_changes, load_cell_table,
-                    load_lfs_aggregate, save_cell_table)
+from .cells import (CHANGE_SOURCES, SMALL_CELL_THRESHOLD, IncomeChanges,
+                    LfsAggregate, compute_cell_changes, load_cell_table,
+                    load_lfs_aggregate, save_cell_table, shocked_persons)
 from .config import (StudyConfig, decode, load_study_config, sha256_file,
                      sha256_text, write_manifest)
 from .errors import (CalibrationError, ConfigError, DataError, PipelineError,
@@ -83,8 +83,11 @@ def _load_config_with_overrides(config_path: str, seed: int | None,
         except ConfigError as exc:  # named as the config key it overrides
             raise ConfigError(f"scenario.{exc}") from None
     if factors is not None:
-        wanted = tuple(f.strip() for f in factors.split(",") if f.strip())
-        cfg = replace(cfg, scenario=replace(cfg.scenario, factors=wanted))
+        try:  # each item as given: an empty or padded one is unknown
+            cfg = replace(cfg, scenario=replace(cfg.scenario,
+                                                factors=tuple(factors.split(","))))
+        except ConfigError as exc:  # named as the option and the config key
+            raise ConfigError(f"--factors (scenario.factors): {exc}") from None
     return cfg
 
 
@@ -218,15 +221,16 @@ def shocks(persons: str, households: str, cells_path: str, scale: str,
     scale_frac = _parse_scale(scale)
     pop = load_population(persons, households)
     table = load_cell_table(cells_path)
-    shocked = apply_shock(pop, table, shock_start_month=start_month,
-                          scale=scale_frac)
+    tally = IncomeChanges(pop)  # counts each shocked person as it is written
+    shocked = tally.count(shocked_persons(pop, table, shock_start_month=start_month,
+                                          scale=scale_frac))
     out = _out_dir(out_path)
-    save_population(shocked, str(out / "persons.csv"),
-                    str(out / "households.csv"))
+    save_population(pop, str(out / "persons.csv"), str(out / "households.csv"),
+                    persons=shocked)
     changes: dict[str, str | None] = {}
-    for source in ("wage", "self_employment"):
+    for source in CHANGE_SOURCES:
         try:
-            change = aggregate_income_change(pop, shocked.persons, source)
+            change = tally.change(source)
         except DataError:
             changes[source] = None
         else:

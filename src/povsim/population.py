@@ -16,10 +16,9 @@ import copy
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
-from operator import itemgetter, le
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
-                    TypeVar)
+from itertools import groupby, islice
+from operator import is_, itemgetter, le
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import DataError
 from .money import MONTHS, ZERO_YEAR, parse_weight, weight_to_str
@@ -138,21 +137,14 @@ class Person(NamedTuple):
 
 class Household(NamedTuple):
     household_id: int
-    member_ids: tuple[int, ...]
     weight_centi: int  # survey weight * 100
     owns_residence: bool = False
     owns_other_real_estate: bool = False
     car_age_years: int | None = None
     land_parcel_m2: int | None = None
 
-    @property
-    def size(self) -> int:
-        return len(self.member_ids)
-
     def problems(self) -> list[str]:
         out: list[str] = []
-        if not self.member_ids:
-            out.append("household has no members")
         if self.weight_centi <= 0:
             out.append("survey weight must be positive")
         if self.car_age_years is not None and self.car_age_years < 0:
@@ -166,17 +158,15 @@ class Household(NamedTuple):
 class Population:
     """Validated collection of persons and households.
 
-    Persons and households are stored sorted; lookups go through the
-    indexes built at construction time.
+    Persons are stored sorted by (household id, person id) and households
+    by id. Each person's household_id is the only record of membership:
+    a household's members are its run of consecutive persons, and every
+    household has at least one.
     """
 
     persons: tuple[Person, ...]
     households: tuple[Household, ...]
     provenance: str = "loaded"
-    _members: Mapping[int, tuple[Person, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
-    _household_by_id: Mapping[int, Household] = field(
-        init=False, repr=False, compare=False, default_factory=dict)
     _derived: tuple | None = field(
         init=False, repr=False, compare=False, default=None)
 
@@ -188,13 +178,9 @@ class Population:
                           households: tuple[Household, ...], *,
                           provenance: str) -> "Population":
         """Population(...) for persons whose problems() are known to be empty
-        and whose ids are known to be distinct.
-
-        Internal constructor for the CSV loader, which checks each person
-        as it reads the row: only the cross-table checks run here
-        (duplicate household ids, unknown households, household problems
-        and member lists).
-        """
+        and whose ids are known to be distinct: the CSV loader checks each
+        person as it reads the row, so only the cross-table checks run here
+        (household ids, membership and household problems)."""
         pop = cls.__new__(cls)
         for name, value in (("persons", persons), ("households", households),
                             ("provenance", provenance), ("_derived", None)):
@@ -203,51 +189,42 @@ class Population:
         return pop
 
     def _index(self, *, check_persons: bool) -> None:
-        """Sort, validate and index persons and households; check_persons
-        adds the per-person checks (problems() and distinct ids)."""
+        """Sort and validate persons and households; check_persons adds the
+        per-person checks (problems() and distinct ids). The household ids
+        of the runs of persons are the households' ids unless a person's
+        household is not listed or a household has no person."""
         persons = _sorted(self.persons, _PERSON_ORDER)
         households = _sorted(self.households, _HOUSEHOLD_ORDER)
         object.__setattr__(self, "persons", persons)
         object.__setattr__(self, "households", households)
-        members: dict[int, list[Person]] = {}
-        by_id: dict[int, Household] = {}
-        for hh in households:
-            if hh.household_id in by_id:
-                raise DataError(f"duplicate household id {hh.household_id}")
-            by_id[hh.household_id] = hh
-            members[hh.household_id] = []
-        seen: set[int] = set()
-        for p in persons:
-            if check_persons:
+        ids = list(map(_HOUSEHOLD_ORDER, households))
+        for a, b in zip(ids, islice(ids, 1, None)):
+            if a == b:
+                raise DataError(f"duplicate household id {a}")
+        empty: set[int] = set()  # ids of households without persons
+        if [hid for hid, _ in groupby(persons, _HOUSEHOLD_OF)] != ids:
+            listed = set(ids)
+            for p in persons:
+                if p.household_id not in listed:
+                    raise DataError(f"person {p.person_id} references unknown "
+                                    f"household {p.household_id}")
+            empty = listed.difference(map(_HOUSEHOLD_OF, persons))
+        if check_persons:
+            seen: set[int] = set()
+            for p in persons:
                 if p.person_id in seen:
                     raise DataError(f"duplicate person id {p.person_id}")
                 seen.add(p.person_id)
-            if p.household_id not in by_id:
-                raise DataError(
-                    f"person {p.person_id} references unknown household {p.household_id}")
-            members[p.household_id].append(p)
-        if check_persons:
             for p in persons:
                 probs = p.problems()
                 if probs:
                     raise DataError(f"person {p.person_id}: {probs[0]}")
         for hh in households:
             probs = hh.problems()
+            if hh.household_id in empty:
+                probs.insert(0, "household has no members")
             if probs:
                 raise DataError(f"household {hh.household_id}: {probs[0]}")
-            actual = tuple(m.person_id for m in members[hh.household_id])
-            if tuple(sorted(hh.member_ids)) != actual:
-                raise DataError(
-                    f"household {hh.household_id} member list does not match persons table")
-        object.__setattr__(self, "_members",
-                           {hid: tuple(ms) for hid, ms in members.items()})
-        object.__setattr__(self, "_household_by_id", by_id)
-
-    def household(self, household_id: int) -> Household:
-        return self._household_by_id[household_id]
-
-    def members(self, household_id: int) -> tuple[Person, ...]:
-        return self._members[household_id]
 
     @property
     def n_persons(self) -> int:
@@ -261,20 +238,13 @@ class Population:
         """The population with persons, this population's in order, each
         with new income vectors or kept. Internal constructor for the
         engine's shocks and calibration scaling: it shares this
-        population's household index and skips validation, sound as each
-        new vector rescales the old one. Returns self when nothing changed."""
+        population's households and skips validation, sound as each new
+        vector rescales the old one. Returns self when nothing changed."""
         new_persons = tuple(persons)
-        if all(a is b for a, b in zip(new_persons, self.persons)):
+        if all(map(is_, new_persons, self.persons)):
             return self
-        members: dict[int, tuple[Person, ...]] = {}
-        start = 0
-        for hh in self.households:
-            end = start + len(self._members[hh.household_id])
-            members[hh.household_id] = new_persons[start:end]
-            start = end
         derived = copy.copy(self)
         object.__setattr__(derived, "persons", new_persons)
-        object.__setattr__(derived, "_members", members)
         object.__setattr__(derived, "_derived", None)
         return derived
 
@@ -292,6 +262,7 @@ class Population:
 
 
 _PERSON_ORDER = itemgetter(1, 0)  # (household_id, person_id)
+_HOUSEHOLD_OF = itemgetter(1)  # a person's household_id
 _HOUSEHOLD_ORDER = itemgetter(0)  # household_id
 
 
@@ -472,13 +443,12 @@ def load_population(persons_path: str, households_path: str) -> Population:
     Equal amounts and vectors (_income_vectors), household ids and NACE
     codes (nace.DIVISIONS entries) are one object each.
     """
-    households: list[tuple] = []
-    members: dict[int, list[int]] = {}
+    households: list[Household] = []
     household_ids: dict[int, int] = {}  # id -> the households row's int
     for i, (hid_text, weight_text, residence, other, car, land) in _records(
             households_path, HOUSEHOLD_COLUMNS):
         hid = _parse_int(hid_text, households_path, i, "household_id", minimum=1)
-        if hid in members:
+        if hid in household_ids:
             raise DataError(f"duplicate household id {hid}", file=households_path,
                             row=i, column="household_id")
         try:
@@ -486,7 +456,7 @@ def load_population(persons_path: str, households_path: str) -> Population:
         except ValueError as exc:
             raise DataError(str(exc), file=households_path, row=i,
                             column="survey_weight") from None
-        households.append((
+        households.append(Household(
             hid, weight,
             _parse_bool(residence, households_path, i, "owns_residence"),
             _parse_bool(other, households_path, i, "owns_other_real_estate"),
@@ -495,7 +465,6 @@ def load_population(persons_path: str, households_path: str) -> Population:
             None if land == "" else _parse_int(
                 land, households_path, i, "land_parcel_m2", minimum=0),
         ))
-        members[hid] = []
         household_ids[hid] = hid
 
     persons: list[Person] = []
@@ -547,15 +516,12 @@ def load_population(persons_path: str, households_path: str) -> Population:
         if probs:
             raise DataError(f"person {pid}: {probs[0]}", file=persons_path, row=i)
         persons.append(person)
-        members[hid].append(pid)
 
-    del seen, amounts, vectors  # freed before the cross-table checks, where memory peaks
+    # freed before the cross-table checks, where memory peaks
+    del seen, amounts, vectors, household_ids
     try:
-        return Population._of_valid_persons(
-            tuple(persons),
-            tuple(Household(hid, tuple(sorted(members[hid])), *rest)
-                  for hid, *rest in households),
-            provenance="loaded")
+        return Population._of_valid_persons(tuple(persons), tuple(households),
+                                            provenance="loaded")
     except DataError as exc:
         # every row was checked as it was read: what is left to fail is a
         # household that no persons row lists as its own
@@ -582,7 +548,7 @@ def _person_line(p: Person) -> str:
 
 def _household_line(h: Household) -> str:
     """h's households.csv line, as csv.writer writes it (nothing to quote)."""
-    hid, _, weight_centi, residence, other, car, land = h
+    hid, weight_centi, residence, other, car, land = h
     return ",".join((
         str(hid), weight_to_str(weight_centi),
         "1" if residence else "0", "1" if other else "0",
@@ -590,11 +556,14 @@ def _household_line(h: Household) -> str:
     )) + "\n"
 
 
-def save_population(pop: Population, persons_path: str, households_path: str) -> None:
-    """Write the canonical CSV pair: fixed header order, sorted rows, 0/1 booleans."""
+def save_population(pop: Population, persons_path: str, households_path: str, *,
+                    persons: Iterable[Person] | None = None) -> None:
+    """Write the canonical CSV pair: fixed header order, sorted rows, 0/1
+    booleans. persons, pop's persons with new incomes and in order (as
+    cells.shocked_persons yields them), are written in place of pop's."""
     with open(persons_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(PERSON_COLUMNS) + "\n")
-        fh.writelines(map(_person_line, pop.persons))
+        fh.writelines(map(_person_line, pop.persons if persons is None else persons))
     with open(households_path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(HOUSEHOLD_COLUMNS) + "\n")
         fh.writelines(map(_household_line, pop.households))

@@ -20,14 +20,17 @@ alone, for generate and calibration.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, PipelineError
-from .cells import (CellChangeTable, aggregate_income_change, shock_factors,
-                    shock_site, shocked_person, shocked_persons)
+from .cells import (CHANGE_SOURCES, CellChangeTable, IncomeChanges,
+                    shock_factors, shock_site, shocked_person, shocked_persons)
 from .metrics import (INDICATORS, RELATIVE_LINE_SHARE, EquivalenceScale,
                       HouseholdFrame, HouseholdScores, PovertyLines,
                       PovertyReport, RateResult, adult_education_group,
@@ -137,7 +140,9 @@ class HouseholdBase:
                  pov: PovertyConfig) -> None:
         self.params = params
         self.pov = pov
-        members = tuple(pop.members(hh.household_id) for hh in pop.households)
+        # each household's members are its run of persons, in order
+        members = tuple(tuple(run) for _, run in
+                        groupby(pop.persons, attrgetter("household_id")))
         self.frame = HouseholdFrame.of(pop.households, members, pov.equivalence_scale)
         self.net_vectors: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
             tuple(person_net_market(m, params) for m in ms) for ms in members)
@@ -372,12 +377,10 @@ class Study:
         names += [f for f in FACTOR_NAMES if f in selected]
         if set(selected) == set(FACTOR_NAMES):
             names.append("combined")
-        columns = []
-        for name in names:
-            spec = (BASELINE_SPEC if name == "baseline"
-                    else _column_spec(name, base_spec, transfers_on_shocked))
-            columns.append((name, self.result(spec)))
-        return DecompositionResult(columns=tuple(columns))
+        return DecompositionResult(columns=tuple(
+            (name, self.result(BASELINE_SPEC if name == "baseline" else
+                               _column_spec(name, base_spec, transfers_on_shocked)))
+            for name in names))
 
     def uncertainty_band(self, scales: Sequence[float | Fraction] = (0.8, 1.0, 1.2),
                          base_spec: ScenarioSpec | None = None) -> "BandResult":
@@ -444,23 +447,16 @@ def prepare_baseline(pop: Population, params: PolicyParameters,
 
 def _column_spec(name: str, base: ScenarioSpec,
                  transfers_on_shocked: bool) -> ScenarioSpec:
-    """The spec of decomposition column name, a factor or "combined"."""
-    kwargs = dict(shock_scale=base.shock_scale,
-                  shock_start_month=base.shock_start_month)
-    if name == "wage_shock":
-        return ScenarioSpec(wage_shock=True, **kwargs)
-    if name == "selfemp_shock":
-        return ScenarioSpec(selfemp_shock=True, **kwargs)
-    if name == "gma_relaxation":
-        return ScenarioSpec(gma_relaxation=True,
-                            wage_shock=transfers_on_shocked,
-                            selfemp_shock=transfers_on_shocked, **kwargs)
-    if name == "one_offs":
-        return ScenarioSpec(one_offs=True,
-                            wage_shock=transfers_on_shocked,
-                            selfemp_shock=transfers_on_shocked, **kwargs)
-    return ScenarioSpec(wage_shock=True, selfemp_shock=True,
-                        gma_relaxation=True, one_offs=True, **kwargs)
+    """The spec of decomposition column name, a factor or "combined": a
+    transfer factor runs on both income shocks when transfers_on_shocked."""
+    combined = name not in FACTOR_NAMES
+    shocked = combined or (transfers_on_shocked and name in FACTOR_NAMES[2:])
+    return ScenarioSpec(wage_shock=shocked or name == "wage_shock",
+                        selfemp_shock=shocked or name == "selfemp_shock",
+                        gma_relaxation=combined or name == "gma_relaxation",
+                        one_offs=combined or name == "one_offs",
+                        shock_scale=base.shock_scale,
+                        shock_start_month=base.shock_start_month)
 
 
 @dataclass(frozen=True)
@@ -565,9 +561,10 @@ def simulated_aggregate_changes(pop: Population, table: CellChangeTable,
                                 spec: ScenarioSpec | None = None,
                                 ) -> dict[str, Fraction]:
     """Full-scale aggregate income changes in percent, for validation,
-    from the shocked persons without building a shocked Population."""
+    summed as the shocked persons are built: none of them is kept."""
     spec = spec or ScenarioSpec(wage_shock=True, selfemp_shock=True)
-    shocked = tuple(shocked_persons(pop, table, shock_start_month=spec.shock_start_month,
-                                    scale=spec.shock_scale))
-    return {source: aggregate_income_change(pop, shocked, source) * 100
-            for source in ("wage", "self_employment")}
+    changes = IncomeChanges(pop)
+    deque(changes.count(shocked_persons(pop, table,
+                                        shock_start_month=spec.shock_start_month,
+                                        scale=spec.shock_scale)), maxlen=0)
+    return {source: changes.change(source) * 100 for source in CHANGE_SOURCES}

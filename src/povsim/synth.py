@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
 from operator import is_
-from typing import Mapping
+from typing import Callable, Mapping
 
 import random
 
@@ -165,10 +167,6 @@ class SynthConfig:
             raise ConfigError("couple_sector_assortativity must lie in [0, 1]")
 
 
-def _flat(value: int) -> tuple[int, ...]:
-    return (value,) * MONTHS if value else ZERO_YEAR
-
-
 # Pay-tier cutoffs used when matching second earners to the head's sector.
 _TIER_LOW = 0.75
 _TIER_HIGH = 1.10
@@ -182,43 +180,54 @@ def _pay_tier(multiplier: float) -> str:
     return "mid"
 
 
+def _chooser(rng: random.Random, shares: Mapping, keys) -> Callable[[], list]:
+    """rng.choices over keys weighted by shares, with the weights summed
+    once: cum_weights gives the draws the weights would."""
+    keys = list(keys)
+    return partial(rng.choices, keys, cum_weights=list(accumulate(map(shares.get, keys))))
+
+
 class _Maker:
     """Stateful helper that builds one household at a time."""
 
     def __init__(self, cfg: SynthConfig, rng: random.Random) -> None:
         self.cfg = cfg
         self.rng = rng
-        self.statuses = list(cfg.adult_labor_shares)
-        self.status_weights = [cfg.adult_labor_shares[s] for s in self.statuses]
-        self.industries = sorted(cfg.industry_dist)
-        self.industry_weights = [cfg.industry_dist[d] for d in self.industries]
-        self.tier_industries: dict[str, tuple[list[str], list[float]]] = {}
+        statuses = {LaborStatus(s): w for s, w in cfg.adult_labor_shares.items()}
+        self.statuses = _chooser(rng, statuses, statuses)
+        industries = sorted(cfg.industry_dist)
+        self.industries = _chooser(rng, cfg.industry_dist, industries)
+        self.tier_industries: dict[str, Callable[[], list]] = {}
         for tier in ("low", "mid", "high"):
-            divs = [d for d in self.industries
+            divs = [d for d in industries
                     if _pay_tier(cfg.sector_wage_multipliers.get(d, 1.0)) == tier]
             if divs:
-                self.tier_industries[tier] = (
-                    divs, [cfg.industry_dist[d] for d in divs])
-        self.se_industries = sorted(cfg.selfemp_industry_dist)
-        self.se_weights = [cfg.selfemp_industry_dist[d] for d in self.se_industries]
-        self.edu_levels = [EducationLevel(e) for e in sorted(cfg.education_shares)]
-        self.edu_weights = [cfg.education_shares[e.value] for e in self.edu_levels]
+                self.tier_industries[tier] = _chooser(rng, cfg.industry_dist, divs)
+        self.se_industries = _chooser(rng, cfg.selfemp_industry_dist,
+                                      sorted(cfg.selfemp_industry_dist))
+        levels = {EducationLevel(e): cfg.education_shares[e]
+                  for e in sorted(cfg.education_shares)}
+        self.edu_levels = _chooser(rng, levels, levels)
         sizes = sorted(cfg.household_size_dist)
-        self.sizes = sizes
-        self.size_weights = [cfg.household_size_dist[s] for s in sizes]
-        e_size = sum(s * w for s, w in zip(sizes, self.size_weights))
+        self.sizes = _chooser(rng, cfg.household_size_dist, sizes)
+        # one vector per distinct flat amount of this generator's population
+        self.flats: dict[int, tuple[int, ...]] = {0: ZERO_YEAR}
+        e_size = sum(s * cfg.household_size_dist[s] for s in sizes)
         e_extra = e_size - 1.0
         if cfg.child_share > 0 and e_extra <= 0:
             raise ConfigError("child_share > 0 needs households larger than 1")
         self.child_prob = 0.0 if e_extra <= 0 else min(
             0.92, cfg.child_share * e_size / e_extra)
 
+    def flat(self, value: int) -> tuple[int, ...]:
+        """value in every month, one vector per distinct value."""
+        return self.flats.setdefault(value, (value,) * MONTHS)
+
     def adult_status(self) -> LaborStatus:
-        return LaborStatus(self.rng.choices(self.statuses,
-                                            self.status_weights)[0])
+        return self.statuses()[0]
 
     def education(self) -> EducationLevel:
-        return self.rng.choices(self.edu_levels, self.edu_weights)[0]
+        return self.edu_levels()[0]
 
     def sex(self) -> Sex:
         return Sex.MALE if self.rng.random() < 0.5 else Sex.FEMALE
@@ -245,11 +254,11 @@ class _Maker:
         cfg, rng = self.cfg, self.rng
         out: dict = {"nace2": None, "wage": None, "selfemp": None, "informal": False}
         if status is LaborStatus.EMPLOYEE:
-            pool = (self.industries, self.industry_weights)
+            pool = self.industries
             if anchor is not None and rng.random() < cfg.couple_sector_assortativity:
                 tier = _pay_tier(cfg.sector_wage_multipliers.get(anchor, 1.0))
                 pool = self.tier_industries.get(tier, pool)
-            div = rng.choices(pool[0], pool[1])[0]
+            div = pool()[0]
             mult = cfg.sector_wage_multipliers.get(div, 1.0)
             # The floor binds on the sector-adjusted wage, so low-pay sectors
             # pile up at the floor the way statutory minimums do in practice.
@@ -257,16 +266,16 @@ class _Maker:
             informal = rng.random() < cfg.informal_share
             if informal:
                 value = max(1, int(round(value * cfg.informal_wage_factor)))
-            out.update(nace2=div, wage=_flat(value), informal=informal)
+            out.update(nace2=div, wage=self.flat(value), informal=informal)
         elif status is LaborStatus.SELF_EMPLOYED:
-            div = rng.choices(self.se_industries, self.se_weights)[0]
-            out.update(nace2=div, selfemp=_flat(cfg.selfemp_income.draw(rng)))
+            div = self.se_industries()[0]
+            out.update(nace2=div, selfemp=self.flat(cfg.selfemp_income.draw(rng)))
         return out
 
     def make_household(self, hid: int, next_pid: int) -> tuple[Household,
                                                                list[Person], int]:
         cfg, rng = self.cfg, self.rng
-        size = rng.choices(self.sizes, self.size_weights)[0]
+        size = self.sizes()[0]
         persons: list[Person] = []
 
         head_status = self.adult_status()
@@ -305,7 +314,7 @@ class _Maker:
                 rng.random() < cfg.special_category_share,
                 earn["wage"] or ZERO_YEAR,
                 earn["selfemp"] or ZERO_YEAR,
-                (_flat(cfg.pension.draw(rng))
+                (self.flat(cfg.pension.draw(rng))
                  if st is LaborStatus.PENSIONER else ZERO_YEAR),
             ))
             pid += 1
@@ -317,12 +326,12 @@ class _Maker:
                                LaborStatus.PENSIONER) for p in persons)
         rent_vec = ZERO_YEAR
         if rng.random() < cfg.rent_share:
-            rent_vec = _flat(cfg.rent_income.draw(rng))
+            rent_vec = self.flat(cfg.rent_income.draw(rng))
         tr_share = (cfg.transfer_share if has_earner
                     else cfg.transfer_share_no_earner)
         transfer_vec = ZERO_YEAR
         if rng.random() < tr_share:
-            transfer_vec = _flat(cfg.transfer_income.draw(rng))
+            transfer_vec = self.flat(cfg.transfer_income.draw(rng))
         if any(rent_vec) or any(transfer_vec):
             persons[0] = head._replace(capital_rent=rent_vec,
                                        interhousehold_transfers=transfer_vec)
@@ -331,7 +340,6 @@ class _Maker:
         weight_centi = rng.randint(int(round(lo * 100)), int(round(hi * 100)))
         household = Household(
             household_id=hid,
-            member_ids=tuple(p.person_id for p in persons),
             weight_centi=weight_centi,
             owns_residence=rng.random() < cfg.owns_residence_share,
             owns_other_real_estate=rng.random() < cfg.other_real_estate_share,

@@ -224,18 +224,27 @@ def build_micro_population() -> Population:
                labor_status=LaborStatus.CHILD),
     ]
     households = [
-        Household(household_id=1, member_ids=(1,), weight_centi=20000,
+        Household(household_id=1, weight_centi=20000,
                   owns_residence=True, car_age_years=8),
-        Household(household_id=2, member_ids=(2, 3, 4, 5), weight_centi=10000,
+        Household(household_id=2, weight_centi=10000,
                   owns_residence=True, car_age_years=10, land_parcel_m2=300),
-        Household(household_id=3, member_ids=(6, 7), weight_centi=10000,
+        Household(household_id=3, weight_centi=10000,
                   owns_residence=True),
-        Household(household_id=4, member_ids=(8, 9, 10), weight_centi=10000,
+        Household(household_id=4, weight_centi=10000,
                   owns_residence=True, car_age_years=3, land_parcel_m2=600),
-        Household(household_id=5, member_ids=(11, 12), weight_centi=10000),
+        Household(household_id=5, weight_centi=10000),
     ]
     return Population(persons=tuple(persons), households=tuple(households),
                       provenance="handbuilt")
+
+
+def members_by_household(pop: Population) -> dict[int, tuple[Person, ...]]:
+    """household id -> the persons whose household_id it is, by person id:
+    a population's membership, read from its persons alone."""
+    members: dict[int, list[Person]] = {hh.household_id: [] for hh in pop.households}
+    for p in sorted(pop.persons, key=lambda p: p.person_id):
+        members[p.household_id].append(p)
+    return {hid: tuple(ms) for hid, ms in members.items()}
 
 
 def build_micro_table() -> CellChangeTable:

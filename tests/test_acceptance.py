@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cascade_results, flat
+from conftest import cascade_results, flat, members_by_household
 from oracles import (equivalized, headcount_by_decimal, poverty_rate_by_scan,
                      relative_line_by_scan, weighted_median_by_scan)
 
@@ -58,8 +58,8 @@ def test_01_metrics_match_brute_force_oracles(params, pov):
         study = Study(pop, None, params, pov)
         result = study.result(ScenarioSpec())
 
-        ages = {hh.household_id: [p.age for p in pop.members(hh.household_id)]
-                for hh in pop.households}
+        ages = {hid: [p.age for p in members]
+                for hid, members in members_by_household(pop).items()}
         weight = {hh.household_id: hh.weight_centi for hh in pop.households}
         eq = {hid: equivalized(fr.annual_disposable, ages[hid])
               for hid, fr in cascade_results(study, result).items()}
@@ -123,8 +123,7 @@ def test_02_gma_eligibility_truth_table(params):
             person = Person(person_id=1, household_id=1, age=40,
                             sex=Sex.FEMALE, labor_status=LaborStatus.INACTIVE,
                             interhousehold_transfers=flat(income))
-            household = Household(household_id=1, member_ids=(1,),
-                                  weight_centi=100, **assets)
+            household = Household(household_id=1, weight_centi=100, **assets)
             ledger = ledger_from_vectors(household, [person],
                                          [person_net_market(person, params)],
                                          params)
@@ -309,8 +308,7 @@ def _random_crisis_household(rng: random.Random, idx: int, params):
         baseline.append(child)
 
     household = Household(
-        household_id=idx, member_ids=tuple(p.person_id for p in members),
-        weight_centi=100,
+        household_id=idx, weight_centi=100,
         owns_residence=rng.random() < 0.7,
         owns_other_real_estate=rng.random() < 0.1,
         car_age_years=rng.randint(0, 12) if rng.random() < 0.4 else None,

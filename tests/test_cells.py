@@ -10,6 +10,7 @@ import pytest
 
 from povsim.cells import (
     AGE_BANDS,
+    CHANGE_SOURCES,
     ESTIMATED,
     MISSING_DEFAULT,
     SMALL_CELL_THRESHOLD,
@@ -17,6 +18,7 @@ from povsim.cells import (
     CellChange,
     CellChangeTable,
     CellStat,
+    IncomeChanges,
     LfsAggregate,
     SelfEmpCellKey,
     WageCellKey,
@@ -31,6 +33,7 @@ from povsim.cells import (
     save_cell_table,
     save_lfs_aggregate,
     shocked_person,
+    shocked_persons,
 )
 from povsim.cli import main
 from povsim.errors import DataError
@@ -344,13 +347,10 @@ class TestAggregateIncomeChange:
         renumbered = Population(
             persons=tuple(p._replace(person_id=p.person_id + 100)
                           if p.person_id == 12 else p for p in pop.persons),
-            households=tuple(hh._replace(member_ids=tuple(
-                i + 100 if i == 12 else i for i in hh.member_ids))
-                for hh in pop.households))
+            households=pop.households)
         fewer = Population(
             persons=tuple(p for p in pop.persons if p.person_id != 12),
-            households=tuple(hh._replace(member_ids=tuple(
-                i for i in hh.member_ids if i != 12)) for hh in pop.households))
+            households=pop.households)
         for other in (renumbered, fewer):
             with pytest.raises(DataError, match="different persons"):
                 aggregate_income_change(pop, other.persons, "wage")
@@ -369,6 +369,61 @@ class TestAggregateIncomeChange:
             households=pop.households)
         with pytest.raises(DataError):
             aggregate_income_change(stripped, stripped.persons, "self_employment")
+
+
+class TestIncomeChanges:
+    @pytest.mark.parametrize("source", ["micro", 1, 2])
+    @pytest.mark.parametrize("scale", [Fraction(4, 5), Fraction(6, 5)])
+    def test_streamed_changes_equal_the_materialized_ones(self, source, scale):
+        """count() passes the shocked persons through as they are and sums
+        what aggregate_income_change sums over the materialized persons."""
+        pop = (build_micro_population() if source == "micro"
+               else generate_synthetic(acceptance_config(300), source))
+        table = CellChangeTable.from_factors(WAGE_F, SE_F)
+        shocked = apply_shock(pop, table, scale=scale)
+        changes = IncomeChanges(pop)
+        streamed = list(changes.count(shocked_persons(pop, table,
+                                                      shock_start_month=3,
+                                                      scale=scale)))
+        assert streamed == list(shocked.persons)
+        assert [a is b for a, b in zip(streamed, pop.persons)] == [
+            a is b for a, b in zip(shocked.persons, pop.persons)]
+        for name in CHANGE_SOURCES:
+            assert changes.change(name) == aggregate_income_change(
+                pop, shocked.persons, name)
+            assert changes.change(name) == aggregate_change_by_scan(pop, shocked, name)
+
+    def test_unchanged_persons_give_zero_change(self):
+        pop = build_micro_population()
+        changes = IncomeChanges(pop)
+        assert list(changes.count(pop.persons)) == list(pop.persons)
+        assert [changes.change(name) for name in CHANGE_SOURCES] == [0, 0]
+
+    @pytest.mark.parametrize("after", ["fewer", "more", "renumbered"])
+    def test_different_persons_fail_the_walk(self, after):
+        pop = build_micro_population()
+        persons = {"fewer": pop.persons[:-1],
+                   "more": pop.persons + (pop.persons[-1]._replace(person_id=13),),
+                   "renumbered": pop.persons[:-1] + (
+                       pop.persons[-1]._replace(person_id=13),)}[after]
+        with pytest.raises(DataError, match="different persons"):
+            list(IncomeChanges(pop).count(persons))
+
+    def test_unsupported_source(self):
+        pop = build_micro_population()
+        changes = IncomeChanges(pop)
+        list(changes.count(pop.persons))
+        with pytest.raises(DataError, match="unsupported source 'pension'"):
+            changes.change("pension")
+
+    def test_shock_arguments_are_checked_on_the_call(self):
+        """A bad start month or scale fails before any person is built."""
+        pop = build_micro_population()
+        table = build_micro_table()
+        with pytest.raises(DataError, match="start month"):
+            shocked_persons(pop, table, shock_start_month=13, scale=1)
+        with pytest.raises(DataError, match="nonnegative"):
+            shocked_persons(pop, table, shock_start_month=3, scale=-1)
 
 
 class TestCsvRoundTrips:

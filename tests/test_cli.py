@@ -14,13 +14,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from povsim.cells import (CellStat, LfsAggregate, all_selfemp_keys,
-                          all_wage_keys, load_cell_table, save_lfs_aggregate)
+from povsim.cells import (CellStat, LfsAggregate, aggregate_income_change,
+                          all_selfemp_keys, all_wage_keys, apply_shock,
+                          load_cell_table, save_lfs_aggregate)
 import povsim.cli as cli_mod
 from povsim.cli import main
 from povsim.config import sha256_file
-from povsim.population import load_population
+from povsim.money import fmt_fraction
+from povsim.population import Population, load_population, save_population
 from povsim.scenario import DIMENSIONS, simulated_aggregate_changes
+from povsim.synth import generate_synthetic
+
+from conftest import acceptance_config, build_micro_population
 
 SEED = 424242
 STUDY = {"seed": SEED, "synth": {"n_households": 240}}
@@ -284,6 +289,57 @@ class TestShocks:
         assert -14 < float(changes["wage"]) < -13
         assert -21 < float(changes["self_employment"]) < -19
 
+    @pytest.mark.parametrize("source", ["micro", 1, 2])
+    @pytest.mark.parametrize("scale", ["4/5", "6/5"])
+    def test_streamed_shock_writes_the_materialized_population(self, ws, tmp_path,
+                                                               source, scale):
+        """shocks writes each shocked person as it is built: the bytes and
+        the summary of the shocked Population apply_shock builds, on the
+        micro panel and on 300 households drawn at two seeds."""
+        pop = (build_micro_population() if source == "micro"
+               else generate_synthetic(acceptance_config(300), source))
+        given = {name: str(tmp_path / f"{name}.csv")
+                 for name in ("persons", "households")}
+        save_population(pop, given["persons"], given["households"])
+        assert main(["shocks", "--persons", given["persons"],
+                     "--households", given["households"],
+                     "--cells", str(ws.cal / "cells.csv"), "--scale", scale,
+                     "--out", str(tmp_path / "streamed")]) == 0
+        loaded = load_population(given["persons"], given["households"])
+        shocked = apply_shock(loaded, load_cell_table(str(ws.cal / "cells.csv")),
+                              scale=Fraction(scale))
+        assert shocked is not loaded
+        materialized = tmp_path / "materialized"
+        materialized.mkdir()
+        save_population(shocked, str(materialized / "persons.csv"),
+                        str(materialized / "households.csv"))
+        for name in ("persons.csv", "households.csv"):
+            assert ((tmp_path / "streamed" / name).read_bytes()
+                    == (materialized / name).read_bytes())
+        summary = json.loads((tmp_path / "streamed" / "shock_summary.json")
+                             .read_text(encoding="utf-8"))
+        assert summary["aggregate_change_pct"] == {
+            source: fmt_fraction(aggregate_income_change(
+                loaded, shocked.persons, source) * 100, 4)
+            for source in ("wage", "self_employment")}
+
+    @pytest.mark.parametrize("command", ["shocks", "validate"])
+    def test_builds_no_shocked_population(self, ws, monkeypatch, command):
+        """shocks and validate sum the changes as the shocked persons
+        stream: no Population but the loaded one is made."""
+        options = (["--config", observed_config(ws, Fraction(0), "100")]
+                   if command == "validate" else [])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a shocked Population was built")
+
+        monkeypatch.setattr(Population, "__init__", refuse)
+        monkeypatch.setattr(Population, "_with_persons", refuse)
+        assert main([command, *options, "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--cells", str(ws.cal / "cells.csv"),
+                     "--out", str(ws.root / f"x_{command}_stream")]) == 0
+
     @pytest.mark.parametrize("scale", ["big", " 0.8", "1_0", "٣", "1/0"])
     def test_bad_scale(self, ws, capsys, scale):
         assert main(["shocks", "--persons", str(ws.gen / "persons.csv"),
@@ -414,7 +470,26 @@ class TestSimulate:
                      "--factors", "gma_relaxation,one_offs,gma_relaxation",
                      "--out", str(ws.root / "x_factors")]) == 1
         assert capsys.readouterr().err == (
-            "error: factors lists 'gma_relaxation' more than once\n")
+            "error: --factors (scenario.factors): factors lists 'gma_relaxation' "
+            "more than once\n")
+        assert not (ws.root / "x_factors").exists()
+
+    @pytest.mark.parametrize("factors,item", [
+        ("wage_shock,bogus", "bogus"), (",", ""), ("", ""),
+        ("gma_relaxation,,one_offs", ""), ("gma_relaxation, one_offs", " one_offs"),
+        ("gma_relaxation ,one_offs", "gma_relaxation "),
+    ])
+    def test_bad_factors_override_names_option_and_key(self, ws, capsys, factors,
+                                                       item):
+        """Each item is taken as given: an empty item or one with spaces
+        around it is an unknown factor, not stripped away."""
+        assert main(["simulate", "--config", str(ws.cfg),
+                     "--persons", str(ws.gen / "persons.csv"),
+                     "--households", str(ws.gen / "households.csv"),
+                     "--factors", factors, "--out", str(ws.root / "x_factors")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --factors (scenario.factors): unknown factor {item!r} "
+            "(allowed: wage_shock, selfemp_shock, gma_relaxation, one_offs)\n")
         assert not (ws.root / "x_factors").exists()
 
     def test_transfer_only_factors_need_no_cells(self, ws):

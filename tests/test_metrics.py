@@ -21,7 +21,7 @@ from povsim.metrics import (
 from povsim.population import (EducationLevel, Household, LaborStatus, Person,
                                Population, Sex)
 
-from conftest import build_micro_population
+from conftest import build_micro_population, members_by_household
 from oracles import (
     equivalence_divisor,
     equivalized,
@@ -80,8 +80,8 @@ class TestEquivalenceScale:
     def test_equivalized_income_exact(self):
         members = (person_aged(40), person_aged(10, 2))
         pop = Population(persons=members, households=(
-            Household(household_id=1, member_ids=(1, 2), weight_centi=100),))
-        scores = HouseholdFrame.of(pop.households, [pop.members(1)],
+            Household(household_id=1, weight_centi=100),))
+        scores = HouseholdFrame.of(pop.households, [members_by_household(pop)[1]],
                                    EquivalenceScale()).scores([100000])
         assert scores.equivalized() == {1: equivalized(100000, [40, 10])}
         assert scores.equivalized()[1] == Fraction(1000000, 13)
@@ -144,7 +144,7 @@ class TestRatesAndLines:
     def micro(self):
         pop = build_micro_population()
         frame = HouseholdFrame.of(
-            pop.households, [pop.members(hh.household_id) for hh in pop.households],
+            pop.households, list(members_by_household(pop).values()),
             EquivalenceScale())
         scores = frame.scores([MICRO_ANNUAL[hid] for hid in frame.household_ids])
         return pop, frame, scores
@@ -152,8 +152,9 @@ class TestRatesAndLines:
     @staticmethod
     def triples(pop, selected=lambda age: True):
         out = []
+        members = members_by_household(pop)
         for hh in pop.households:
-            ages = [m.age for m in pop.members(hh.household_id)]
+            ages = [m.age for m in members[hh.household_id]]
             eq = equivalized(MICRO_ANNUAL[hh.household_id], ages)
             out += [(eq, hh.weight_centi, selected(age)) for age in ages]
         return out

@@ -14,7 +14,7 @@ from povsim.cells import apply_shock
 from povsim.rules import ledger_from_vectors, person_net_market
 from povsim.scenario import ScenarioSpec, Study, prepare_baseline
 
-from conftest import cascade_results
+from conftest import cascade_results, members_by_household
 from oracles import MICRO_EXPECTED as E
 
 COMBINED = ScenarioSpec(wage_shock=True, selfemp_shock=True,
@@ -107,9 +107,11 @@ class TestCombinedScenario:
         shocked = apply_shock(micro_pop, micro_table)
         hotel_worker = [p for p in shocked.persons if p.person_id == 1][0]
         assert hotel_worker.wage == (30000, 30000) + (15000,) * 10
-        members = shocked.members(hotel_worker.household_id)
+        members = members_by_household(shocked)[hotel_worker.household_id]
+        household = next(hh for hh in shocked.households
+                         if hh.household_id == hotel_worker.household_id)
         ledger = ledger_from_vectors(
-            shocked.household(hotel_worker.household_id), members,
+            household, members,
             [person_net_market(m, params) for m in members], params)
         assert combined_fiscal[hotel_worker.household_id].net_market == \
             ledger.net_market

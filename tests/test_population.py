@@ -24,7 +24,7 @@ from povsim.population import (
     save_population,
 )
 
-from conftest import build_micro_population, flat
+from conftest import build_micro_population, flat, members_by_household
 from oracles import population_csv_by_writer
 
 
@@ -73,20 +73,29 @@ class TestPerson:
 
 class TestHousehold:
     def test_size_and_weight(self):
-        h = Household(household_id=1, member_ids=(1, 2), weight_centi=12345)
-        assert h.size == 2
+        # a household's size is the number of persons that name it
+        h = Household(household_id=1, weight_centi=12345)
+        pop = Population(persons=(adult(1, 1), adult(2, 1)), households=(h,))
+        assert len(members_by_household(pop)[1]) == 2
+        assert pop.households == (h,) and h.weight_centi == 12345
 
     @pytest.mark.parametrize("kw,fragment", [
-        (dict(member_ids=()), "no members"),
+        (dict(persons=()), "no members"),
         (dict(weight_centi=0), "weight"),
         (dict(car_age_years=-1), "car age"),
         (dict(land_parcel_m2=-5), "land parcel"),
     ])
     def test_problems(self, kw, fragment):
-        defaults = dict(household_id=1, member_ids=(1,), weight_centi=100)
-        defaults.update(kw)
-        probs = Household(**defaults).problems()
-        assert probs and fragment in " / ".join(probs)
+        """A household's own fields are checked by problems(), and any
+        problem, membership included, fails the population."""
+        persons = kw.get("persons", (adult(1, 1),))
+        fields = {k: v for k, v in kw.items() if k != "persons"}
+        household = Household(**{"household_id": 1, "weight_centi": 100, **fields})
+        if persons:
+            probs = household.problems()
+            assert probs and fragment in " / ".join(probs)
+        with pytest.raises(DataError, match=f"household 1: .*{fragment}"):
+            Population(persons=persons, households=(household,))
 
 
 class TestPopulation:
@@ -96,31 +105,47 @@ class TestPopulation:
         assert [p.person_id for p in pop.persons] == list(range(1, 13))
         assert pop.n_persons == 12
         assert pop.n_households == 5
-        assert pop.household(3).weight_centi == 10000
-        assert [p.person_id for p in pop.members(2)] == [2, 3, 4, 5]
+        assert pop.households[2] == (3, 10000, True, False, None, None)
+        assert [p.person_id for p in members_by_household(pop)[2]] == [2, 3, 4, 5]
+        # a household's members are its run of persons
+        assert [p.person_id for p in pop.persons[1:5]] == [2, 3, 4, 5]
 
     def test_duplicate_household_id(self):
-        hh = Household(household_id=1, member_ids=(1,), weight_centi=100)
+        hh = Household(household_id=1, weight_centi=100)
         with pytest.raises(DataError, match="duplicate household"):
             Population(persons=(adult(1, 1),), households=(hh, hh))
 
     def test_duplicate_person_id(self):
-        hh = Household(household_id=1, member_ids=(1, 1), weight_centi=100)
+        hh = Household(household_id=1, weight_centi=100)
         with pytest.raises(DataError, match="duplicate person"):
             Population(persons=(adult(1, 1), adult(1, 1)), households=(hh,))
 
     def test_unknown_household_reference(self):
-        hh = Household(household_id=1, member_ids=(1,), weight_centi=100)
+        hh = Household(household_id=1, weight_centi=100)
         with pytest.raises(DataError, match="unknown household"):
             Population(persons=(adult(1, 1), adult(2, 9)), households=(hh,))
 
-    def test_member_list_mismatch(self):
-        hh = Household(household_id=1, member_ids=(1, 2), weight_centi=100)
-        with pytest.raises(DataError, match="member list"):
-            Population(persons=(adult(1, 1),), households=(hh,))
+    @pytest.mark.parametrize("empty", [1, 2, 3])
+    def test_household_without_persons(self, empty):
+        """Households 1 to 3 with persons in all but one, which is reported
+        wherever it falls in the merge of the two tables."""
+        households = tuple(Household(household_id=h, weight_centi=100)
+                           for h in (1, 2, 3))
+        persons = tuple(adult(h, h) for h in (1, 2, 3) if h != empty)
+        with pytest.raises(DataError,
+                           match=f"^household {empty}: household has no members$"):
+            Population(persons=persons, households=households)
+
+    def test_unknown_household_between_listed_ones(self):
+        households = tuple(Household(household_id=h, weight_centi=100)
+                           for h in (1, 3))
+        with pytest.raises(DataError,
+                           match="^person 2 references unknown household 2$"):
+            Population(persons=(adult(1, 1), adult(2, 2), adult(3, 3)),
+                       households=households)
 
     def test_person_problem_is_raised(self):
-        hh = Household(household_id=1, member_ids=(1,), weight_centi=100)
+        hh = Household(household_id=1, weight_centi=100)
         with pytest.raises(DataError, match="person 1"):
             Population(persons=(adult(1, 1, age=200),), households=(hh,))
 
@@ -133,11 +158,9 @@ class TestPopulation:
                                households=pop.households,
                                provenance=pop.provenance)
         assert doubled == validated
-        for hh in pop.households:
-            assert doubled.members(hh.household_id) == \
-                validated.members(hh.household_id)
-        assert doubled.members(3)[0].pension[0] == 24000
-        assert pop.members(3)[0].pension[0] == 12000
+        assert members_by_household(doubled) == members_by_household(validated)
+        assert members_by_household(doubled)[3][0].pension[0] == 24000
+        assert members_by_household(pop)[3][0].pension[0] == 12000
 
     def test_derived_keeps_the_latest_value(self):
         pop = build_micro_population()
@@ -207,9 +230,9 @@ class TestCsvRoundTrip:
 class TestRecords:
     def test_records_are_immutable(self):
         person = adult(1, 1)
-        household = Household(household_id=1, member_ids=(1,), weight_centi=100)
+        household = Household(household_id=1, weight_centi=100)
         for record, field in ((person, "age"), (person, "wage"),
-                              (household, "weight_centi"), (household, "member_ids")):
+                              (household, "weight_centi"), (household, "household_id")):
             with pytest.raises(AttributeError):
                 setattr(record, field, getattr(record, field))
             with pytest.raises(AttributeError):
@@ -242,17 +265,16 @@ class TestOrder:
         assert [(p.household_id, p.person_id) for p in again.persons] == sorted(
             (p.household_id, p.person_id) for p in shuffled)
         assert [h.household_id for h in again.households] == [1, 2, 3, 4, 5]
-        for hh in pop.households:
-            assert again.members(hh.household_id) == pop.members(hh.household_id)
+        assert members_by_household(again) == members_by_household(pop)
 
     def test_person_order_is_household_then_person(self):
         """Ids that sort one way by person and another by household."""
         persons = (adult(1, 2), adult(2, 1), adult(3, 2), adult(4, 1))
-        households = (Household(household_id=2, member_ids=(3, 1), weight_centi=1),
-                      Household(household_id=1, member_ids=(4, 2), weight_centi=1))
+        households = (Household(household_id=2, weight_centi=1),
+                      Household(household_id=1, weight_centi=1))
         pop = Population(persons=persons, households=households)
         assert [p.person_id for p in pop.persons] == [2, 4, 1, 3]
-        assert [p.person_id for p in pop.members(2)] == [1, 3]
+        assert [p.person_id for p in members_by_household(pop)[2]] == [1, 3]
 
     def test_records_in_order_are_kept_as_given(self):
         pop = build_micro_population()
@@ -281,7 +303,6 @@ def random_csv_population(rng: random.Random, n_households: int) -> Population:
     persons, households = [], []
     pid = 0
     for hid in range(1, n_households + 1):
-        ids = []
         for _ in range(rng.randint(1, 5)):
             pid += 1
             age = rng.randint(0, 110)
@@ -298,9 +319,8 @@ def random_csv_population(rng: random.Random, n_households: int) -> Population:
                 vector() if employee else ZERO_YEAR,
                 vector() if status is LaborStatus.SELF_EMPLOYED else ZERO_YEAR,
                 vector(), vector(), vector()))
-            ids.append(base + pid)
         households.append(Household(
-            base + hid, tuple(ids), rng.choice((1, 100, rng.randint(1, 10 ** 25))),
+            base + hid, rng.choice((1, 100, rng.randint(1, 10 ** 25))),
             rng.random() < 0.5, rng.random() < 0.5,
             rng.choice((None, 0, rng.randint(1, 40), 10 ** 22)),
             rng.choice((None, 0, rng.randint(1, 5000)))))

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from conftest import acceptance_config, build_micro_population, build_micro_table
+from conftest import (acceptance_config, build_micro_population, build_micro_table,
+                      members_by_household)
 
 from povsim.cells import save_cell_table
 from povsim.cli import main
@@ -314,9 +315,8 @@ def test_loaded_population_equals_a_fully_validated_one(tmp_path, make):
     validated = Population(persons=loaded.persons, households=loaded.households,
                            provenance="loaded")
     assert loaded == validated
-    for hh in loaded.households:
-        assert loaded.household(hh.household_id) == validated.household(hh.household_id)
-        assert loaded.members(hh.household_id) == validated.members(hh.household_id)
+    assert loaded.households == validated.households
+    assert members_by_household(loaded) == members_by_household(validated)
     assert same_tables(loaded, pop)
     # a month vector of zeros is one shared object
     zero_vectors = [vec for p in loaded.persons
@@ -339,7 +339,7 @@ def repeating_population() -> Population:
             wage=(varying, stepped, (30000,) * 12)[pid % 3],
             pension=varying if pid < 3 else ZERO_YEAR,
             capital_rent=(12000,) * 12 if pid == 6 else ZERO_YEAR))
-    households = [Household(1000 + i, (2 * i - 1, 2 * i), 10000) for i in (1, 2, 3)]
+    households = [Household(1000 + i, 10000) for i in (1, 2, 3)]
     return Population(tuple(persons), tuple(households))
 
 
@@ -355,9 +355,40 @@ def test_a_loaded_population_keeps_one_object_per_distinct_value(tmp_path):
     assert len({id(v) for v in vectors}) == len(set(vectors)) == 5
     zero_vectors = [vec for vec in vectors if vec == ZERO_YEAR]
     assert zero_vectors and all(vec is ZERO_YEAR for vec in zero_vectors)
+    households = {hh.household_id: hh for hh in loaded.households}
     for p in loaded.persons:
-        assert p.household_id is loaded.household(p.household_id).household_id
+        assert p.household_id is households[p.household_id].household_id
         assert p.nace2 is DIVISIONS[DIVISIONS.index(p.nace2)]
+
+
+@pytest.mark.parametrize("make", [build_micro_population, synthetic])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shuffled_rows_load_the_same_population(tmp_path, make, seed):
+    """Rows in any order load to the population of the canonical files."""
+    pop = make()
+    canonical = saved_pair(tmp_path / "canonical", pop)
+    shuffled = saved_pair(tmp_path / "shuffled", pop)
+    rng = random.Random(seed)
+    for name in shuffled:
+        header, *rows = read_rows(shuffled[name])
+        rng.shuffle(rows)
+        write_rows(shuffled[name], [header, *rows])
+    again = load_population(shuffled["persons"], shuffled["households"])
+    assert again == load_population(canonical["persons"], canonical["households"])
+    assert same_tables(again, pop)
+
+
+@pytest.mark.parametrize("hid", [1, 2, 3, 4, 5])
+def test_a_household_without_persons_rows_names_both_files(tmp_path, hid):
+    """A household whose persons rows are all gone is reported wherever it
+    falls among the others, against the persons file."""
+    paths = saved_pair(tmp_path)
+    header, *rows = read_rows(paths["persons"])
+    write_rows(paths["persons"], [header, *(
+        row for row in rows if row[header.index("household_id")] != str(hid))])
+    assert load_error(paths) == (
+        f"household {hid}: household has no members, though "
+        f"{paths['households']} lists it (file={paths['persons']})")
 
 
 def test_resave_is_byte_identical(tmp_path):

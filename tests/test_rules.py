@@ -45,9 +45,8 @@ def person(pid=1, hid=1, age=40, sex=Sex.FEMALE,
 
 
 def household(members, weight=100, **kw) -> Household:
-    return Household(household_id=members[0].household_id,
-                     member_ids=tuple(m.person_id for m in members),
-                     weight_centi=weight, **kw)
+    return Household(household_id=members[0].household_id, weight_centi=weight,
+                     **kw)
 
 
 def ledger_for(members, params=PARAMS, baseline=None, **hh_kw):

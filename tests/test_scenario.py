@@ -21,7 +21,7 @@ from povsim.scenario import (
 )
 from povsim.cells import aggregate_income_change, apply_shock
 
-from conftest import cascade_results
+from conftest import cascade_results, members_by_household
 
 ALL_ON = ScenarioSpec(wage_shock=True, selfemp_shock=True,
                       gma_relaxation=True, one_offs=True)
@@ -36,9 +36,10 @@ def net_market(study, result):
 def net_market_of(pop, params):
     """household id -> monthly net market income of pop's members, by
     ledger_from_vectors."""
+    members = members_by_household(pop)
     return {hh.household_id: ledger_from_vectors(
-                hh, pop.members(hh.household_id),
-                [person_net_market(m, params) for m in pop.members(hh.household_id)],
+                hh, members[hh.household_id],
+                [person_net_market(m, params) for m in members[hh.household_id]],
                 params).net_market
             for hh in pop.households}
 

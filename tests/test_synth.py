@@ -19,7 +19,7 @@ from povsim.synth import (
     generate_synthetic,
 )
 
-from conftest import acceptance_config
+from conftest import acceptance_config, members_by_household
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +168,8 @@ class TestGeneration:
 
         def tier_match_rate(pop):
             same = total = 0
-            for hh in pop.households:
-                employees = [p for p in pop.members(hh.household_id)
+            for members in members_by_household(pop).values():
+                employees = [p for p in members
                              if p.labor_status is LaborStatus.EMPLOYEE]
                 if len(employees) < 2:
                     continue
